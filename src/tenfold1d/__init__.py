@@ -25,7 +25,6 @@ from .errors import (
 from .index import (
     IndexValue,
     bulk_consistency_check,
-    relative_index,
     topological_index,
 )
 from .junction import (
@@ -139,7 +138,6 @@ __all__ = [
     # indices
     "IndexValue",
     "topological_index",
-    "relative_index",
     "bulk_consistency_check",
     # models
     "BulkData",

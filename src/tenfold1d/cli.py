@@ -37,7 +37,6 @@ from .errors import (
 from .index import topological_index
 from .junction import (
     continuous_junction_report,
-    hard_junction,
     predicted_zero_modes,
     protected_bound,
 )
@@ -133,14 +132,26 @@ def cmd_classify(args, tol: Tolerances):
     return RunReport("classify", ["class", "member", "index"], rows, meta), exit_code
 
 
+def _profile_report(args, tol: Tolerances):
+    """Profile, energy and transport report of a --profile run."""
+    if not args.cartan:
+        raise ParseError(f"{args.command} --profile needs --class")
+    mf = parse_model(args.profile)
+    profile = build_profile(mf)
+    energy = _pick_energy(args, mf)
+    return profile, energy, continuous_junction_report(profile, energy, args.cartan, tol)
+
+
+def _pair_indices(label, left, right, tol: Tolerances):
+    """Indices of two bulks' decaying unitaries and their protected bound."""
+    il = topological_index(left.u_plus, label, tol)
+    ir = topological_index(right.u_plus, label, tol)
+    return il, ir, protected_bound(label, il, ir)
+
+
 def cmd_junction(args, tol: Tolerances):
     if args.profile:
-        if not args.cartan:
-            raise ParseError("junction --profile needs --class")
-        mf = parse_model(args.profile)
-        profile = build_profile(mf)
-        energy = _pick_energy(args, mf)
-        rep = continuous_junction_report(profile, energy, args.cartan, tol)
+        _, _, rep = _profile_report(args, tol)
         columns = ["class", "energy", "predicted", "bound", "index_left",
                    "index_right", "transport_consistent", "gap_left", "gap_right"]
         rows = [[rep.cartan, _fmt(rep.energy), _fmt(rep.predicted),
@@ -165,16 +176,12 @@ def cmd_junction(args, tol: Tolerances):
     energy = _pick_energy(args, left_mf, right_mf)
     left = build_bulk(left_mf, tol, energy=energy)
     right = build_bulk(right_mf, tol, energy=energy)
-    pair = hard_junction(left, right, tol)
-    predicted = predicted_zero_modes(pair.left, pair.right, tol)
+    predicted = predicted_zero_modes(left, right, tol)
     bound = ""
     index_left = index_right = ""
     if args.cartan:
-        label = CartanClass.coerce(args.cartan)
-        il = topological_index(left.u_plus, label, tol)
-        ir = topological_index(right.u_plus, label, tol)
-        bound = _fmt(protected_bound(label, il, ir))
-        index_left, index_right = str(il), str(ir)
+        il, ir, b = _pair_indices(args.cartan, left, right, tol)
+        bound, index_left, index_right = _fmt(b), str(il), str(ir)
     columns = ["class", "energy", "predicted", "bound", "index_left",
                "index_right", "gap_left", "gap_right"]
     rows = [[args.cartan or "", _fmt(energy), _fmt(predicted), bound,
@@ -241,8 +248,7 @@ def cmd_sweep(args, tol: Tolerances):
             continue
         idx = topological_index(bulk.u_plus, label, tol)
         try:
-            pair = hard_junction(ref_bulk, bulk, tol)
-            predicted = _fmt(predicted_zero_modes(pair.left, pair.right, tol))
+            predicted = _fmt(predicted_zero_modes(ref_bulk, bulk, tol))
         except IncompatibleBoundary:
             predicted = "NA"
         rows.append([_fmt(v), _fmt(bulk.gap), str(idx), predicted])
@@ -273,12 +279,7 @@ def cmd_verify(args, tol: Tolerances):
     )
     extra_meta = {}
     if args.profile:
-        if not args.cartan:
-            raise ParseError("verify --profile needs --class")
-        mf = parse_model(args.profile)
-        profile = build_profile(mf)
-        energy = _pick_energy(args, mf)
-        rep = continuous_junction_report(profile, energy, args.cartan, tol)
+        profile, energy, rep = _profile_report(args, tol)
         H = discretize_dirac_junction(profile, spec)
         predicted, bound = rep.predicted, rep.bound
         source = args.profile
@@ -292,14 +293,10 @@ def cmd_verify(args, tol: Tolerances):
         right = tb_bulk(right_model, energy, tol)
         bound = 0
         if args.cartan:
-            label = CartanClass.coerce(args.cartan)
-            il = topological_index(left.u_plus, label, tol)
-            ir = topological_index(right.u_plus, label, tol)
-            bound = protected_bound(label, il, ir)
+            il, ir, bound = _pair_indices(args.cartan, left, right, tol)
             extra_meta = {"index_left": str(il), "index_right": str(ir)}
         try:
-            pair = hard_junction(left, right, tol)
-            predicted = predicted_zero_modes(pair.left, pair.right, tol)
+            predicted = predicted_zero_modes(left, right, tol)
         except IncompatibleBoundary:
             # seam bonds differ: no common boundary form, so the
             # transversal count is unavailable; the bound still stands
@@ -410,15 +407,21 @@ def main(argv=None) -> int:
                        ("json", False), ("out", None)):
         if not hasattr(args, key):
             setattr(args, key, value)
-    tol = TOL
-    if args.tol_eig is not None or args.tol_rank is not None:
-        tol = Tolerances(
-            rank_tol=args.tol_rank if args.tol_rank is not None else TOL.rank_tol,
-            eig_tol=args.tol_eig if args.tol_eig is not None else TOL.eig_tol,
-            frame_tol=TOL.frame_tol,
-        )
     try:
+        tol = TOL
+        if args.tol_eig is not None or args.tol_rank is not None:
+            tol = Tolerances(
+                rank_tol=args.tol_rank if args.tol_rank is not None else TOL.rank_tol,
+                eig_tol=args.tol_eig if args.tol_eig is not None else TOL.eig_tol,
+                frame_tol=TOL.frame_tol,
+            )
         report, exit_code = _COMMANDS[args.command](args, tol)
+        text = report.to_json() if args.json else report.to_csv()
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (ParseError, BadSpec, BadTemplate, OSError) as exc:
         print(f"tenfold1d: error: {exc}", file=sys.stderr)
         return 3
@@ -426,12 +429,6 @@ def main(argv=None) -> int:
         print(f"tenfold1d: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
-    text = report.to_json() if args.json else report.to_csv()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     if not args.json and report.meta:
         for key, value in report.meta.items():
             print(f"# {key}: {value}", file=sys.stderr)

@@ -1,11 +1,12 @@
-"""Topological indices of boundary unitaries and their junction bounds.
+"""Topological indices of boundary unitaries.
 
 Three kinds of invariant occur across the ten classes: none (the
 manifold is connected), a kernel dimension dim ker(U - 1) (chiral
 classes, where it counts the +1 eigenvalues of a hermitian unitary),
 and a sign (determinant for real orthogonal, Pfaffian for real
-antisymmetric orthogonal). The relative index of two bulks lower-bounds
-the number of protected zero modes at a junction between them.
+antisymmetric orthogonal). The indices of two bulks lower-bound the
+number of protected zero modes at a junction between them
+(junction.protected_bound).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .symmetry import CartanClass, _count_kernel, _unpack_unitary, membership
 __all__ = [
     "IndexValue",
     "topological_index",
-    "relative_index",
     "bulk_consistency_check",
 ]
 
@@ -93,26 +93,6 @@ def topological_index(U, label, tol: Tolerances = TOL) -> IndexValue:
         det = np.linalg.det(M)
         return IndexValue.sign(_snap_sign(float(det.real), "det(U)"))
     return IndexValue.sign(_snap_sign(pfaffian(M, tol), "Pf(U)"))
-
-
-def relative_index(label, left: IndexValue, right: IndexValue) -> int:
-    """Lower bound on protected zero modes from two bulk indices.
-
-    Kernel-dim classes give |right - left|; sign classes give 1 when
-    the signs differ; classes without an invariant give 0.
-    """
-    label = CartanClass.coerce(label)
-    kind = label.index_kind
-    if left.kind != kind or right.kind != kind:
-        raise KindMismatch(
-            f"class {label.value} carries {kind!r} indices, "
-            f"got {left.kind!r} and {right.kind!r}"
-        )
-    if kind == "zero":
-        return 0
-    if kind == "kernel_dim":
-        return abs(right.value - left.value)
-    return 0 if left.value == right.value else 1
 
 
 def bulk_consistency_check(label, index_plus: IndexValue, index_minus: IndexValue,

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompatibleBoundary
+from .errors import IncompatibleBoundary, KindMismatch
 from .linalg import TOL, Tolerances, subspace_intersection_dim
 from .symplectic import canonical_split, crossing_dim, is_lagrangian, plane_to_unitary
-from .index import IndexValue, relative_index, topological_index
+from .index import IndexValue, topological_index
 from .models import BulkData, PiecewiseDiracProfile, dirac_bulk, dirac_form, propagate_plane
 from .symmetry import CartanClass
 
@@ -73,8 +73,23 @@ def predicted_zero_modes(left: BulkData, right: BulkData, tol: Tolerances = TOL)
 
 
 def protected_bound(label, left: IndexValue, right: IndexValue) -> int:
-    """Deformation-stable lower bound on the zero-mode count."""
-    return relative_index(label, left, right)
+    """Deformation-stable lower bound on the zero-mode count.
+
+    Kernel-dim classes give |right - left|; sign classes give 1 when
+    the signs differ; classes without an invariant give 0.
+    """
+    label = CartanClass.coerce(label)
+    kind = label.index_kind
+    if left.kind != kind or right.kind != kind:
+        raise KindMismatch(
+            f"class {label.value} carries {kind!r} indices, "
+            f"got {left.kind!r} and {right.kind!r}"
+        )
+    if kind == "zero":
+        return 0
+    if kind == "kernel_dim":
+        return abs(right.value - left.value)
+    return 0 if left.value == right.value else 1
 
 
 @dataclass(frozen=True)

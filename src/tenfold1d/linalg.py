@@ -194,22 +194,23 @@ def stable_unstable_split(M, tol: Tolerances = TOL):
         these belong to neither frame.
     """
     M = _as_square(M, "M")
-    n = M.shape[0]
     s = np.linalg.svd(M, compute_uv=False)
     if s[-1] <= tol.rank_tol * max(1.0, s[0]):
         raise Singular(f"smallest singular value {s[-1]:.3e}")
+    return _schur_frames(M, lambda z: abs(z) < 1.0 - tol.eig_tol,
+                         lambda z: abs(z) > 1.0 + tol.eig_tol, tol)
 
-    def inside(z):
-        return abs(z) < 1.0 - tol.eig_tol
 
-    def outside(z):
-        return abs(z) > 1.0 + tol.eig_tol
+def _schur_frames(M, first, second, tol: Tolerances):
+    """Invariant subspaces of M for two disjoint eigenvalue predicates.
 
-    _, z_in, k_in = sla.schur(M, output="complex", sort=inside)
-    _, z_out, k_out = sla.schur(M, output="complex", sort=outside)
-    stable = Frame(z_in[:, :k_in], tol)
-    unstable = Frame(z_out[:, :k_out], tol)
-    return stable, unstable, n - k_in - k_out
+    Each frame spans the eigenvalues its predicate selects, taken from
+    a sorted complex Schur form. Also returns how many eigenvalues
+    neither predicate selects.
+    """
+    _, z1, k1 = sla.schur(M, output="complex", sort=first)
+    _, z2, k2 = sla.schur(M, output="complex", sort=second)
+    return Frame(z1[:, :k1], tol), Frame(z2[:, :k2], tol), M.shape[0] - k1 - k2
 
 
 def pfaffian(A, tol: Tolerances = TOL) -> float:

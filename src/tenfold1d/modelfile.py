@@ -18,6 +18,7 @@ not silently change the model.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -54,6 +55,14 @@ def _entry_to_complex(entry, where: str) -> complex:
         return complex(entry[0], entry[1])
     raise ParseError(f"{where}: matrix entries are numbers or [re, im] pairs, "
                      f"got {entry!r}")
+
+
+def _finite(token: str, where: str) -> float:
+    """JSON number hook: NaN, Infinity and literals past float range are errors."""
+    x = float(token)
+    if not math.isfinite(x):
+        raise ParseError(f"{where}: {token} is not a finite number")
+    return x
 
 
 def _value_to_matrix(value, where: str) -> np.ndarray:
@@ -128,8 +137,10 @@ def parse_model_text(text: str, source: str = "<string>") -> ModelFile:
         key, rest = parts
         if key in pairs:
             raise ParseError(f"{where}: duplicate key {key!r}")
+        finite = lambda token: _finite(token, where)
         try:
-            value = json.loads(rest)
+            value = json.loads(rest, parse_float=finite, parse_int=finite,
+                               parse_constant=finite)
         except json.JSONDecodeError as exc:
             if rest.strip().isidentifier():
                 value = rest.strip()

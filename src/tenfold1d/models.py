@@ -25,6 +25,7 @@ from .linalg import (
     Frame,
     Tolerances,
     _as_square,
+    _schur_frames,
     hermitian_eig,
     orthonormalize,
     stable_unstable_split,
@@ -118,11 +119,11 @@ def _hyperbolic_frames(B: np.ndarray, tol: Tolerances):
     margin = tol.rank_tol * max(1.0, float(np.abs(B).max()))
     if np.abs(lam.real).min() <= margin:
         raise GapClosed("coefficient matrix has a near-imaginary eigenvalue")
-    _, z_dec, k_dec = sla.schur(B, output="complex", sort=lambda z: z.real < 0)
-    _, z_gro, k_gro = sla.schur(B, output="complex", sort=lambda z: z.real > 0)
-    if k_dec + k_gro != B.shape[0]:
+    decaying, growing, missing = _schur_frames(
+        B, lambda z: z.real < 0, lambda z: z.real > 0, tol)
+    if missing:
         raise GapClosed("hyperbolic split is incomplete")
-    return Frame(z_dec[:, :k_dec], tol), Frame(z_gro[:, :k_gro], tol)
+    return decaying, growing
 
 
 def dirac_bulk(W, tol: Tolerances = TOL, energy: float = 0.0) -> BulkData:

@@ -25,6 +25,7 @@ from .errors import (
     NotUnitary,
 )
 from .linalg import TOL, Tolerances, _as_square
+from .models import dirac_form
 from .symplectic import LagrangianPlane, LerayUnitary, SymplecticForm
 
 __all__ = [
@@ -33,14 +34,11 @@ __all__ = [
     "SymmetrySet",
     "cartan_class",
     "check_J_compatibility",
-    "JCompatibility",
     "plane_respects",
-    "PlaneSymmetryReport",
     "membership",
     "canonical_symmetry_basis",
     "symplectic_grassmannian_check",
     "GrassmannianReport",
-    "antiunitary_normal_form",
     "standard_omega",
     "random_unitary",
     "random_orthogonal",
@@ -248,8 +246,8 @@ def cartan_class(sym: SymmetrySet, tol: Tolerances = TOL) -> CartanClass:
 
 
 @dataclass(frozen=True)
-class JCompatibility:
-    """Defects of the generator relations against a boundary form."""
+class SymmetryDefects:
+    """Per-generator defects (None when absent) and whether all pass."""
 
     defect_t: float | None
     defect_c: float | None
@@ -258,7 +256,7 @@ class JCompatibility:
 
 
 def check_J_compatibility(sym: SymmetrySet, form: SymplecticForm,
-                          tol: Tolerances = TOL) -> JCompatibility:
+                          tol: Tolerances = TOL) -> SymmetryDefects:
     """Whether the generators transform the boundary form correctly.
 
     T must intertwine J with conj(J), C with -conj(J), and S must
@@ -281,21 +279,11 @@ def check_J_compatibility(sym: SymmetrySet, form: SymplecticForm,
         d_s = float(np.abs(sym.S @ J + J @ sym.S).max() / scale)
     defects = [d for d in (d_t, d_c, d_s) if d is not None]
     ok = all(d <= tol.frame_tol for d in defects)
-    return JCompatibility(d_t, d_c, d_s, ok)
-
-
-@dataclass(frozen=True)
-class PlaneSymmetryReport:
-    """Invariance defects of a plane under each present generator."""
-
-    defect_t: float | None
-    defect_c: float | None
-    defect_s: float | None
-    ok: bool
+    return SymmetryDefects(d_t, d_c, d_s, ok)
 
 
 def plane_respects(plane: LagrangianPlane, sym: SymmetrySet,
-                   tol: Tolerances = TOL) -> PlaneSymmetryReport:
+                   tol: Tolerances = TOL) -> SymmetryDefects:
     """Whether each generator maps the plane onto itself.
 
     The defect per generator is the largest component of the image
@@ -319,7 +307,7 @@ def plane_respects(plane: LagrangianPlane, sym: SymmetrySet,
         d_s = resid(sym.S @ F)
     defects = [d for d in (d_t, d_c, d_s) if d is not None]
     ok = all(d <= 10 * tol.frame_tol for d in defects)
-    return PlaneSymmetryReport(d_t, d_c, d_s, ok)
+    return SymmetryDefects(d_t, d_c, d_s, ok)
 
 
 def standard_omega(n: int) -> np.ndarray:
@@ -374,11 +362,6 @@ def membership(U, label, tol: Tolerances = TOL) -> bool:
     return symplectic and close(M, M.T)  # CI
 
 
-def _canonical_form(N: int) -> SymplecticForm:
-    d = np.concatenate([1j * np.ones(N), -1j * np.ones(N)])
-    return SymplecticForm(np.diag(d))
-
-
 def canonical_symmetry_basis(label, N: int, tol: Tolerances = TOL):
     """Reference generators of a class on the 2N-dimensional trace space.
 
@@ -394,7 +377,7 @@ def canonical_symmetry_basis(label, N: int, tol: Tolerances = TOL):
     I = np.eye(N)
     Z = np.zeros((N, N))
     swap = np.block([[Z, I], [I, Z]])
-    form = _canonical_form(N)
+    form = dirac_form(N)
     T = C = S = None
     if label == CartanClass.AIII:
         S = swap
@@ -483,69 +466,6 @@ def symplectic_grassmannian_check(A, tol: Tolerances = TOL, omega=None) -> Grass
     if k % 2:
         raise NotInClass(f"(+1)-eigenspace has odd dimension {k}")
     return GrassmannianReport(dim // 2, k, d_h, d_i, d_q)
-
-
-def antiunitary_normal_form(a: AntiUnitary, tol: Tolerances = TOL):
-    """Basis in which an antiunitary becomes plain conjugation (experimental).
-
-    For sign +1 returns (W, I) with W unitary and V conj(W) = W: the
-    columns are a real basis fixed by the map. For sign -1 returns
-    (W, X) with X = [[0, -I], [I, 0]] and V conj(W) = W X: the columns
-    come in quaternionic pairs (w, V conj(w)).
-
-    This routine is experimental: the constructive pairing is validated
-    on exit, but column choices depend on the standard basis and are
-    not continuous in V.
-    """
-    V = a.V
-    dim = a.dim
-    theta = lambda x: V @ np.conj(x)
-    threshold = 1e-6
-
-    def residual(x, cols):
-        for c in cols:
-            x = x - c * np.vdot(c, x)
-        return x
-
-    if a.sign == 1:
-        cols = []
-        for k in range(dim):
-            if len(cols) == dim:
-                break
-            e = np.zeros(dim, dtype=complex)
-            e[k] = 1.0
-            for cand in (e + theta(e), 1j * (e - theta(e))):
-                if len(cols) == dim:
-                    break
-                r = residual(cand, cols)
-                norm = np.linalg.norm(r)
-                if norm > threshold:
-                    cols.append(r / norm)
-        W = np.column_stack(cols)
-        X = np.eye(dim)
-    else:
-        if dim % 2:
-            raise BadParity(f"sign -1 antiunitaries need even dimension, got {dim}")
-        half = dim // 2
-        ws = []
-        for k in range(dim):
-            if len(ws) == half:
-                break
-            e = np.zeros(dim, dtype=complex)
-            e[k] = 1.0
-            taken = ws + [theta(w) for w in ws]
-            r = residual(e, taken)
-            norm = np.linalg.norm(r)
-            if norm > threshold:
-                ws.append(r / norm)
-        W = np.column_stack(ws + [theta(w) for w in ws])
-        X = np.block([
-            [np.zeros((half, half)), -np.eye(half)],
-            [np.eye(half), np.zeros((half, half))],
-        ])
-    if np.abs(V @ np.conj(W) - W @ X).max() > 1e-8:
-        raise ValueError("normal-form construction failed to converge")
-    return W, X
 
 
 # ---------------------------------------------------------------------------

@@ -248,3 +248,13 @@ class TestGlobalFlags:
     def test_tolerance_override(self, write):
         assert main(["classify", "--model", write("m.tf", DIRAC_POS),
                      "--tol-eig", "1e-6", "--tol-rank", "1e-8"]) == 0
+
+    def test_bad_tolerance_exits_3(self, capsys):
+        assert main(["table", "--tol-eig", "2"]) == 3
+        _, err = capsys.readouterr()
+        assert err.startswith("tenfold1d: ") and "eig_tol" in err
+
+    def test_unwritable_out_exits_3(self, capsys):
+        assert main(["table", "--out", "/nonexistent/x.csv"]) == 3
+        _, err = capsys.readouterr()
+        assert err.startswith("tenfold1d: error: ")

@@ -7,9 +7,9 @@ from tenfold1d import (
     IndexValue,
     Tolerances,
     bulk_consistency_check,
+    protected_bound,
     random_member,
     realizable_indices,
-    relative_index,
     topological_index,
 )
 from tenfold1d.errors import AmbiguousKernel, KindMismatch, NotInClass
@@ -83,23 +83,23 @@ class TestRelativeIndex:
     def test_kernel_difference(self):
         a = IndexValue.kernel_dim(1)
         b = IndexValue.kernel_dim(3)
-        assert relative_index("AIII", a, b) == 2
-        assert relative_index("AIII", b, a) == 2
-        assert relative_index("BDI", a, a) == 0
+        assert protected_bound("AIII", a, b) == 2
+        assert protected_bound("AIII", b, a) == 2
+        assert protected_bound("BDI", a, a) == 0
 
     def test_sign_mismatch(self):
         plus, minus = IndexValue.sign(1), IndexValue.sign(-1)
-        assert relative_index("D", plus, minus) == 1
-        assert relative_index("DIII", plus, plus) == 0
+        assert protected_bound("D", plus, minus) == 1
+        assert protected_bound("DIII", plus, plus) == 0
 
     def test_zero_classes(self):
-        assert relative_index("AI", IndexValue.zero(), IndexValue.zero()) == 0
+        assert protected_bound("AI", IndexValue.zero(), IndexValue.zero()) == 0
 
     def test_kind_gate(self):
         with pytest.raises(KindMismatch):
-            relative_index("D", IndexValue.kernel_dim(1), IndexValue.sign(1))
+            protected_bound("D", IndexValue.kernel_dim(1), IndexValue.sign(1))
         with pytest.raises(KindMismatch):
-            relative_index("A", IndexValue.sign(1), IndexValue.sign(1))
+            protected_bound("A", IndexValue.sign(1), IndexValue.sign(1))
 
 
 class TestBulkConsistency:

@@ -14,7 +14,6 @@ from tenfold1d import (
     hard_junction,
     predicted_zero_modes,
     protected_bound,
-    relative_index,
     subspace_intersection_dim,
     tb_bulk,
     topological_index,
@@ -97,12 +96,6 @@ class TestPredictedZeroModes:
         bound = protected_bound("BDI", il, ir)
         assert bound == 1
         assert predicted_zero_modes(left, right) >= bound
-
-
-class TestProtectedBound:
-    def test_delegates_to_relative_index(self):
-        a, b = IndexValue.kernel_dim(0), IndexValue.kernel_dim(2)
-        assert protected_bound("AIII", a, b) == relative_index("AIII", a, b) == 2
 
 
 class TestContinuousReport:

@@ -73,8 +73,15 @@ class TestParsing:
             parse_model_text("kind dirac\nW [[1.0]]\nVV [[1.0]]", source="model.tf")
 
     def test_bad_json_located(self):
-        with pytest.raises(ParseError, match=":2"):
-            parse_model_text("kind dirac\nW [[1.0")
+        for text in ("kind dirac\nW [[1.0",
+                     # JSON extensions that would fail far from the input
+                     "kind dirac\nW [[NaN]]",
+                     "kind dirac\nenergy NaN\nW [[1.0]]",
+                     "kind dirac\nW [[1.0, Infinity], [-Infinity, 1.0]]",
+                     "kind dirac_profile\nbreakpoints [NaN]\nW0 [[-1.0]]\nW1 [[1.0]]",
+                     "kind dirac\nW [[1" + "0" * 400 + "]]"):
+            with pytest.raises(ParseError, match=r"model\.tf:2"):
+                parse_model_text(text, source="model.tf")
 
     def test_ragged_matrix(self):
         with pytest.raises(ParseError, match="equally long"):

@@ -50,6 +50,16 @@ class TestDiracBulk:
         assert bulk.gap == pytest.approx(s[-1], abs=1e-12)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_zero_energy_shortcut_matches_schur_path(self, seed, n):
+        # energy 0 takes the eigh shortcut; any other energy the Schur split
+        W = gapped_mass(n, np.random.default_rng(seed), floor=0.1)
+        fast = dirac_bulk(W)
+        schur = dirac_bulk(W, energy=1e-12)
+        assert np.abs(fast.u_plus.U - schur.u_plus.U).max() <= 1e-9
+        assert np.abs(fast.u_minus.U - schur.u_minus.U).max() <= 1e-9
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
     @settings(max_examples=20, deadline=None)
     def test_gap_matches_flat_mass_spectrum(self, seed, n):
         rng = np.random.default_rng(seed)

@@ -28,7 +28,6 @@ from tenfold1d.errors import (
 )
 from tenfold1d.symmetry import (
     _sigma_pairs,
-    antiunitary_normal_form,
     random_orthogonal,
     random_symplectic_unitary,
     random_unitary,
@@ -306,28 +305,3 @@ class TestGrassmannianCheck:
     def test_odd_dimension_rejected(self):
         with pytest.raises(BadParity):
             symplectic_grassmannian_check(np.eye(3))
-
-
-class TestNormalForm:
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
-    @settings(max_examples=25, deadline=None)
-    def test_plus_one_fixed_basis(self, seed, n):
-        rng = np.random.default_rng(seed)
-        V = random_unitary(n, rng)
-        a = AntiUnitary(V @ V.T, 1)
-        W, X = antiunitary_normal_form(a)
-        assert np.allclose(X, np.eye(n))
-        assert np.abs(W.conj().T @ W - np.eye(n)).max() <= 1e-8
-        assert np.abs(a.V @ np.conj(W) - W).max() <= 1e-8
-
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 6]))
-    @settings(max_examples=25, deadline=None)
-    def test_minus_one_quaternionic_pairs(self, seed, n):
-        rng = np.random.default_rng(seed)
-        V = random_unitary(n, rng)
-        a = AntiUnitary(V @ _sigma_pairs(n // 2) @ V.T, -1)
-        W, X = antiunitary_normal_form(a)
-        assert np.abs(W.conj().T @ W - np.eye(n)).max() <= 1e-8
-        assert np.abs(a.V @ np.conj(W) - W @ X).max() <= 1e-8
-        half = n // 2
-        assert np.allclose(X[:half, half:], -np.eye(half))
