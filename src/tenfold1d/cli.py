@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import sys
+import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -415,7 +416,11 @@ def main(argv=None) -> int:
                 eig_tol=args.tol_eig if args.tol_eig is not None else TOL.eig_tol,
                 frame_tol=TOL.frame_tol,
             )
-        report, exit_code = _COMMANDS[args.command](args, tol)
+        with warnings.catch_warnings():
+            # one line per warning, like every other diagnostic on stderr
+            warnings.showwarning = lambda message, *_: print(
+                f"tenfold1d: warning: {message}", file=sys.stderr)
+            report, exit_code = _COMMANDS[args.command](args, tol)
         text = report.to_json() if args.json else report.to_csv()
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:

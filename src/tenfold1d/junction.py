@@ -9,22 +9,20 @@ topological index of the two bulks lower-bounds that count and is
 stable under deformations, which is the protection statement.
 
 For a piecewise-constant profile the same prediction is evaluated by
-transporting both far-side planes to the junction point; transport
-preserves each plane's index, so the transported indices must agree
-with the far bulks' own, and the report records that consistency.
+transporting both far-side unitaries to a cut inside the steps;
+transport preserves each plane's index, so the transported indices must
+agree with the far bulks' own, and the report records that consistency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import IncompatibleBoundary, KindMismatch
 from .linalg import TOL, Tolerances, subspace_intersection_dim
-from .symplectic import canonical_split, crossing_dim, is_lagrangian, plane_to_unitary
+from .symplectic import crossing_dim, unitary_to_plane
 from .index import IndexValue, topological_index
-from .models import BulkData, PiecewiseDiracProfile, dirac_bulk, dirac_form, propagate_plane
+from .models import BulkData, PiecewiseDiracProfile, _transport, dirac_bulk
 from .symmetry import CartanClass
 
 __all__ = [
@@ -117,31 +115,26 @@ def continuous_junction_report(profile: PiecewiseDiracProfile, energy: float,
                                label, tol: Tolerances = TOL) -> JunctionReport:
     """Transport-based junction analysis of a piecewise Dirac profile.
 
-    Both far-side planes are transported to t = 0 and intersected; the
-    report carries the crossing count, the principal-angle count of the
-    same intersection (an independent route), the index bound from the
-    far bulks, and whether transport preserved both indices.
+    Both far-side unitaries are transported to t = 0 clamped to the
+    breakpoints' span (beyond it a far segment drowns the other side's
+    plane) and crossed; the report carries the crossing count, the
+    principal-angle count of the same intersection (an independent
+    route), the index bound from the far bulks, whether transport
+    preserved both indices, and as defect_plus and defect_minus each
+    transport's largest departure from unitarity before projection.
     """
     label = CartanClass.coerce(label)
-    form = dirac_form(profile.block_dim)
-    split = canonical_split(form, tol)
-
-    plane_plus = propagate_plane(profile, energy, "+", 0.0, tol)
-    plane_minus = propagate_plane(profile, energy, "-", 0.0, tol)
-    defect_plus, _ = is_lagrangian(plane_plus.frame, form, tol)
-    defect_minus, _ = is_lagrangian(plane_minus.frame, form, tol)
-    # transported frames carry the conditioning of the flow; let the
-    # graph-coordinate gates follow the measured residual
-    slack = min(max(tol.frame_tol, 100.0 * max(defect_plus, defect_minus)), 1e-6)
-    loose = Tolerances(rank_tol=tol.rank_tol, eig_tol=tol.eig_tol, frame_tol=slack)
-    u_plus = plane_to_unitary(plane_plus, split, loose)
-    u_minus = plane_to_unitary(plane_minus, split, loose)
-
-    predicted = crossing_dim(u_plus, u_minus, tol)
-    angles = subspace_intersection_dim(plane_plus.frame, plane_minus.frame, tol)
-
     left_bulk = dirac_bulk(profile.masses[0], tol, energy)
     right_bulk = dirac_bulk(profile.masses[-1], tol, energy)
+    bps = profile.breakpoints
+    t = min(max(0.0, bps[0]), bps[-1]) if bps else 0.0
+    u_plus, defect_plus = _transport(right_bulk.u_plus, profile, energy, "+", t, tol)
+    u_minus, defect_minus = _transport(left_bulk.u_minus, profile, energy, "-", t, tol)
+
+    predicted = crossing_dim(u_plus, u_minus, tol)
+    angles = subspace_intersection_dim(unitary_to_plane(u_plus, tol=tol).frame,
+                                       unitary_to_plane(u_minus, tol=tol).frame, tol)
+
     index_left = topological_index(left_bulk.u_plus, label, tol)
     index_right = topological_index(right_bulk.u_plus, label, tol)
     index_minus_far = topological_index(left_bulk.u_minus, label, tol)

@@ -192,11 +192,15 @@ def stable_unstable_split(M, tol: Tolerances = TOL):
     unit_circle_count : int
         Number of eigenvalues within ``tol.eig_tol`` of the unit circle;
         these belong to neither frame.
+
+    Raises Singular only when double precision cannot split M, that is
+    when sigma_min <= dim * eps * sigma_max; a large but finite condition
+    number (a long gapped chain) still splits cleanly.
     """
     M = _as_square(M, "M")
     s = np.linalg.svd(M, compute_uv=False)
-    if s[-1] <= tol.rank_tol * max(1.0, s[0]):
-        raise Singular(f"smallest singular value {s[-1]:.3e}")
+    if s[-1] <= M.shape[0] * np.finfo(float).eps * s[0]:
+        raise Singular(f"smallest singular value {s[-1]:.3e} at largest {s[0]:.3e}")
     return _schur_frames(M, lambda z: abs(z) < 1.0 - tol.eig_tol,
                          lambda z: abs(z) > 1.0 + tol.eig_tol, tol)
 

@@ -10,8 +10,9 @@ period. Each bulk ships with planes on both sides, their unitaries in
 the canonical split, and a gap certificate.
 
 Piecewise-constant Dirac profiles extend the Dirac family: the plane
-that decays on a far side is transported across the steps to any point,
-staying Lagrangian because the flow preserves the boundary pairing.
+that decays on a far side is carried across the steps to any point as
+its Leray unitary, on which each segment's flow acts as a Moebius map
+that preserves unitarity because the flow preserves the boundary pairing.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ from .linalg import (
 )
 from .symplectic import (
     LagrangianPlane,
+    LerayUnitary,
     SymplecticForm,
     canonical_split,
     crossing_dim,
-    is_lagrangian,
     plane_to_unitary,
+    unitary_to_plane,
 )
 
 __all__ = [
@@ -249,7 +251,8 @@ def tb_bulk(model: TightBindingModel, energy: float = 0.0,
     (psi_q, psi_{q+1}); an energy is in a gap exactly when it has no
     unit-circle eigenvalues, and then the decaying plane is its stable
     subspace. NotInvertible is raised when a bond block is singular,
-    GapClosed when unit-circle modes exist.
+    GapClosed when unit-circle modes exist, and Singular when double
+    precision cannot split it (sigma_min at most 2N eps sigma_max).
     """
     N = model.block_dim
     q = model.period
@@ -331,68 +334,69 @@ class PiecewiseDiracProfile:
                 f"steps={self.steps})")
 
 
+def _transport(far: LerayUnitary, profile: PiecewiseDiracProfile, energy: float,
+               side: str, t: float, tol: Tolerances):
+    """Carry a far-side Leray unitary through the steps up to t.
+
+    The Dirac form's canonical split has unit blocks (a_plus = a_minus =
+    1), so with the flow P of a sub-step written in the split's basis Q,
+    Q* P Q, it maps U to (P21 + P22 U)(P11 + P12 U)^-1.
+    That image is unitary up to roundoff; it is replaced by its polar
+    factor, and NotLagrangian is raised when it departs from unitarity
+    by more than ``tol.frame_tol``. Returns the unitary at t and the
+    largest departure seen.
+    """
+    bps = profile.breakpoints
+    if not bps:
+        raise ValueError("profile has no breakpoints; use dirac_bulk instead")
+    if side == "+":
+        anchor = bps[-1]
+        if t >= anchor:
+            # constant coefficients: the far plane is translation invariant
+            return far, 0.0
+        path = [anchor] + [b for b in reversed(bps) if t < b < anchor] + [t]
+    else:
+        anchor = bps[0]
+        if t <= anchor:
+            return far, 0.0
+        path = [anchor] + [b for b in bps if anchor < b < t] + [t]
+
+    U = far.U
+    N = far.n
+    Q = far.split.Q
+    defect = 0.0
+    for start, stop in zip(path, path[1:]):
+        B = _dirac_generator(profile.mass_at(0.5 * (start + stop)), energy)
+        # growth of at most e^4 per sub-step keeps P11 + P12 U well conditioned
+        rate = float(np.linalg.norm(B, 2))
+        nsub = max(1, int(np.ceil(abs(stop - start) * rate / 4.0)))
+        P = Q.conj().T @ sla.expm(B * ((stop - start) / nsub)) @ Q
+        P11, P12, P21, P22 = P[:N, :N], P[:N, N:], P[N:, :N], P[N:, N:]
+        for _ in range(nsub):
+            V = np.linalg.solve((P11 + P12 @ U).T, (P21 + P22 @ U).T).T
+            step_defect = float(np.abs(V.conj().T @ V - np.eye(N)).max())
+            if step_defect > tol.frame_tol:
+                raise NotLagrangian(f"transported graph map has unitarity defect {step_defect:.3e}")
+            defect = max(defect, step_defect)
+            W, _, Vh = np.linalg.svd(V)
+            U = W @ Vh
+    return LerayUnitary(U, far.split, tol), defect
+
+
 def propagate_plane(profile: PiecewiseDiracProfile, energy: float, side: str,
                     t: float = 0.0, tol: Tolerances = TOL) -> LagrangianPlane:
     """Trace plane at position t of the solutions decaying on one far side.
 
     side '+' transports the decaying plane of the rightmost segment
     leftwards to t; side '-' transports the growing plane of the
-    leftmost segment rightwards. The flow preserves the boundary
-    pairing, so the result is re-orthonormalized per segment. The
-    residual isotropy defect of the computed frame scales with the
-    accumulated growth of the flow (a stiff segment of strength
-    kappa * span conditions the plane like exp(2 kappa * span)), so the
-    construction gate follows that budget instead of the fixed frame
-    tolerance; it still rejects anything a symplectic flow cannot
-    explain.
+    leftmost segment rightwards. The plane travels as its Leray unitary
+    and NotLagrangian is raised when a sub-step moves it off the unitary
+    group by more than ``tol.frame_tol``.
     """
     if side not in ("+", "-"):
         raise ValueError(f"side must be '+' or '-', got {side!r}")
-    if not profile.breakpoints:
-        raise ValueError("profile has no breakpoints; use dirac_bulk instead")
-    form = dirac_form(profile.block_dim)
-    bps = profile.breakpoints
-
     if side == "+":
-        anchor = bps[-1]
-        B_far = _dirac_generator(profile.masses[-1], energy)
-        F, _ = _hyperbolic_frames(B_far, tol)
-        if t >= anchor:
-            # constant coefficients beyond the last step: the plane is
-            # translation invariant there
-            return LagrangianPlane(F, form, tol)
-        stops = [b for b in reversed(bps) if t < b <= anchor]
-        path = [anchor] + stops[1:] + [t]
+        far = dirac_bulk(profile.masses[-1], tol, energy).u_plus
     else:
-        anchor = bps[0]
-        B_far = _dirac_generator(profile.masses[0], energy)
-        _, F = _hyperbolic_frames(B_far, tol)
-        if t <= anchor:
-            return LagrangianPlane(F, form, tol)
-        stops = [b for b in bps if anchor <= b < t]
-        path = [anchor] + stops[1:] + [t]
-
-    X = F.matrix
-    growth = 1.0
-    for start, stop in zip(path, path[1:]):
-        mid = 0.5 * (start + stop)
-        B = _dirac_generator(profile.mass_at(mid), energy)
-        # cap the growth per exponential so re-orthonormalization can
-        # keep the columns independent on stiff segments
-        rate = float(np.linalg.norm(B, 2))
-        nsub = max(1, int(np.ceil(abs(stop - start) * rate / 4.0)))
-        P = sla.expm(B * ((stop - start) / nsub))
-        growth *= float(np.linalg.norm(P, 2)) ** nsub
-        for _ in range(nsub):
-            X = orthonormalize(P @ X, tol).matrix
-    frame = Frame(X, tol)
-    defect, _ = is_lagrangian(frame, form, tol)
-    # transverse error amplifies like the growth while the in-plane
-    # normalization divides by it, so the conditioning is growth squared
-    budget = 64.0 * np.finfo(float).eps * max(1.0, growth) ** 2
-    if defect > max(tol.frame_tol, min(budget, 1e-6)):
-        raise NotLagrangian(
-            f"transported frame has isotropy defect {defect:.3e}, "
-            f"beyond the flow conditioning budget {budget:.3e}"
-        )
-    return LagrangianPlane(frame, form, tol, check=False)
+        far = dirac_bulk(profile.masses[0], tol, energy).u_minus
+    return unitary_to_plane(_transport(far, profile, energy, side, t, tol)[0], tol=tol)

@@ -234,15 +234,14 @@ class LagrangianPlane:
 
     __slots__ = ("frame", "form")
 
-    def __init__(self, frame, form: SymplecticForm, tol: Tolerances = TOL, check: bool = True):
+    def __init__(self, frame, form: SymplecticForm, tol: Tolerances = TOL):
         if not isinstance(frame, Frame):
             frame = orthonormalize(frame, tol)
-        if check:
-            defect, ok = is_lagrangian(frame, form, tol)
-            if not ok:
-                raise NotLagrangian(
-                    f"rank {frame.rank} frame in dim {form.dim} with isotropy defect {defect:.3e}"
-                )
+        defect, ok = is_lagrangian(frame, form, tol)
+        if not ok:
+            raise NotLagrangian(
+                f"rank {frame.rank} frame in dim {form.dim} with isotropy defect {defect:.3e}"
+            )
         self.frame = frame
         self.form = form
 

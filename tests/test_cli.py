@@ -210,6 +210,21 @@ class TestVerify:
         assert rows[0][-1] == "PASS"
         assert rows[0][2] == "1" and rows[0][5] == "1"
 
+    def test_warnings_are_one_line(self, write, capsys):
+        # one channel keeps its sign across the wall: indefinite outer mass
+        two = ("kind dirac_profile\nW0 [[-1.0, 0.0], [0.0, 1.0]]\n"
+               "W1 [[1.0, 0.0], [0.0, 1.0]]\nbreakpoints [0.0]\n")
+        code = main(["verify", "--profile", write("p.tf", two), "--class", "D",
+                     "--length", "15", "--step", "0.1", "--energy-window", "0.1"])
+        _, err = capsys.readouterr()
+        assert code == 0
+        lines = err.splitlines()
+        assert ("tenfold1d: warning: length 15 is short for gap 1; "
+                "junction modes may leak into the walls") in lines
+        assert ("tenfold1d: warning: indefinite mass at an outer end; "
+                "the hard wall binds edge modes in some channels") in lines
+        assert "UserWarning" not in err
+
     def test_starved_core_fails(self, write):
         # shrinking the core below the mode's footprint must FAIL loudly
         code = main(["verify", "--left", write("l.tf", SSH_L),

@@ -116,6 +116,29 @@ class TestContinuousReport:
         assert r.predicted == 2 and r.bound == 2
         assert r.transport_consistent
 
+    def test_off_centre_wall(self):
+        # a wall far from t = 0: transporting through the far segment to
+        # the origin would drown the bound states, so the cut sits at the step
+        c, s = np.cos(0.4), np.sin(0.4)
+        P = np.array([[c, -s], [s, c]])
+        c, s = np.cos(1.3), np.sin(1.3)
+        Q = np.array([[c, -s], [s, c]])
+        masses = [P @ np.diag(d) @ Q.T for d in ((-3.0, -2.0), (3.0, 2.0))]
+        r = continuous_junction_report(PiecewiseDiracProfile(masses, [10.0]), 0.0, "D")
+        assert r.predicted == r.predicted_principal_angles == 2
+        assert r.bound == 0
+        assert r.transport_consistent
+
+    @pytest.mark.parametrize("m, s", [(3.0, 4.0), (3.0, 5.0), (3.0, 6.0),
+                                      (3.0, 10.0), (3.0, 20.0), (1.0, 20.0)])
+    def test_stiff_double_wall(self, m, s):
+        # masses -m, m, -m: the two walls bind in decoupled channels, so
+        # the exact kernel at zero energy is empty however wide the middle
+        p = PiecewiseDiracProfile([-m * np.eye(1), m * np.eye(1), -m * np.eye(1)], [0.0, s])
+        r = continuous_junction_report(p, 0.0, "D")
+        assert r.predicted == 0 and r.bound == 0
+        assert r.transport_consistent
+
     def test_double_wall_modes_hybridize(self):
         # two walls a finite distance apart: the pair splits away from
         # zero, the far indices agree, and both routes must agree on the

@@ -145,6 +145,14 @@ class TestStableUnstableSplit:
     def test_singular_gate(self):
         with pytest.raises(Singular):
             stable_unstable_split(np.diag([1.0, 0.0]))
+        with pytest.raises(Singular):
+            stable_unstable_split(np.diag([1.0, 1e-17]))
+
+    def test_ill_conditioned_map_still_splits(self):
+        # condition number 1e12, far past 1/rank_tol, yet exactly splittable
+        stable, unstable, on_circle = stable_unstable_split(np.diag([1e-6, 1e6]))
+        assert (stable.rank, unstable.rank, on_circle) == (1, 1, 0)
+        assert np.allclose(np.abs(stable.matrix[:, 0]), [1.0, 0.0])
 
 
 class TestPfaffian:

@@ -193,6 +193,14 @@ class TestTightBindingModel:
         assert topological_index(b_triv.u_plus, "BDI").value == 0
         assert b_topo.gap > 0 and b_triv.gap > 0
 
+    def test_period_40_supercell_splits(self):
+        # the period's transfer matrix grows like 2^20 in both directions,
+        # far past 1/rank_tol, yet double precision splits it cleanly
+        a = [np.array([[1.0 if n % 2 == 0 else 2.0]]) for n in range(40)]
+        bulk = tb_bulk(TightBindingModel(a, [np.zeros((1, 1))] * 40))
+        assert topological_index(bulk.u_plus, "BDI").value == 1
+        assert topological_index(bulk.u_minus, "BDI").value == 0
+
     def test_form_uses_trace_bond(self):
         m = TightBindingModel(
             [np.array([[2.0]]), np.array([[1.0]])],

@@ -154,11 +154,6 @@ class TestLagrangianPlane:
         with pytest.raises(NotLagrangian):
             LagrangianPlane(np.array([[1.0], [1j]]) / np.sqrt(2.0), form)
 
-    def test_check_can_be_skipped(self):
-        form = SymplecticForm(SCHRODINGER_J)
-        plane = LagrangianPlane(np.array([[1.0], [1j]]) / np.sqrt(2.0), form, check=False)
-        assert plane.rank == 1
-
 
 class TestLerayUnitary:
     def test_rejects_non_unitary(self, rng):
