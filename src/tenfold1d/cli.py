@@ -307,8 +307,9 @@ def cmd_verify(args, tol: Tolerances):
     else:
         raise ParseError("verify needs --profile, or --left and --right")
 
-    shifted = H - energy * np.eye(H.shape[0]) if energy else H
-    oracle = count_near_zero_localized(shifted, spec, tol)
+    # H was built above for this command alone, so it is shifted in place
+    H[np.diag_indices_from(H)] -= energy
+    oracle = count_near_zero_localized(H, spec, tol)
     compare_predicted = bound if predicted is None else predicted
     verdict = oracle_compare((compare_predicted, bound), oracle)
     columns = ["class", "energy", "predicted", "bound", "near_zero",

@@ -1,8 +1,8 @@
 """Finite-size oracles that check junction predictions numerically.
 
 Predictions are index-theoretic; the oracles here build an honest
-finite hermitian matrix for the same junction, diagonalize it, and
-count near-zero eigenvectors that actually live at the junction. A
+finite hermitian matrix for the same junction, find its eigenpairs in
+a near-zero window, and count those that actually live at the junction. A
 staggered two-grid scheme discretizes Dirac profiles without fermion
 doubling, and block chains are truncated to a finite number of cells
 per side. Wall and edge artifacts are excluded by a localization
@@ -16,8 +16,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
-from .errors import BadSpec, IncompatibleBoundary
+from .errors import AmbiguousKernel, BadSpec, IncompatibleBoundary, NotHermitian
 from .linalg import TOL, Tolerances, _as_square
 from .models import PiecewiseDiracProfile, TightBindingModel
 
@@ -140,8 +141,8 @@ def discretize_dirac_junction(profile: PiecewiseDiracProfile,
     for j in range(n):
         nodes.append((True, -L + j * h))
         nodes.append((False, -L + j * h + 0.5 * h))
-    _, s_left = _split_mass(profile.masses[0])
-    _, s_right = _split_mass(profile.masses[-1])
+    splits = [_split_mass(W) for W in profile.masses]
+    s_left, s_right = splits[0][1], splits[-1][1]
     sign_left = _definite_sign(-1j * s_left)
     sign_right = _definite_sign(-1j * s_right)
     if sign_left == 0 or sign_right == 0:
@@ -156,16 +157,17 @@ def discretize_dirac_junction(profile: PiecewiseDiracProfile,
         nodes.pop()
 
     K = len(nodes)
+    # segment of each node, as in mass_at: the number of breakpoints <= t
+    segment = np.searchsorted(profile.breakpoints, [t for _, t in nodes], side="right")
     H = np.zeros((K * N, K * N), dtype=complex)
     blk = lambda k: slice(k * N, (k + 1) * N)
     eye = np.eye(N)
     for k, (is_phi, t) in enumerate(nodes):
-        M, _ = _split_mass(profile.mass_at(t))
+        M, _ = splits[segment[k]]
         H[blk(k), blk(k)] = M if is_phi else -M
     for k in range(K - 1):
-        is_phi, t = nodes[k]
-        t_chi = nodes[k + 1][1] if is_phi else t
-        _, S = _split_mass(profile.mass_at(t_chi))
+        is_phi = nodes[k][0]
+        _, S = splits[segment[k + 1] if is_phi else segment[k]]
         # phi row gets -i/h when phi sits left of chi, +i/h when right
         sgn = -1.0 if is_phi else 1.0
         coupling = (sgn * 1j / h) * eye + 0.5 * S
@@ -210,12 +212,67 @@ def finite_chain(left: TightBindingModel, right: TightBindingModel,
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Diagonalization summary of a finite junction matrix."""
+    """Near-zero eigenpair summary of a finite junction matrix."""
 
     near_zero: int
     localized: int
     energies: np.ndarray
     core_weights: np.ndarray
+
+
+def _band_matmul(band: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """H @ V for the hermitian H whose lower band (LAPACK storage) is given."""
+    HV = band[0, :, None] * V
+    for d in range(1, band.shape[0]):
+        a = band[d, :-d, None]
+        HV[d:] += a * V[:-d]
+        HV[:-d] += a.conj() * V[d:]
+    return HV
+
+
+def _window_vectors(full: np.ndarray, evals: np.ndarray, res_tol: float) -> np.ndarray:
+    """Orthonormal eigenvectors of H for its sorted eigenvalues ``evals``.
+
+    ``full`` holds the 2p+1 diagonals of H in ``solve_banded`` storage.
+
+    Banded inverse iteration: eigenvalues less than ``res_tol`` apart form
+    a cluster, and each cluster gets one shift just beside it and a random
+    block as wide as the cluster, so exactly degenerate eigenvalues get as
+    many independent vectors as their multiplicity. The offset keeps the
+    shift off an eigenvalue, where the factorization could hit an exact
+    zero pivot. Rayleigh-Ritz on the union of the blocks then gives the
+    eigenvectors, which must have residuals within ``res_tol`` and Ritz
+    values matching ``evals``; otherwise AmbiguousKernel is raised.
+    """
+    p, dim = full.shape[0] // 2, full.shape[1]
+    rng = np.random.default_rng(0)
+    blocks = []
+    for cluster in np.split(evals, np.flatnonzero(np.diff(evals) > res_tol) + 1):
+        shift = cluster.mean() + res_tol
+        shifted = full.copy()
+        shifted[p] -= shift
+        X = rng.standard_normal((dim, cluster.size)) + 1j * rng.standard_normal((dim, cluster.size))
+        for _ in range(2):
+            try:
+                X = sla.solve_banded((p, p), shifted, X)
+            except np.linalg.LinAlgError as exc:
+                raise AmbiguousKernel(
+                    f"inverse iteration shift {shift:.3e} is an eigenvalue"
+                ) from exc
+            X = np.linalg.qr(X)[0]
+        blocks.append(X)
+    V = np.linalg.qr(np.hstack(blocks))[0]
+    HV = _band_matmul(full[p:], V)
+    theta, Y = np.linalg.eigh(V.conj().T @ HV)
+    vecs = V @ Y
+    residual = float(np.linalg.norm(HV @ Y - vecs * theta, axis=0).max())
+    mismatch = float(np.abs(theta - evals).max())
+    if residual > res_tol or mismatch > res_tol:
+        raise AmbiguousKernel(
+            f"window eigenvectors unresolved: residual {residual:.3e}, "
+            f"Ritz value mismatch {mismatch:.3e}, tolerance {res_tol:.3e}"
+        )
+    return vecs
 
 
 def count_near_zero_localized(H, spec: DiscretizationSpec,
@@ -226,6 +283,16 @@ def count_near_zero_localized(H, spec: DiscretizationSpec,
     and at least ``spec.min_weight`` of its probability sits inside the
     central ``spec.core_fraction`` of the index range. Wall and edge
     modes fail the weight test and are excluded.
+
+    Nothing diagonalizes the whole matrix; after a scan for the
+    bandwidth p only the 2p+1 diagonals of H are read. The window's
+    eigenvalues come from banded bisection (LAPACK ``hbevx`` without
+    vectors, whose band reduction costs about dim^2 * p operations
+    instead of the dim^3 of a dense eigh), and their eigenvectors from
+    banded inverse iteration with Rayleigh-Ritz. Raises NotHermitian when
+    H is not hermitian, and AmbiguousKernel when the eigenvectors do not
+    reproduce the bisection eigenvalues to within
+    ``1e3 * eps * scale * sqrt(dim)``, as at a tie on the window's edge.
 
     Degenerate near-zero clusters need care: a junction mode and a far
     wall mode at the same energy reach the eigensolver as arbitrary
@@ -238,21 +305,41 @@ def count_near_zero_localized(H, spec: DiscretizationSpec,
     if spec.energy_window is None:
         raise BadSpec("counting needs the energy_window field")
     H = _as_square(H, "H")
-    scale = max(1.0, float(np.abs(H).max()))
-    if np.abs(H - H.conj().T).max() > tol.frame_tol * scale:
-        raise ValueError("junction matrix must be hermitian")
-    evals, vecs = np.linalg.eigh(H)
-    sel = np.abs(evals) < spec.energy_window
     dim = H.shape[0]
+    rows, cols = np.nonzero(H != 0)
+    p = int(np.abs(rows - cols).max()) if rows.size else 0
+    # entries outside the band are zero, so the band alone decides these
+    lower = [np.diagonal(H, -d) for d in range(p + 1)]
+    upper = [np.diagonal(H, d) for d in range(p + 1)]
+    scale = max(1.0, max(float(np.abs(a).max()) for a in lower + upper))
+    defect = max(float(np.abs(a - b.conj()).max()) for a, b in zip(lower, upper))
+    if defect > tol.frame_tol * scale:
+        raise NotHermitian(f"junction matrix has hermiticity defect {defect:.3e} "
+                           f"at scale {scale:.3e}")
+    # rows p.. hold the lower band in LAPACK storage, rows ..p its mirror,
+    # so the matrix the solves see is exactly the one the eigensolver sees
+    full = np.zeros((2 * p + 1, dim), dtype=complex)
+    full[p] = lower[0].real
+    for d in range(1, p + 1):
+        full[p + d, :dim - d] = lower[d]
+        full[p - d, d:] = lower[d].conj()
+    w = spec.energy_window
+    evals = sla.eig_banded(full[p:], lower=True, eigvals_only=True,
+                           select="v", select_range=(-w, w))
+    evals = evals[np.abs(evals) < w]
+    if evals.size:
+        res_tol = 1e3 * np.finfo(float).eps * scale * np.sqrt(dim)
+        window = _window_vectors(full, evals, res_tol)
+    else:
+        window = np.zeros((dim, 0))
     margin = int(round(dim * (1.0 - spec.core_fraction) / 2.0))
-    window = vecs[:, sel]
     core_block = window[margin:dim - margin, :]
     weights = np.linalg.eigvalsh(core_block.conj().T @ core_block)[::-1]
     localized = int(np.count_nonzero(weights >= spec.min_weight))
     return OracleReport(
-        near_zero=int(np.count_nonzero(sel)),
+        near_zero=int(evals.size),
         localized=localized,
-        energies=evals[sel],
+        energies=evals,
         core_weights=weights,
     )
 
