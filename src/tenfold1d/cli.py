@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -210,8 +211,14 @@ def _parse_values(spec: str) -> list:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
             if count < 1:
                 raise ValueError("count must be positive")
+            # a finite span keeps every grid point finite
+            if not math.isfinite(stop - start):
+                raise ValueError("values must be finite")
             return [float(v) for v in np.linspace(start, stop, count)]
-        return [float(v) for v in spec.split(",")]
+        values = [float(v) for v in spec.split(",")]
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("values must be finite")
+        return values
     except ValueError as exc:
         raise ParseError(f"bad --values {spec!r}: {exc}") from None
 
@@ -226,6 +233,8 @@ def cmd_sweep(args, tol: Tolerances):
         )
     label = CartanClass.coerce(args.cartan)
     values = _parse_values(args.values)
+    if args.ref is not None and not math.isfinite(args.ref):
+        raise ParseError(f"bad --ref {args.ref!r}: must be finite")
 
     def bulk_at(v: float):
         text = template.replace("?", repr(float(v)))

@@ -17,6 +17,9 @@ that preserves unitarity because the flow preserves the boundary pairing.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 import scipy.linalg as sla
 
@@ -94,10 +97,21 @@ def _finish_bulk(form, split, f_plus, f_minus, gap, energy, tol) -> BulkData:
                     gap, energy)
 
 
+@functools.lru_cache(maxsize=64)
 def dirac_form(N: int) -> SymplecticForm:
-    """Boundary form of an N-channel Dirac operator: J = blkdiag(iI, -iI)."""
+    """Boundary form of an N-channel Dirac operator: J = blkdiag(iI, -iI).
+
+    The form depends on N alone, so every call with the same N returns
+    the same read-only object.
+    """
     d = np.concatenate([1j * np.ones(N), -1j * np.ones(N)])
     return SymplecticForm(np.diag(d))
+
+
+def _require_finite(energy: float) -> None:
+    # a non-finite energy would otherwise reach LAPACK and fail there
+    if not math.isfinite(energy):
+        raise NotInGap(f"energy must be finite, got {float(energy)!r}")
 
 
 def _flat_mass(W: np.ndarray) -> np.ndarray:
@@ -135,8 +149,9 @@ def dirac_bulk(W, tol: Tolerances = TOL, energy: float = 0.0) -> BulkData:
     singular value of W; GapClosed is raised when m0 vanishes or the
     energy is not strictly inside the gap. At energy zero the planes
     are the positive and negative spectral subspaces of the flattened
-    mass matrix.
+    mass matrix. NotInGap is raised for a non-finite energy.
     """
+    _require_finite(energy)
     W = _as_square(W, "W")
     N = W.shape[0]
     s = np.linalg.svd(W, compute_uv=False)
@@ -166,6 +181,7 @@ def schrodinger_bulk(V, energy: float, tol: Tolerances = TOL) -> BulkData:
     Traces are (psi(0), psi'(0)) and the decaying solutions have slope
     -sqrt(mu - E) along each potential eigenvector.
     """
+    _require_finite(energy)
     V = _as_square(V, "V")
     M = V.shape[0]
     mu, vecs = hermitian_eig(V, tol)
@@ -253,7 +269,9 @@ def tb_bulk(model: TightBindingModel, energy: float = 0.0,
     subspace. NotInvertible is raised when a bond block is singular,
     GapClosed when unit-circle modes exist, and Singular when double
     precision cannot split it (sigma_min at most 2N eps sigma_max).
+    NotInGap is raised for a non-finite energy.
     """
+    _require_finite(energy)
     N = model.block_dim
     q = model.period
     for x in model.a:

@@ -12,6 +12,9 @@ planes through their unitaries.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+
 import numpy as np
 import scipy.linalg as sla
 
@@ -74,6 +77,8 @@ class SymplecticForm:
         return complex(np.vdot(x, self.J @ np.asarray(y, dtype=complex)))
 
     def same_as(self, other: "SymplecticForm", tol: Tolerances = TOL) -> bool:
+        if self is other:
+            return True
         if self.dim != other.dim:
             return False
         scale = max(self.norm, other.norm)
@@ -157,6 +162,8 @@ class CanonicalSplit:
         return self.Q[:, self.n :]
 
     def same_as(self, other: "CanonicalSplit", tol: Tolerances = TOL) -> bool:
+        if self is other:
+            return True
         if self.n != other.n or not self.form.same_as(other.form, tol):
             return False
         scale = max(1.0, self.form.norm)
@@ -170,12 +177,42 @@ class CanonicalSplit:
         return f"CanonicalSplit(n={self.n})"
 
 
+# least recently used splits, keyed by the exact bytes of J and the
+# tolerances; the bound keeps a long-lived caller from growing it forever
+_SPLIT_CACHE_SIZE = 256
+_splits: OrderedDict = OrderedDict()
+_splits_lock = threading.Lock()
+
+
 def canonical_split(form: SymplecticForm, tol: Tolerances = TOL) -> CanonicalSplit:
     """Split the space by the sign of -iJ and fix a deterministic basis.
+
+    The split depends only on J and ``tol``, so it is computed once:
+    forms whose J is equal entry for entry get the same CanonicalSplit
+    object (whose form is the first of them that was split) while it
+    stays among the most recently used splits. A form differing in any
+    bit is split afresh.
 
     Raises NoLagrangianPlanes when the positive and negative blocks have
     different dimensions (no Lagrangian plane exists in that case).
     """
+    key = (form.J.shape, form.J.tobytes(), tol)
+    with _splits_lock:
+        split = _splits.get(key)
+        if split is not None:
+            _splits.move_to_end(key)
+            return split
+    split = _split(form, tol)
+    with _splits_lock:
+        # a racing caller may have stored the same split meanwhile; keep its object
+        split = _splits.setdefault(key, split)
+        if len(_splits) > _SPLIT_CACHE_SIZE:
+            _splits.popitem(last=False)
+    return split
+
+
+def _split(form: SymplecticForm, tol: Tolerances) -> CanonicalSplit:
+    """The split computed from scratch; canonical_split caches its result."""
     A = -1j * form.J
     evals, evecs = hermitian_eig(A, tol)
     V = evecs.matrix

@@ -12,6 +12,7 @@ part of the system.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -62,8 +63,8 @@ class DiscretizationSpec:
     def __post_init__(self):
         for name in ("length", "step", "energy_window"):
             v = getattr(self, name)
-            if v is not None and not v > 0:
-                raise BadSpec(f"{name} must be positive, got {v!r}")
+            if v is not None and not 0.0 < v < math.inf:
+                raise BadSpec(f"{name} must be finite and positive, got {v!r}")
         if self.cells is not None and self.cells < 1:
             raise BadSpec(f"cells must be at least 1, got {self.cells!r}")
         if not 0.0 < self.core_fraction <= 1.0:

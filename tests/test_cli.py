@@ -88,6 +88,12 @@ class TestClassify:
     def test_parse_error_exits_3(self, write):
         assert main(["classify", "--model", write("m.tf", "kind dirac\n")]) == 3
 
+    def test_non_finite_energy_exits_3(self, write, capsys):
+        assert main(["classify", "--model", write("m.tf", DIRAC_POS),
+                     "--energy", "nan"]) == 3
+        _, err = capsys.readouterr()
+        assert err == "tenfold1d: NotInGap: energy must be finite, got nan\n"
+
     def test_gap_closed_exits_3(self, write):
         assert main(["classify", "--model", write("m.tf", "kind dirac\nW [[0.0]]\n")]) == 3
 
@@ -171,6 +177,24 @@ class TestSweep:
         assert main(["sweep", "--model", write("f.tf", FAMILY), "--class", "D",
                      "--values", "1.0:2.0"]) == 3
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--values=nan,1"], "--values"),
+        (["--values=1:inf:3"], "--values"),
+        (["--values=1,2", "--ref=inf"], "--ref"),
+    ])
+    def test_non_finite_flag_names_the_flag(self, write, capsys, flags, named):
+        assert main(["sweep", "--model", write("f.tf", FAMILY), "--class", "D",
+                     *flags]) == 3
+        _, err = capsys.readouterr()
+        assert err.startswith(f"tenfold1d: error: bad {named} ")
+        assert "f.tf" not in err
+
+    def test_non_finite_energy_exits_3(self, write, capsys):
+        assert main(["sweep", "--model", write("f.tf", FAMILY), "--class", "D",
+                     "--values=1,2", "--energy=nan"]) == 3
+        _, err = capsys.readouterr()
+        assert "energy must be finite" in err and "LinAlgError" not in err
+
 
 class TestTable:
     def test_ten_classes(self, capsys):
@@ -237,6 +261,13 @@ class TestVerify:
         assert main(["verify", "--profile", write("p.tf", WALL),
                      "--length", "20", "--step", "0.1",
                      "--energy-window", "0.1"]) == 3
+
+    def test_infinite_length_exits_3(self, write, capsys):
+        assert main(["verify", "--profile", write("p.tf", WALL), "--class", "D",
+                     "--length", "inf", "--step", "0.1",
+                     "--energy-window", "0.1"]) == 3
+        _, err = capsys.readouterr()
+        assert err == "tenfold1d: error: length must be finite and positive, got inf\n"
 
     def test_missing_geometry_exits_3(self, write):
         assert main(["verify", "--profile", write("p.tf", WALL), "--class", "D",

@@ -7,6 +7,7 @@ from tenfold1d import (
     LagrangianPlane,
     PiecewiseDiracProfile,
     TightBindingModel,
+    canonical_split,
     crossing_dim,
     dirac_bulk,
     dirac_form,
@@ -33,6 +34,39 @@ def gapped_mass(n, rng, floor=0.5):
     X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     P, s, Qh = np.linalg.svd(X)
     return P @ np.diag(s + floor) @ Qh
+
+
+SSH = TightBindingModel([np.array([[1.0]]), np.array([[2.0]])],
+                        [np.zeros((1, 1)), np.zeros((1, 1))])
+
+
+@pytest.mark.parametrize("energy", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda e: dirac_bulk(np.array([[1.0]]), energy=e),
+        lambda e: schrodinger_bulk(np.array([[0.0]]), e),
+        lambda e: tb_bulk(SSH, e),
+    ],
+    ids=["dirac", "schrodinger", "tight_binding"],
+)
+def test_non_finite_energy_rejected(build, energy):
+    with pytest.raises(NotInGap, match="energy must be finite"):
+        build(energy)
+
+
+class TestSharedForms:
+    def test_one_dirac_form_per_n(self):
+        assert dirac_form(2) is dirac_form(2)
+        assert dirac_form(2) is not dirac_form(3)
+        assert dirac_bulk(np.eye(2)).split is dirac_bulk(-np.eye(2), energy=0.3).split
+
+    def test_equal_seam_bonds_share_one_split(self):
+        other = TightBindingModel([np.array([[1.0]]), np.array([[3.0]])],
+                                  [np.zeros((1, 1)), np.ones((1, 1))])
+        assert tb_form(SSH) is not tb_form(other)
+        assert canonical_split(tb_form(SSH)) is canonical_split(tb_form(other))
+        assert tb_bulk(SSH).split is tb_bulk(other).split
 
 
 class TestDiracBulk:

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from tenfold1d import (
     LagrangianPlane,
     LerayUnitary,
     SymplecticForm,
+    TOL,
     Tolerances,
     canonical_split,
     crossing_dim,
@@ -28,6 +32,7 @@ from tenfold1d.errors import (
     SplitMismatch,
 )
 from tenfold1d.symmetry import random_unitary
+from tenfold1d.symplectic import _SPLIT_CACHE_SIZE, _split, _splits
 
 SCHRODINGER_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -114,9 +119,88 @@ class TestCanonicalSplit:
         assert a.same_as(b)
         assert np.array_equal(a.Q, b.Q)
 
+    def test_deterministic_uncached(self, rng):
+        # the check above is a cache hit; here both splits run the pivoted QR,
+        # once more on J written in another basis of each degenerate block
+        V = random_unitary(4, rng)
+        J = V @ np.diag([1j, 1j, -1j, -1j]) @ V.conj().T
+        a = _split(SymplecticForm(J), TOL)
+        b = _split(SymplecticForm(J.copy()), TOL)
+        assert a is not b and a.same_as(b)
+        assert np.array_equal(a.Q, b.Q)
+        R = np.zeros((4, 4), dtype=complex)
+        R[:2, :2] = random_unitary(2, rng)
+        R[2:, 2:] = random_unitary(2, rng)
+        W = V @ R
+        c = _split(SymplecticForm(W @ np.diag([1j, 1j, -1j, -1j]) @ W.conj().T), TOL)
+        assert a.same_as(c)
+
     def test_unbalanced_signature(self):
         with pytest.raises(NoLagrangianPlanes):
             canonical_split(SymplecticForm(np.diag([1j, 1j, -1j])))
+
+
+class TestSplitCache:
+    def test_equal_content_shares_one_split(self, rng):
+        J = random_form(2, rng).J
+        split = canonical_split(SymplecticForm(J))
+        assert canonical_split(SymplecticForm(J.copy())) is split
+        # one ulp anywhere is another form
+        K = J.copy()
+        K[0, 0] = np.nextafter(K[0, 0].real, np.inf) + 1j * K[0, 0].imag
+        assert canonical_split(SymplecticForm(K)) is not split
+
+    def test_tolerances_are_part_of_the_key(self, rng):
+        form = random_form(2, rng)
+        loose = Tolerances(eig_tol=1e-6)
+        split = canonical_split(form)
+        other = canonical_split(form, loose)
+        assert other is not split
+        assert canonical_split(form, Tolerances(eig_tol=1e-6)) is other
+        assert canonical_split(form, TOL) is split
+
+    def test_bounded(self, rng):
+        first = random_form(1, rng)
+        split = canonical_split(first)
+        for _ in range(_SPLIT_CACHE_SIZE):
+            canonical_split(random_form(1, rng))
+        assert len(_splits) <= _SPLIT_CACHE_SIZE
+        # least recently used goes first
+        assert canonical_split(first) is not split
+
+    def test_threads_share_one_split_per_form(self, rng):
+        forms = [random_form(1, rng) for _ in range(8)]
+        seen = [[] for _ in forms]
+
+        def work():
+            for _ in range(20):
+                for i, form in enumerate(forms):
+                    seen[i].append(canonical_split(SymplecticForm(form.J.copy())))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert [len(s) for s in seen] == [80] * len(forms)
+        assert all(all(x is s[0] for x in s) for s in seen)
+        assert len(_splits) <= _SPLIT_CACHE_SIZE
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_cached_split_equals_uncached(self, seed, n):
+        form = random_form(n, np.random.default_rng(seed))
+        cached = canonical_split(SymplecticForm(form.J.copy()))
+        fresh = _split(form, TOL)
+        assert canonical_split(form) is cached
+        for name in ("Q", "a_plus", "a_minus"):
+            assert np.array_equal(getattr(cached, name), getattr(fresh, name))
 
 
 class TestIsLagrangian:

@@ -35,6 +35,10 @@ class TestDiscretizationSpec:
             {"core_fraction": 1.5},
             {"min_weight": 0.0},
             {"min_weight": 1.1},
+            {"length": float("inf")},
+            {"step": float("inf")},
+            {"energy_window": float("inf")},
+            {"length": float("nan")},
         ],
     )
     def test_validation(self, kwargs):
