@@ -317,7 +317,7 @@ def cmd_verify(args, tol: Tolerances):
         raise ParseError("verify needs --profile, or --left and --right")
 
     # H was built above for this command alone, so it is shifted in place
-    H[np.diag_indices_from(H)] -= energy
+    H.lower[0] -= energy
     oracle = count_near_zero_localized(H, spec, tol)
     compare_predicted = bound if predicted is None else predicted
     verdict = oracle_compare((compare_predicted, bound), oracle)

@@ -13,13 +13,20 @@ part of the system.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import AmbiguousKernel, BadSpec, IncompatibleBoundary, NotHermitian
+from .errors import (
+    AmbiguousKernel,
+    BadSpec,
+    DimensionMismatch,
+    IncompatibleBoundary,
+    NotHermitian,
+)
 from .linalg import TOL, Tolerances, _as_square
 from .models import PiecewiseDiracProfile, TightBindingModel
 
@@ -65,12 +72,67 @@ class DiscretizationSpec:
             v = getattr(self, name)
             if v is not None and not 0.0 < v < math.inf:
                 raise BadSpec(f"{name} must be finite and positive, got {v!r}")
-        if self.cells is not None and self.cells < 1:
-            raise BadSpec(f"cells must be at least 1, got {self.cells!r}")
+        if self.cells is not None:
+            c = self.cells
+            if (isinstance(c, (bool, np.bool_)) or not isinstance(c, numbers.Real)
+                    or not float(c).is_integer()):
+                raise BadSpec(f"cells must be an integer, got {c!r}")
+            if c < 1:
+                raise BadSpec(f"cells must be at least 1, got {c!r}")
         if not 0.0 < self.core_fraction <= 1.0:
             raise BadSpec(f"core_fraction must be in (0, 1], got {self.core_fraction!r}")
         if not 0.0 < self.min_weight <= 1.0:
             raise BadSpec(f"min_weight must be in (0, 1], got {self.min_weight!r}")
+
+
+class HermitianBand:
+    """Hermitian matrix held as its lower band in LAPACK storage.
+
+    ``lower`` has shape (p+1, dim): ``lower[d, j]`` is the entry
+    H[j+d, j], and the last d entries of row d are padding. ``shape`` is
+    that of the matrix; ``np.asarray`` forms the dense matrix, its upper
+    triangle the conjugate mirror of the lower one.
+    """
+
+    __slots__ = ("lower",)
+
+    def __init__(self, lower: np.ndarray):
+        self.lower = lower
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        dim = self.lower.shape[1]
+        return dim, dim
+
+    def __array__(self, dtype=None, copy=None):
+        dim = self.lower.shape[1]
+        H = np.zeros((dim, dim), dtype=complex)
+        for d, diagonal in enumerate(self.lower):
+            j = np.arange(dim - d)
+            H[j + d, j] = diagonal[:dim - d]
+            if d:
+                H[j, j + d] = diagonal[:dim - d].conj()
+        return H if dtype is None else H.astype(dtype)
+
+
+def _block_band(diag: np.ndarray, sub: np.ndarray) -> HermitianBand:
+    """Band of the hermitian block-tridiagonal matrix with diagonal blocks
+    ``diag`` (K, N, N) and blocks ``sub`` (K-1, N, N) below them.
+
+    The band is cut after its last nonzero diagonal, so p is the
+    bandwidth a scan of the dense matrix for nonzero entries finds.
+    """
+    K, N = diag.shape[:2]
+    band = np.zeros((2 * N, K * N), dtype=complex)
+    for a in range(N):
+        for b in range(N):
+            # entry (a, b) of block k sits at column k*N + b
+            if b <= a:
+                band[a - b, b::N] = diag[:, a, b]
+            band[N + a - b, b:(K - 1) * N:N] = sub[:, a, b]
+    used = np.flatnonzero((band != 0).any(axis=1))
+    p = int(used[-1]) if used.size else 0
+    return HermitianBand(band[:p + 1])
 
 
 def _split_mass(W: np.ndarray):
@@ -91,7 +153,7 @@ def _definite_sign(A: np.ndarray) -> int:
 
 
 def discretize_dirac_junction(profile: PiecewiseDiracProfile,
-                              spec: DiscretizationSpec) -> np.ndarray:
+                              spec: DiscretizationSpec) -> HermitianBand:
     """Finite hermitian matrix for a Dirac profile on [-length, length].
 
     Works in the rotated basis where the operator reads
@@ -112,6 +174,11 @@ def discretize_dirac_junction(profile: PiecewiseDiracProfile,
     Basis ordering is node-major along the ladder (phi_0, chi_0,
     phi_1, chi_1, ...), with phi_j at -length + j*step and chi_j half
     a step right, minus any dropped end node.
+
+    The matrix is block tridiagonal with N x N blocks, so it is returned
+    as a ``HermitianBand`` of bandwidth at most 2N - 1, assembled from
+    the stacked segment masses with array indexing; no dim^2 array is
+    formed. ``np.asarray`` of the result gives the dense matrix.
     """
     if spec.length is None or spec.step is None:
         raise BadSpec("Dirac discretization needs both length and step")
@@ -138,10 +205,11 @@ def discretize_dirac_junction(profile: PiecewiseDiracProfile,
         )
 
     # full ladder, then trim the ends the local mass would bind
-    nodes = []
-    for j in range(n):
-        nodes.append((True, -L + j * h))
-        nodes.append((False, -L + j * h + 0.5 * h))
+    j = np.arange(n)
+    t = np.empty(2 * n)
+    t[0::2] = -L + j * h
+    t[1::2] = -L + j * h + 0.5 * h
+    is_phi = np.arange(2 * n) % 2 == 0
     splits = [_split_mass(W) for W in profile.masses]
     s_left, s_right = splits[0][1], splits[-1][1]
     sign_left = _definite_sign(-1j * s_left)
@@ -152,40 +220,39 @@ def discretize_dirac_junction(profile: PiecewiseDiracProfile,
             "modes in some channels",
             stacklevel=2,
         )
-    if sign_left > 0:
-        nodes.pop(0)
-    if sign_right > 0:
-        nodes.pop()
+    keep = slice(1 if sign_left > 0 else 0, 2 * n - 1 if sign_right > 0 else 2 * n)
+    t, is_phi = t[keep], is_phi[keep]
 
-    K = len(nodes)
     # segment of each node, as in mass_at: the number of breakpoints <= t
-    segment = np.searchsorted(profile.breakpoints, [t for _, t in nodes], side="right")
-    H = np.zeros((K * N, K * N), dtype=complex)
-    blk = lambda k: slice(k * N, (k + 1) * N)
-    eye = np.eye(N)
-    for k, (is_phi, t) in enumerate(nodes):
-        M, _ = splits[segment[k]]
-        H[blk(k), blk(k)] = M if is_phi else -M
-    for k in range(K - 1):
-        is_phi = nodes[k][0]
-        _, S = splits[segment[k + 1] if is_phi else segment[k]]
-        # phi row gets -i/h when phi sits left of chi, +i/h when right
-        sgn = -1.0 if is_phi else 1.0
-        coupling = (sgn * 1j / h) * eye + 0.5 * S
-        row, col = (k, k + 1) if is_phi else (k + 1, k)
-        H[blk(row), blk(col)] = coupling
-        H[blk(col), blk(row)] = coupling.conj().T
-    return H
+    segment = np.searchsorted(profile.breakpoints, t, side="right")
+    M = np.array([m for m, _ in splits])[segment]
+    S = np.array([s for _, s in splits])
+    diag = np.where(is_phi[:, None, None], M, -M)
+    # the bond from node k to k+1 takes S at its chi end and is the phi
+    # row's block; that row gets -i/h when phi sits left of chi, +i/h
+    # when right, and below the diagonal it is node k+1's row
+    left_phi = is_phi[:-1]
+    chi_segment = np.where(left_phi, segment[1:], segment[:-1])
+    sgn = np.where(left_phi, -1.0, 1.0)
+    coupling = (sgn * 1j / h)[:, None, None] * np.eye(N) + 0.5 * S[chi_segment]
+    sub = np.where(left_phi[:, None, None], coupling.conj().transpose(0, 2, 1), coupling)
+    return _block_band(diag, sub)
 
 
 def finite_chain(left: TightBindingModel, right: TightBindingModel,
-                 spec: DiscretizationSpec) -> np.ndarray:
+                 spec: DiscretizationSpec) -> HermitianBand:
     """Finite hermitian matrix for two chains glued at site 0.
 
     Sites -q_L*cells .. -1 follow the left model, sites 0 .. q_R*cells-1
     the right one; the bond (n, n+1) comes from the model owning site n.
     Both truncations are hard. Raises IncompatibleBoundary when the
     block sizes differ.
+
+    The matrix is returned as a ``HermitianBand`` of bandwidth at most
+    2N - 1, assembled from the stacked per-period blocks with array
+    indexing; no dim^2 array is formed, and site blocks enter through
+    their lower triangle. ``np.asarray`` of the result gives the dense
+    matrix.
     """
     if spec.cells is None:
         raise BadSpec("finite chains need the cells field")
@@ -193,22 +260,13 @@ def finite_chain(left: TightBindingModel, right: TightBindingModel,
         raise IncompatibleBoundary(
             f"block sizes differ: {left.block_dim} vs {right.block_dim}"
         )
-    N = left.block_dim
     c = int(spec.cells)
-    lo = -left.period * c
-    hi = right.period * c
-    sites = list(range(lo, hi))
-    dim = len(sites) * N
-    H = np.zeros((dim, dim), dtype=complex)
-    block = lambda i: slice(i * N, (i + 1) * N)
-    model_at = lambda s: left if s < 0 else right
-    for i, s in enumerate(sites):
-        H[block(i), block(i)] = model_at(s).site(s)
-        if i + 1 < len(sites):
-            a = model_at(s).bond(s)
-            H[block(i), block(i + 1)] = a
-            H[block(i + 1), block(i)] = a.conj().T
-    return H
+    left_sites = np.arange(-left.period * c, 0)
+    right_sites = np.arange(right.period * c)
+    take = lambda blocks, sites: np.array(blocks)[sites % len(blocks)]
+    diag = np.concatenate([take(left.b, left_sites), take(right.b, right_sites)])
+    bonds = np.concatenate([take(left.a, left_sites), take(right.a, right_sites[:-1])])
+    return _block_band(diag, bonds.conj().transpose(0, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -276,36 +334,13 @@ def _window_vectors(full: np.ndarray, evals: np.ndarray, res_tol: float) -> np.n
     return vecs
 
 
-def count_near_zero_localized(H, spec: DiscretizationSpec,
-                              tol: Tolerances = TOL) -> OracleReport:
-    """Count near-zero modes concentrated in the center of the system.
+def _scanned_band(H: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Lower band (LAPACK storage) of a dense hermitian H.
 
-    A mode qualifies when its energy lies within ``spec.energy_window``
-    and at least ``spec.min_weight`` of its probability sits inside the
-    central ``spec.core_fraction`` of the index range. Wall and edge
-    modes fail the weight test and are excluded.
-
-    Nothing diagonalizes the whole matrix; after a scan for the
-    bandwidth p only the 2p+1 diagonals of H are read. The window's
-    eigenvalues come from banded bisection (LAPACK ``hbevx`` without
-    vectors, whose band reduction costs about dim^2 * p operations
-    instead of the dim^3 of a dense eigh), and their eigenvectors from
-    banded inverse iteration with Rayleigh-Ritz. Raises NotHermitian when
-    H is not hermitian, and AmbiguousKernel when the eigenvectors do not
-    reproduce the bisection eigenvalues to within
-    ``1e3 * eps * scale * sqrt(dim)``, as at a tie on the window's edge.
-
-    Degenerate near-zero clusters need care: a junction mode and a far
-    wall mode at the same energy reach the eigensolver as arbitrary
-    50/50 mixtures, which would fail a naive per-vector test. The count
-    therefore diagonalizes the core-weight form on the whole selected
-    subspace; its eigenvalues are the canonical core weights, equal to
-    the per-vector weights whenever the eigenvectors are clean, and
-    basis independent always.
+    A scan for nonzero entries finds the bandwidth p; only the 2p+1
+    diagonals of H are read after it. Raises NotHermitian when H is not
+    hermitian.
     """
-    if spec.energy_window is None:
-        raise BadSpec("counting needs the energy_window field")
-    H = _as_square(H, "H")
     dim = H.shape[0]
     rows, cols = np.nonzero(H != 0)
     p = int(np.abs(rows - cols).max()) if rows.size else 0
@@ -317,16 +352,72 @@ def count_near_zero_localized(H, spec: DiscretizationSpec,
     if defect > tol.frame_tol * scale:
         raise NotHermitian(f"junction matrix has hermiticity defect {defect:.3e} "
                            f"at scale {scale:.3e}")
+    band = np.zeros((p + 1, dim), dtype=complex)
+    for d, diagonal in enumerate(lower):
+        band[d, :dim - d] = diagonal
+    return band
+
+
+def count_near_zero_localized(H, spec: DiscretizationSpec,
+                              tol: Tolerances = TOL) -> OracleReport:
+    """Count near-zero modes concentrated in the center of the system.
+
+    A mode qualifies when its energy lies within ``spec.energy_window``
+    and at least ``spec.min_weight`` of its probability sits inside the
+    central ``spec.core_fraction`` of the index range. Wall and edge
+    modes fail the weight test and are excluded.
+
+    ``H`` is a ``HermitianBand``, as the builders return, whose band is
+    used as given, or a dense hermitian array, whose band is found by a
+    scan for its bandwidth p. Either way no dim^2 array is formed after
+    that and nothing diagonalizes the whole matrix. The window's
+    eigenvalues come from banded bisection: LAPACK ``hbevx`` without
+    vectors, with its default tolerance eps * |T|_1 (T the tridiagonal
+    form of H), far below the ``1e3 * eps * scale * sqrt(dim)`` the
+    eigenvectors are checked against. Its band reduction still costs
+    about dim^2 * p operations when p >= 2 (against the dim^3 of a dense
+    eigh); at p = 1 it is linear in dim. The eigenvectors come from
+    banded inverse iteration with Rayleigh-Ritz.
+
+    Raises DimensionMismatch for an empty H, NotHermitian when H has a
+    non-finite entry or is not hermitian, and AmbiguousKernel when the
+    bisection fails or the eigenvectors do not reproduce its eigenvalues
+    to within the check's tolerance, as at a tie on the window's edge.
+
+    Degenerate near-zero clusters need care: a junction mode and a far
+    wall mode at the same energy reach the eigensolver as arbitrary
+    50/50 mixtures, which would fail a naive per-vector test. The count
+    therefore diagonalizes the core-weight form on the whole selected
+    subspace; its eigenvalues are the canonical core weights, equal to
+    the per-vector weights whenever the eigenvectors are clean, and
+    basis independent always.
+    """
+    if spec.energy_window is None:
+        raise BadSpec("counting needs the energy_window field")
+    given = H.lower if isinstance(H, HermitianBand) else _as_square(H, "H")
+    dim = given.shape[1]
+    if dim == 0:
+        raise DimensionMismatch("H is empty: there are no modes to count")
+    if not np.isfinite(given).all():
+        raise NotHermitian("H has a non-finite entry")
+    band = given if isinstance(H, HermitianBand) else _scanned_band(given, tol)
+    p = band.shape[0] - 1
+    scale = max(1.0, float(np.abs(band).max()))
     # rows p.. hold the lower band in LAPACK storage, rows ..p its mirror,
     # so the matrix the solves see is exactly the one the eigensolver sees
     full = np.zeros((2 * p + 1, dim), dtype=complex)
-    full[p] = lower[0].real
+    full[p] = band[0].real
     for d in range(1, p + 1):
-        full[p + d, :dim - d] = lower[d]
-        full[p - d, d:] = lower[d].conj()
+        full[p + d, :dim - d] = band[d, :dim - d]
+        full[p - d, d:] = band[d, :dim - d].conj()
     w = spec.energy_window
-    evals = sla.eig_banded(full[p:], lower=True, eigvals_only=True,
-                           select="v", select_range=(-w, w))
+    hbevx = sla.get_lapack_funcs("hbevx", (full,))
+    # range=1 selects the eigenvalues in (-w, w]; abstol stays at LAPACK's default
+    evals, _, found, _, info = hbevx(full[p:], -w, w, 1, 1, compute_v=0, range=1,
+                                     lower=1, overwrite_ab=0)
+    if info:
+        raise AmbiguousKernel(f"banded bisection failed: LAPACK hbevx info {info}")
+    evals = evals[:found]
     evals = evals[np.abs(evals) < w]
     if evals.size:
         res_tol = 1e3 * np.finfo(float).eps * scale * np.sqrt(dim)

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -14,7 +17,14 @@ from tenfold1d import (
     finite_chain,
     oracle_compare,
 )
-from tenfold1d.errors import AmbiguousKernel, BadSpec, IncompatibleBoundary, NotHermitian
+from tenfold1d.errors import (
+    AmbiguousKernel,
+    BadSpec,
+    DimensionMismatch,
+    IncompatibleBoundary,
+    NotHermitian,
+)
+from tenfold1d.verify import HermitianBand, _definite_sign, _split_mass
 
 
 class TestDiscretizationSpec:
@@ -39,11 +49,21 @@ class TestDiscretizationSpec:
             {"step": float("inf")},
             {"energy_window": float("inf")},
             {"length": float("nan")},
+            {"cells": 2.5},
+            {"cells": float("nan")},
+            {"cells": "3"},
+            {"cells": True},
+            {"cells": np.bool_(True)},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(BadSpec):
             DiscretizationSpec(**kwargs)
+
+    @pytest.mark.parametrize("cells", [np.int64(3), np.uint8(3), 3.0])
+    def test_integral_cells(self, cells):
+        m = TightBindingModel([np.eye(1)], [np.zeros((1, 1))])
+        assert finite_chain(m, m, DiscretizationSpec(cells=cells)).shape == (6, 6)
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -69,7 +89,7 @@ class TestDiscretizeDirac:
             discretize_dirac_junction(p, DiscretizationSpec(length=1.0, step=2.0))
 
     def test_hermitian(self, wall_oracle):
-        H, _ = wall_oracle
+        H = np.asarray(wall_oracle[0])
         assert np.abs(H - H.conj().T).max() == 0.0
 
     def test_constant_mass_has_clean_gap(self):
@@ -112,6 +132,108 @@ class TestDiscretizeDirac:
         spec = DiscretizationSpec(length=25.0, step=0.1, energy_window=0.1)
         with pytest.warns(UserWarning, match="indefinite"):
             discretize_dirac_junction(p, spec)
+
+
+def dense_dirac_reference(profile, spec):
+    """Dense reference for discretize_dirac_junction: the per-node loop."""
+    L, h = float(spec.length), float(spec.step)
+    N = profile.block_dim
+    n = int(round(2 * L / h)) + 1
+    nodes = []
+    for j in range(n):
+        nodes.append((True, -L + j * h))
+        nodes.append((False, -L + j * h + 0.5 * h))
+    splits = [_split_mass(W) for W in profile.masses]
+    if _definite_sign(-1j * splits[0][1]) > 0:
+        nodes.pop(0)
+    if _definite_sign(-1j * splits[-1][1]) > 0:
+        nodes.pop()
+    K = len(nodes)
+    segment = np.searchsorted(profile.breakpoints, [t for _, t in nodes], side="right")
+    H = np.zeros((K * N, K * N), dtype=complex)
+    blk = lambda k: slice(k * N, (k + 1) * N)
+    eye = np.eye(N)
+    for k, (is_phi, t) in enumerate(nodes):
+        M, _ = splits[segment[k]]
+        H[blk(k), blk(k)] = M if is_phi else -M
+    for k in range(K - 1):
+        is_phi = nodes[k][0]
+        _, S = splits[segment[k + 1] if is_phi else segment[k]]
+        sgn = -1.0 if is_phi else 1.0
+        coupling = (sgn * 1j / h) * eye + 0.5 * S
+        row, col = (k, k + 1) if is_phi else (k + 1, k)
+        H[blk(row), blk(col)] = coupling
+        H[blk(col), blk(row)] = coupling.conj().T
+    return H
+
+
+def dense_chain_reference(left, right, spec):
+    """Dense reference for finite_chain: the per-site loop."""
+    N = left.block_dim
+    c = int(spec.cells)
+    sites = list(range(-left.period * c, right.period * c))
+    H = np.zeros((len(sites) * N, len(sites) * N), dtype=complex)
+    block = lambda i: slice(i * N, (i + 1) * N)
+    model_at = lambda s: left if s < 0 else right
+    for i, s in enumerate(sites):
+        H[block(i), block(i)] = model_at(s).site(s)
+        if i + 1 < len(sites):
+            a = model_at(s).bond(s)
+            H[block(i), block(i + 1)] = a
+            H[block(i + 1), block(i)] = a.conj().T
+    return H
+
+
+def complex_normal(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+class TestBuildersAgainstDense:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3),
+           st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0]),
+           st.sampled_from([0.1, 0.15, 0.25]))
+    @settings(max_examples=40, deadline=None)
+    def test_dirac_bit_for_bit(self, seed, N, interfaces, left_sign, right_sign, step):
+        # an outer mass s * A + K with A positive definite and K
+        # antihermitian gives the end the definite sign s, so the signs
+        # pick which end nodes are trimmed
+        rng = np.random.default_rng(seed)
+
+        def definite(sign):
+            X, Y = rng.normal(size=(N, N)), complex_normal(rng, (N, N))
+            return sign * (X @ X.T + np.eye(N)) + 0.5 * (Y - Y.conj().T)
+
+        inner = [complex_normal(rng, (N, N)) for _ in range(interfaces - 1)]
+        masses = [definite(left_sign)] + inner + [definite(right_sign)]
+        breakpoints = np.sort(rng.uniform(-1.5, 1.5, size=interfaces))
+        assume(np.diff(breakpoints).min(initial=1.0) > 1e-9)
+        profile = PiecewiseDiracProfile(masses, breakpoints)
+        spec = DiscretizationSpec(length=2.5, step=step)
+        H = discretize_dirac_junction(profile, spec)
+        want = dense_dirac_reference(profile, spec)
+        assert H.shape == want.shape
+        assert np.array_equal(np.asarray(H), want)
+        assert H.lower.shape == (bandwidth(want) + 1, want.shape[0])
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.integers(1, 3),
+           st.integers(1, 3), st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_chain_bit_for_bit(self, seed, N, q_left, q_right, cells):
+        rng = np.random.default_rng(seed)
+
+        def model(q):
+            sites = [complex_normal(rng, (N, N)) for _ in range(q)]
+            return TightBindingModel([complex_normal(rng, (N, N)) for _ in range(q)],
+                                     [X + X.conj().T for X in sites])
+
+        left, right = model(q_left), model(q_right)
+        spec = DiscretizationSpec(cells=cells)
+        H = finite_chain(left, right, spec)
+        want = dense_chain_reference(left, right, spec)
+        assert H.shape == want.shape
+        assert np.array_equal(np.asarray(H), want)
+        assert H.lower.shape == (bandwidth(want) + 1, want.shape[0])
 
 
 class TestFiniteChain:
@@ -165,6 +287,18 @@ class TestFiniteChain:
         report = count_near_zero_localized(finite_chain(m, m, spec), spec)
         assert report.near_zero == 0 and report.localized == 0
 
+    def test_hundred_thousand_site_seam(self):
+        # a dense matrix of this chain would take 160 GB: only a band
+        # from builder to count can pass
+        z = [np.zeros((1, 1)), np.zeros((1, 1))]
+        left = TightBindingModel([np.array([[1.0]]), np.array([[2.0]])], z)
+        right = TightBindingModel([np.array([[2.0]]), np.array([[1.0]])], z)
+        spec = DiscretizationSpec(cells=25000, energy_window=1e-6)
+        H = finite_chain(left, right, spec)
+        assert H.shape == (100000, 100000) and H.lower.shape == (2, 100000)
+        report = count_near_zero_localized(H, spec)
+        assert report.near_zero == 2 and report.localized == 1
+
 
 class TestCountNearZero:
     def test_needs_window(self):
@@ -183,6 +317,25 @@ class TestCountNearZero:
         H[2, 0] = 1e-3j
         with pytest.raises(NotHermitian):
             count_near_zero_localized(H, DiscretizationSpec(energy_window=0.5))
+
+    @pytest.mark.parametrize("H", [np.zeros((0, 0)), HermitianBand(np.zeros((1, 0), dtype=complex))],
+                             ids=["dense", "band"])
+    def test_empty_matrix_is_typed(self, H):
+        with pytest.raises(DimensionMismatch, match="empty"):
+            count_near_zero_localized(H, DiscretizationSpec(energy_window=0.5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("form", ["dense", "band"])
+    def test_non_finite_entry_is_typed(self, bad, form):
+        m = TightBindingModel([np.eye(1)], [np.zeros((1, 1))])
+        H = finite_chain(m, m, DiscretizationSpec(cells=4))
+        H.lower[1, 2] = bad
+        if form == "dense":
+            H = np.asarray(H)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotHermitian, match="non-finite"):
+                count_near_zero_localized(H, DiscretizationSpec(energy_window=0.5))
 
     def test_shift_on_an_eigenvalue_raises_typed_error(self):
         # eigenvalues 0, r, 2r with r the residual tolerance form one
@@ -220,6 +373,20 @@ class TestCountNearZero:
             monkeypatch.setattr(module, name, guard(getattr(module, name)))
         report = count_near_zero_localized(H, spec)
         assert report.near_zero == 2 and report.localized == 2
+
+    def test_forms_no_dense_matrix(self):
+        # the 1602-dim two-channel wall would be 41 MB as a dense matrix
+        p = PiecewiseDiracProfile([-np.eye(2), np.eye(2)], [0.0])
+        spec = DiscretizationSpec(length=20.0, step=0.1, energy_window=0.1)
+        count_near_zero_localized(discretize_dirac_junction(p, spec), spec)
+        tracemalloc.start()
+        try:
+            report = count_near_zero_localized(discretize_dirac_junction(p, spec), spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.near_zero == 2 and report.localized == 2
+        assert peak < 5e6
 
     def test_degenerate_cluster_counted_canonically(self, rng):
         # one zero mode in the core, one at the wall, exactly degenerate:
