@@ -173,6 +173,18 @@ def dirac_bulk(W, tol: Tolerances = TOL, energy: float = 0.0) -> BulkData:
     return _finish_bulk(form, split, f_plus, f_minus, gap, energy, tol)
 
 
+@functools.lru_cache(maxsize=64)
+def _schrodinger_form(M: int) -> SymplecticForm:
+    """Boundary form on the traces (psi(0), psi'(0)): J = [[0, I], [-I, 0]].
+
+    Like ``dirac_form``, one read-only form per M.
+    """
+    J = np.zeros((2 * M, 2 * M), dtype=complex)
+    J[:M, M:] = np.eye(M)
+    J[M:, :M] = -np.eye(M)
+    return SymplecticForm(J)
+
+
 def schrodinger_bulk(V, energy: float, tol: Tolerances = TOL) -> BulkData:
     """Boundary data of -d^2/dt^2 + V at an energy below the spectrum.
 
@@ -191,10 +203,7 @@ def schrodinger_bulk(V, energy: float, tol: Tolerances = TOL) -> BulkData:
         raise NotInGap(
             f"energy {energy:g} is not below the spectrum bottom {mu[0]:.6g}"
         )
-    J = np.zeros((2 * M, 2 * M), dtype=complex)
-    J[:M, M:] = np.eye(M)
-    J[M:, :M] = -np.eye(M)
-    form = SymplecticForm(J)
+    form = _schrodinger_form(M)
     split = canonical_split(form, tol)
     kappa = np.sqrt(mu - energy)
     Vm = vecs.matrix

@@ -289,49 +289,163 @@ def _band_matmul(band: np.ndarray, V: np.ndarray) -> np.ndarray:
     return HV
 
 
-def _window_vectors(full: np.ndarray, evals: np.ndarray, res_tol: float) -> np.ndarray:
-    """Orthonormal eigenvectors of H for its sorted eigenvalues ``evals``.
+def _count_below(band: np.ndarray, shifts, res_tol: float) -> np.ndarray:
+    """Number of eigenvalues below each of ``shifts`` of the hermitian H
+    whose lower band is given in LAPACK storage, with a real diagonal and
+    zero padding.
 
-    ``full`` holds the 2p+1 diagonals of H in ``solve_banded`` storage.
+    Sylvester's law of inertia by block cyclic reduction: H - s is viewed
+    as block tridiagonal with b = max(p, 1) square blocks, the last one
+    padded with a diagonal above every shift, which adds no negative
+    eigenvalue. Each level eliminates the even blocks of every shift at
+    once; their negative eigenvalues add to the count (Haynsworth inertia
+    additivity), and the Schur complement on the odd blocks is again
+    block tridiagonal with half as many blocks. One batched eigh per
+    level gives both the inertia of the eliminated blocks and their
+    inverses V diag(1/lambda) V*. The cost is O(dim * p^2) per shift.
 
-    Banded inverse iteration: eigenvalues less than ``res_tol`` apart form
-    a cluster, and each cluster gets one shift just beside it and a random
-    block as wide as the cluster, so exactly degenerate eigenvalues get as
-    many independent vectors as their multiplicity. The offset keeps the
-    shift off an eigenvalue, where the factorization could hit an exact
-    zero pivot. Rayleigh-Ritz on the union of the blocks then gives the
-    eigenvectors, which must have residuals within ``res_tol`` and Ritz
-    values matching ``evals``; otherwise AmbiguousKernel is raised.
+    Raises AmbiguousKernel when a pivot eigenvalue is within ``res_tol``
+    of zero, where its sign is not decided. Without pivoting such a pivot
+    can also appear away from any eigenvalue of H, as at shift zero for a
+    matrix whose diagonal blocks are singular.
+    """
+    p, dim = band.shape[0] - 1, band.shape[1]
+    b = max(p, 1)
+    m = -(-dim // b)
+    shifts = np.asarray(shifts, dtype=float)
+    lower = np.zeros((p + 1, m * b), dtype=complex)
+    lower[:, :dim] = band
+    lower[0, dim:] = shifts.max() + 1.0
+    # entry (a, c) of diagonal block i is H[i*b + a, i*b + c], of the block
+    # below it H[(i+1)*b + a, i*b + c]; both read lower[row - col, col]
+    start = b * np.arange(m)[:, None, None]
+    a, c = np.arange(b)[:, None], np.arange(b)
+    D = lower[abs(a - c), start + np.minimum(a, c)]
+    D = np.where(a >= c, D, D.conj())
+    d = b + a - c
+    L = np.where(d <= p, lower[np.minimum(d, p), start[:-1] + c], 0)[None]
+    D = D - shifts[:, None, None, None] * np.eye(b)
+    below = np.zeros(shifts.size, dtype=int)
+    while True:
+        lam, V = np.linalg.eigh(D[:, ::2])
+        if np.abs(lam).min() <= res_tol:
+            s, *rest = np.argwhere(np.abs(lam) <= res_tol)[0]
+            raise AmbiguousKernel(
+                f"inertia at shift {shifts[s]:.3e} is undecided: pivot eigenvalue "
+                f"{lam[s][tuple(rest)]:.3e} within tolerance {res_tol:.3e}"
+            )
+        below += np.count_nonzero(lam < 0, axis=(1, 2))
+        n_even, n_odd = lam.shape[1], D.shape[1] - lam.shape[1]
+        if not n_odd:
+            return below
+        # Schur complement on the odd blocks: even block e couples down to
+        # e+1 through L[e] and up to e-1 through L[e-1]^*; with Z = V* C^*
+        # each coupling pair contributes Z_1^* diag(1/lambda) Z_2
+        Vh = V.conj().swapaxes(-1, -2)
+        down = Vh[:, :n_odd] @ L[:, 0::2].conj().swapaxes(-1, -2)
+        up = Vh[:, 1:] @ L[:, 1::2]
+        down_scaled = down / lam[:, :n_odd, :, None]
+        up_scaled = up / lam[:, 1:, :, None]
+        odd = D[:, 1::2] - down.conj().swapaxes(-1, -2) @ down_scaled
+        odd[:, :n_even - 1] -= up.conj().swapaxes(-1, -2) @ up_scaled
+        L = -(down[:, 1:].conj().swapaxes(-1, -2) @ up_scaled[:, :n_odd - 1])
+        D = odd
+
+
+# vectors beyond a window's count, solves per shift, the residual reduction
+# per solve below which a window is split, and the depth of nested splits
+_GUARD = 2
+_STEPS = 10
+_MIN_GAIN = 0.1
+_MAX_SPLITS = 40
+# where a window is split within a gap between its Ritz values: the gap's
+# midpoint would be zero for a spectrum symmetric about zero, where
+# eliminating a chiral matrix meets singular blocks
+_SPLIT_AT = 0.382
+
+
+def _window_pairs(full: np.ndarray, lo: float, hi: float, below: tuple[int, int],
+                  res_tol: float, rng, ritz=(), depth: int = 0):
+    """Eigenpairs of H for its eigenvalues in (lo, hi).
+
+    ``full`` holds the 2p+1 diagonals of H in ``solve_banded`` storage,
+    its rows p.. the lower band, and ``below`` the numbers of eigenvalues
+    of H below ``lo`` and ``hi``, whose difference k is the count to
+    resolve.
+
+    Block shift-and-invert iteration on k random vectors plus a few guard
+    vectors that take up the eigenvalues just outside the window. The
+    shift sits at the mean of ``ritz``, earlier estimates of the window's
+    eigenvalues, or at the window's centre when there are none, offset by
+    ``res_tol`` so that an exact eigenvalue there cannot make the solve
+    singular. After each solve, Rayleigh-Ritz on the inverse picks the k
+    directions nearest the shift, and Rayleigh-Ritz on H within them
+    gives the Ritz pairs. The window is resolved when all k Ritz values
+    lie in (lo, hi), each with residual within ``res_tol``; as the window
+    holds exactly k eigenvalues, every returned energy is then within its
+    residual of one of them. A window whose residual falls less than
+    tenfold in a step, or that is not resolved in ``_STEPS`` solves, is
+    split in a wide gap between its Ritz values that has some of them on
+    either side; the split point is counted by inertia, and each half gets
+    its own shift. Returns the sorted energies and orthonormal vectors;
+    raises AmbiguousKernel when a solve is singular or the splits run out.
     """
     p, dim = full.shape[0] // 2, full.shape[1]
-    rng = np.random.default_rng(0)
-    blocks = []
-    for cluster in np.split(evals, np.flatnonzero(np.diff(evals) > res_tol) + 1):
-        shift = cluster.mean() + res_tol
-        shifted = full.copy()
-        shifted[p] -= shift
-        X = rng.standard_normal((dim, cluster.size)) + 1j * rng.standard_normal((dim, cluster.size))
-        for _ in range(2):
-            try:
-                X = sla.solve_banded((p, p), shifted, X)
-            except np.linalg.LinAlgError as exc:
-                raise AmbiguousKernel(
-                    f"inverse iteration shift {shift:.3e} is an eigenvalue"
-                ) from exc
-            X = np.linalg.qr(X)[0]
-        blocks.append(X)
-    V = np.linalg.qr(np.hstack(blocks))[0]
-    HV = _band_matmul(full[p:], V)
-    theta, Y = np.linalg.eigh(V.conj().T @ HV)
-    vecs = V @ Y
-    residual = float(np.linalg.norm(HV @ Y - vecs * theta, axis=0).max())
-    mismatch = float(np.abs(theta - evals).max())
-    if residual > res_tol or mismatch > res_tol:
+    count = below[1] - below[0]
+    if count == 0:
+        return np.zeros(0), np.zeros((dim, 0), dtype=complex)
+    shift = (np.mean(ritz) if len(ritz) else 0.5 * (lo + hi)) + res_tol
+    shifted = full.copy()
+    shifted[p] -= shift
+    width = min(count + _GUARD, dim)
+    X = rng.standard_normal((dim, width))
+    previous = np.inf
+    for step in range(_STEPS):
+        try:
+            Z = sla.solve_banded((p, p), shifted, X, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise AmbiguousKernel(
+                f"inverse iteration shift {shift:.3e} is an eigenvalue"
+            ) from exc
+        if step:
+            # Rayleigh-Ritz on the inverse picks the directions nearest the
+            # shift without mixing them with unconverged guard vectors, whose
+            # Rayleigh quotients can land anywhere, the window included
+            mu, Y = np.linalg.eigh(X.conj().T @ Z)
+            V = np.linalg.qr(Z @ Y[:, np.argsort(-np.abs(mu))[:count]])[0]
+            HV = _band_matmul(full[p:], V)
+            theta, W = np.linalg.eigh(V.conj().T @ HV)
+            residual = float(np.linalg.norm(HV @ W - V @ W * theta, axis=0).max())
+            if residual <= res_tol and lo < theta[0] and theta[-1] < hi:
+                return theta, V @ W
+            if residual > _MIN_GAIN * previous:
+                break
+            previous = residual
+        X = np.linalg.qr(Z)[0]
+    if depth == _MAX_SPLITS:
         raise AmbiguousKernel(
-            f"window eigenvectors unresolved: residual {residual:.3e}, "
-            f"Ritz value mismatch {mismatch:.3e}, tolerance {res_tol:.3e}"
+            f"window eigenvectors unresolved in ({lo:.3e}, {hi:.3e}): residual "
+            f"{residual:.3e}, tolerance {res_tol:.3e}, for {count} eigenvalues"
         )
-    return vecs
+    edges = np.concatenate([[lo], theta[(lo < theta) & (theta < hi)], [hi]])
+    # a wide gap keeps the split point off the eigenvalues, a gap with Ritz
+    # values on both sides splits the count
+    n = edges.size - 2
+    balance = 1 + np.minimum(np.arange(n + 1), np.arange(n, -1, -1))
+    gap = int((np.diff(edges) * balance).argmax())
+    mid = edges[gap] + _SPLIT_AT * (edges[gap + 1] - edges[gap])
+    below_mid = int(_count_below(full[p:], [mid], res_tol)[0])
+    e_lo, v_lo = _window_pairs(full, lo, mid, (below[0], below_mid), res_tol, rng,
+                               edges[1:gap + 1], depth + 1)
+    e_hi, v_hi = _window_pairs(full, mid, hi, (below_mid, below[1]), res_tol, rng,
+                               edges[gap + 1:-1], depth + 1)
+    return np.concatenate([e_lo, e_hi]), np.linalg.qr(np.hstack([v_lo, v_hi]))[0]
+
+
+def _require_hermitian(defect: float, scale: float, tol: Tolerances) -> None:
+    if defect > tol.frame_tol * scale:
+        raise NotHermitian(f"junction matrix has hermiticity defect {defect:.3e} "
+                           f"at scale {scale:.3e}")
 
 
 def _scanned_band(H: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -349,9 +463,7 @@ def _scanned_band(H: np.ndarray, tol: Tolerances) -> np.ndarray:
     upper = [np.diagonal(H, d) for d in range(p + 1)]
     scale = max(1.0, max(float(np.abs(a).max()) for a in lower + upper))
     defect = max(float(np.abs(a - b.conj()).max()) for a, b in zip(lower, upper))
-    if defect > tol.frame_tol * scale:
-        raise NotHermitian(f"junction matrix has hermiticity defect {defect:.3e} "
-                           f"at scale {scale:.3e}")
+    _require_hermitian(defect, scale, tol)
     band = np.zeros((p + 1, dim), dtype=complex)
     for d, diagonal in enumerate(lower):
         band[d, :dim - d] = diagonal
@@ -370,19 +482,23 @@ def count_near_zero_localized(H, spec: DiscretizationSpec,
     ``H`` is a ``HermitianBand``, as the builders return, whose band is
     used as given, or a dense hermitian array, whose band is found by a
     scan for its bandwidth p. Either way no dim^2 array is formed after
-    that and nothing diagonalizes the whole matrix. The window's
-    eigenvalues come from banded bisection: LAPACK ``hbevx`` without
-    vectors, with its default tolerance eps * |T|_1 (T the tridiagonal
-    form of H), far below the ``1e3 * eps * scale * sqrt(dim)`` the
-    eigenvectors are checked against. Its band reduction still costs
-    about dim^2 * p operations when p >= 2 (against the dim^3 of a dense
-    eigh); at p = 1 it is linear in dim. The eigenvectors come from
-    banded inverse iteration with Rayleigh-Ritz.
+    that and nothing diagonalizes the whole matrix. The window holds
+    k = below(w) - below(-w) eigenvalues, counted by Sylvester inertia at
+    both edges at once: block cyclic reduction of H - s in blocks of size
+    max(p, 1), with one batched eigh of the eliminated blocks per level,
+    costs O(dim * p^2) per shift over log2(dim / p) levels. The k
+    eigenpairs come from block shift-and-invert iteration with banded
+    solves and Rayleigh-Ritz; a window it does not resolve in a few solves
+    is split and its halves counted by inertia again. The energies are
+    Ritz values, each within its residual, at most
+    ``1e3 * eps * scale * sqrt(dim)``, of an eigenvalue of H.
 
     Raises DimensionMismatch for an empty H, NotHermitian when H has a
-    non-finite entry or is not hermitian, and AmbiguousKernel when the
-    bisection fails or the eigenvectors do not reproduce its eigenvalues
-    to within the check's tolerance, as at a tie on the window's edge.
+    non-finite entry or is not hermitian (a band with a complex diagonal
+    included), and AmbiguousKernel when a pivot of the inertia count lies
+    within that tolerance of zero, as at a tie on the window's edge, when
+    a shift of the iteration is an eigenvalue, or when the window's
+    eigenvectors are not resolved to within the tolerance.
 
     Degenerate near-zero clusters need care: a junction mode and a far
     wall mode at the same energy reach the eigensolver as arbitrary
@@ -403,27 +519,21 @@ def count_near_zero_localized(H, spec: DiscretizationSpec,
     band = given if isinstance(H, HermitianBand) else _scanned_band(given, tol)
     p = band.shape[0] - 1
     scale = max(1.0, float(np.abs(band).max()))
+    # a band has no upper triangle to mirror, but its diagonal must be real:
+    # H[j, j] - conj(H[j, j]) is twice its imaginary part
+    _require_hermitian(2.0 * float(np.abs(band[0].imag).max()), scale, tol)
     # rows p.. hold the lower band in LAPACK storage, rows ..p its mirror,
-    # so the matrix the solves see is exactly the one the eigensolver sees
+    # so the matrix the solves see is exactly the one the inertia counts
     full = np.zeros((2 * p + 1, dim), dtype=complex)
     full[p] = band[0].real
     for d in range(1, p + 1):
         full[p + d, :dim - d] = band[d, :dim - d]
         full[p - d, d:] = band[d, :dim - d].conj()
     w = spec.energy_window
-    hbevx = sla.get_lapack_funcs("hbevx", (full,))
-    # range=1 selects the eigenvalues in (-w, w]; abstol stays at LAPACK's default
-    evals, _, found, _, info = hbevx(full[p:], -w, w, 1, 1, compute_v=0, range=1,
-                                     lower=1, overwrite_ab=0)
-    if info:
-        raise AmbiguousKernel(f"banded bisection failed: LAPACK hbevx info {info}")
-    evals = evals[:found]
-    evals = evals[np.abs(evals) < w]
-    if evals.size:
-        res_tol = 1e3 * np.finfo(float).eps * scale * np.sqrt(dim)
-        window = _window_vectors(full, evals, res_tol)
-    else:
-        window = np.zeros((dim, 0))
+    res_tol = 1e3 * np.finfo(float).eps * scale * np.sqrt(dim)
+    below = _count_below(full[p:], [-w, w], res_tol)
+    evals, window = _window_pairs(full, -w, w, (int(below[0]), int(below[1])), res_tol,
+                                  np.random.default_rng(0))
     margin = int(round(dim * (1.0 - spec.core_fraction) / 2.0))
     core_block = window[margin:dim - margin, :]
     weights = np.linalg.eigvalsh(core_block.conj().T @ core_block)[::-1]

@@ -61,6 +61,13 @@ class TestSharedForms:
         assert dirac_form(2) is not dirac_form(3)
         assert dirac_bulk(np.eye(2)).split is dirac_bulk(-np.eye(2), energy=0.3).split
 
+    def test_one_schrodinger_form_per_m(self):
+        a = schrodinger_bulk(np.diag([1.0, 2.0]), 0.0)
+        b = schrodinger_bulk(np.array([[3.0, 0.5], [0.5, 2.0]]), -1.0)
+        assert a.form is b.form and a.split is b.split
+        assert a.form is not schrodinger_bulk(np.eye(3), 0.0).form
+        assert not a.form.J.flags.writeable
+
     def test_equal_seam_bonds_share_one_split(self):
         other = TightBindingModel([np.array([[1.0]]), np.array([[3.0]])],
                                   [np.zeros((1, 1)), np.ones((1, 1))])

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 import warnings
 
@@ -24,7 +25,9 @@ from tenfold1d.errors import (
     IncompatibleBoundary,
     NotHermitian,
 )
-from tenfold1d.verify import HermitianBand, _definite_sign, _split_mass
+from tenfold1d import verify
+from tenfold1d.linalg import TOL
+from tenfold1d.verify import HermitianBand, _definite_sign, _scanned_band, _split_mass
 
 
 class TestDiscretizationSpec:
@@ -119,6 +122,19 @@ class TestDiscretizeDirac:
             H = discretize_dirac_junction(p, spec)
         report = count_near_zero_localized(H, spec)
         assert report.near_zero == 2 and report.localized == 2
+
+    def test_hundred_thousand_site_two_channel_wall(self):
+        # p = 2: a band reduction would cost about dim^2 * p here, the
+        # inertia count dim * p^2 per shift
+        I2 = np.eye(2)
+        spec = DiscretizationSpec(length=20.0, step=0.0016, energy_window=0.1)
+        H = discretize_dirac_junction(PiecewiseDiracProfile([-I2, I2], [0.0]), spec)
+        assert H.shape == (100002, 100002) and H.lower.shape == (3, 100002)
+        start = time.perf_counter()
+        report = count_near_zero_localized(H, spec)
+        elapsed = time.perf_counter() - start
+        assert report.near_zero == 2 and report.localized == 2
+        assert elapsed < 10.0
 
     def test_coarse_step_warns(self):
         p = PiecewiseDiracProfile([-2.0 * np.eye(1), 2.0 * np.eye(1)], [0.0])
@@ -337,6 +353,56 @@ class TestCountNearZero:
             with pytest.raises(NotHermitian, match="non-finite"):
                 count_near_zero_localized(H, DiscretizationSpec(energy_window=0.5))
 
+    @pytest.mark.parametrize("form", ["dense", "band"])
+    def test_imaginary_diagonal_is_not_hermitian(self, form):
+        lower = np.zeros((2, 6), dtype=complex)
+        lower[0] = [3, 3, 0.01 + 5j, 3, 3, 3]
+        lower[1, :5] = 0.1
+        H = HermitianBand(lower)
+        if form == "dense":
+            H = np.asarray(H)
+        with pytest.raises(NotHermitian, match="defect 1.000e[+]01"):
+            count_near_zero_localized(H, DiscretizationSpec(energy_window=0.5))
+
+    def test_never_calls_a_band_eigensolver(self, monkeypatch):
+        get_lapack_funcs = sla.get_lapack_funcs
+
+        def guard(names, *args, **kwargs):
+            for name in [names] if isinstance(names, str) else names:
+                assert "bev" not in name, f"band eigensolver {name}"
+            return get_lapack_funcs(names, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("band eigensolver")
+
+        monkeypatch.setattr(sla, "get_lapack_funcs", guard)
+        monkeypatch.setattr(sla.lapack, "get_lapack_funcs", guard)
+        monkeypatch.setattr(sla, "eig_banded", refuse)
+        monkeypatch.setattr(sla, "eigvals_banded", refuse)
+        p = PiecewiseDiracProfile([-np.eye(2), np.eye(2)], [0.0])
+        spec = DiscretizationSpec(length=20.0, step=0.1, energy_window=0.1)
+        report = count_near_zero_localized(discretize_dirac_junction(p, spec), spec)
+        assert report.near_zero == 2 and report.localized == 2
+
+    def test_wide_window_is_split(self, monkeypatch):
+        # 24 of 44 eigenvalues in the window, spread as densely as those
+        # outside it: one shift at the centre cannot resolve them all
+        rng = np.random.default_rng(0)
+        chiral = random_banded(rng, 2 * int(rng.integers(1, 12)) + 1, int(rng.choice([1, 3])), chiral=True)
+        rest = random_banded(rng, int(rng.integers(1, 30)), int(rng.integers(0, 4)))
+        H = sla.block_diag(np.kron(chiral, np.eye(2)), rest, np.zeros((1, 1)))
+        count_below = verify._count_below
+        shifts = []
+
+        def spy(band, at, res_tol):
+            shifts.extend(at)
+            return count_below(band, at, res_tol)
+
+        monkeypatch.setattr(verify, "_count_below", spy)
+        report = assert_matches_dense(H, DiscretizationSpec(energy_window=2.0))
+        assert report.near_zero == 24
+        assert len(shifts) > 2
+
     def test_shift_on_an_eigenvalue_raises_typed_error(self):
         # eigenvalues 0, r, 2r with r the residual tolerance form one
         # cluster whose shift, its mean plus r, is exactly the top one
@@ -352,7 +418,7 @@ class TestCountNearZero:
         dim = 4
         r = 1e3 * np.finfo(float).eps * 5.0 * np.sqrt(dim)
         H = np.diag([0.5 - 0.05 * r, 0.5 + 1.05 * r, 5.0, -5.0])
-        with pytest.raises(AmbiguousKernel, match="Ritz value mismatch"):
+        with pytest.raises(AmbiguousKernel, match="pivot eigenvalue"):
             count_near_zero_localized(H, DiscretizationSpec(energy_window=0.5))
 
     def test_never_diagonalizes_the_whole_matrix(self, monkeypatch):
@@ -505,6 +571,26 @@ class TestBandedAgainstDense:
         assume(np.abs(want.core_weights - spec.min_weight).min(initial=1.0) > 1e-6)
         report = assert_matches_dense(H, spec)
         assert report.near_zero >= copies + zeros
+
+
+class TestInertia:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(0, 5), st.booleans(),
+           st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_counts_eigenvalues_below_each_shift(self, seed, dim, p, chiral, shifts):
+        # dims need not be multiples of the block size max(p, 1)
+        H = random_banded(np.random.default_rng(seed), dim, p, chiral=chiral)
+        evals = np.linalg.eigvalsh(H)
+        shifts = np.array(shifts)
+        assume(np.abs(np.subtract.outer(shifts, evals)).min() > 1e-6)
+        if chiral:
+            # at shift zero the zero diagonal blocks of a chiral matrix are
+            # singular pivots, whatever its spectrum
+            assume(np.abs(shifts).min() > 1e-6)
+        band = _scanned_band(H, TOL)
+        res_tol = 1e3 * np.finfo(float).eps * max(1.0, np.abs(band).max()) * np.sqrt(dim)
+        got = verify._count_below(band, shifts, res_tol)
+        assert got.tolist() == [int(np.count_nonzero(evals < s)) for s in shifts]
 
 
 class TestOracleCompare:
