@@ -10,8 +10,8 @@ Subcommands:
 
 Data goes to stdout as CSV (or JSON with --json); diagnostics and
 metadata go to stderr. Exit status: 0 on success (including WARN
-verdicts), 2 when a check fails (membership, consistency, or a FAIL
-verdict), 3 on parse and usage errors.
+verdicts), 2 when a check fails (membership, consistency, a FAIL
+verdict, or an AmbiguousKernel count), 3 on parse and usage errors.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import (
+    AmbiguousKernel,
     BadParity,
     BadSpec,
     BadTemplate,
@@ -85,12 +86,6 @@ class RunReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        data = json.loads(text)
-        return cls(kind=data["kind"], columns=data["columns"],
-                   rows=data["rows"], meta=data.get("meta", {}))
 
 
 def _fmt(x) -> str:
@@ -440,6 +435,9 @@ def main(argv=None) -> int:
     except (ParseError, BadSpec, BadTemplate, OSError) as exc:
         print(f"tenfold1d: error: {exc}", file=sys.stderr)
         return 3
+    except AmbiguousKernel as exc:
+        print(f"tenfold1d: AmbiguousKernel: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"tenfold1d: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -19,7 +19,6 @@ __all__ = [
     "ProjectionSingular",
     "NotUnitary",
     "SplitMismatch",
-    "InconsistentSymmetries",
     "BadParity",
     "NotInClass",
     "AmbiguousKernel",
@@ -80,10 +79,6 @@ class NotUnitary(ValueError):
 
 class SplitMismatch(ValueError):
     """Unitaries refer to different canonical splits and cannot be compared."""
-
-
-class InconsistentSymmetries(ValueError):
-    """Declared antiunitary generators match no class signature or contradict each other."""
 
 
 class BadParity(ValueError):

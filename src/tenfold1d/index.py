@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KindMismatch, NotInClass
+from .errors import AmbiguousKernel, KindMismatch, NotInClass
 from .linalg import TOL, Tolerances, pfaffian
-from .symmetry import CartanClass, _count_kernel, _unpack_unitary, membership
+from .symmetry import CartanClass, _unpack_unitary, membership
 
 __all__ = [
     "IndexValue",
@@ -61,6 +61,19 @@ class IndexValue:
         if self.kind == "sign":
             return f"{self.value:+d}"
         return str(self.value)
+
+
+def _count_kernel(evals: np.ndarray, tol: Tolerances) -> int:
+    """Count eigenvalues at +1 with a guard band against ambiguity."""
+    dist = np.abs(evals - 1.0)
+    inside = dist <= tol.eig_tol
+    guard = (dist > tol.eig_tol) & (dist <= 10 * tol.eig_tol)
+    if np.any(guard):
+        raise AmbiguousKernel(
+            f"eigenvalue at distance {dist[guard].min():.3e} from 1 "
+            f"falls inside the guard band ({tol.eig_tol:.1e}, {10 * tol.eig_tol:.1e}]"
+        )
+    return int(np.count_nonzero(inside))
 
 
 def _snap_sign(x: float, what: str) -> int:

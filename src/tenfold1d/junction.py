@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IncompatibleBoundary, KindMismatch
+from .errors import AmbiguousKernel, IncompatibleBoundary, KindMismatch
 from .linalg import TOL, Tolerances, subspace_intersection_dim
 from .symplectic import crossing_dim, unitary_to_plane
 from .index import IndexValue, topological_index
@@ -27,7 +27,6 @@ from .symmetry import CartanClass
 
 __all__ = [
     "hard_junction",
-    "HardJunction",
     "predicted_zero_modes",
     "protected_bound",
     "JunctionReport",
@@ -35,15 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HardJunction:
-    """Compatible bulk pair glued along a shared boundary form."""
-
-    left: BulkData
-    right: BulkData
-
-
-def hard_junction(left: BulkData, right: BulkData, tol: Tolerances = TOL) -> HardJunction:
+def hard_junction(left: BulkData, right: BulkData, tol: Tolerances = TOL) -> None:
     """Validate that two bulks can be glued at their common boundary.
 
     Raises IncompatibleBoundary when the boundary forms differ (for
@@ -57,7 +48,6 @@ def hard_junction(left: BulkData, right: BulkData, tol: Tolerances = TOL) -> Har
         raise IncompatibleBoundary(
             f"bulks evaluated at different energies: {left.energy:g} vs {right.energy:g}"
         )
-    return HardJunction(left, right)
 
 
 def predicted_zero_modes(left: BulkData, right: BulkData, tol: Tolerances = TOL) -> int:
@@ -122,6 +112,9 @@ def continuous_junction_report(profile: PiecewiseDiracProfile, energy: float,
     route), the index bound from the far bulks, whether transport
     preserved both indices, and as defect_plus and defect_minus each
     transport's largest departure from unitarity before projection.
+
+    Raises AmbiguousKernel when the two counts disagree: the transported
+    planes are then too inaccurate to tell how many modes there are.
     """
     label = CartanClass.coerce(label)
     left_bulk = dirac_bulk(profile.masses[0], tol, energy)
@@ -134,6 +127,11 @@ def continuous_junction_report(profile: PiecewiseDiracProfile, energy: float,
     predicted = crossing_dim(u_plus, u_minus, tol)
     angles = subspace_intersection_dim(unitary_to_plane(u_plus, tol=tol).frame,
                                        unitary_to_plane(u_minus, tol=tol).frame, tol)
+    if predicted != angles:
+        raise AmbiguousKernel(
+            f"crossing count {predicted} and principal-angle count {angles} "
+            f"disagree at the cut t = {t:g}"
+        )
 
     index_left = topological_index(left_bulk.u_plus, label, tol)
     index_right = topological_index(right_bulk.u_plus, label, tol)

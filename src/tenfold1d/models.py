@@ -334,6 +334,8 @@ class PiecewiseDiracProfile:
         for W in masses:
             if W.shape[0] != N:
                 raise DimensionMismatch("all masses must share one size")
+        if not all(math.isfinite(t) for t in breakpoints):
+            raise ValueError(f"breakpoints must be finite, got {breakpoints}")
         if any(b2 <= b1 for b1, b2 in zip(breakpoints, breakpoints[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         self.masses = [W.copy() for W in masses]

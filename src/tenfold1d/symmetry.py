@@ -16,29 +16,18 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    AmbiguousKernel,
-    BadParity,
-    DimensionMismatch,
-    InconsistentSymmetries,
-    NotInClass,
-    NotUnitary,
-)
+from .errors import BadParity, DimensionMismatch, NotUnitary
 from .linalg import TOL, Tolerances, _as_square
 from .models import dirac_form
-from .symplectic import LagrangianPlane, LerayUnitary, SymplecticForm
+from .symplectic import LagrangianPlane, LerayUnitary
 
 __all__ = [
     "CartanClass",
     "AntiUnitary",
     "SymmetrySet",
-    "cartan_class",
-    "check_J_compatibility",
     "plane_respects",
     "membership",
     "canonical_symmetry_basis",
-    "symplectic_grassmannian_check",
-    "GrassmannianReport",
     "standard_omega",
     "random_unitary",
     "random_orthogonal",
@@ -192,13 +181,6 @@ class SymmetrySet:
         self.C = C
         self.S = S
 
-    @property
-    def dim(self) -> int | None:
-        for g in (self.T, self.C):
-            if g is not None:
-                return g.dim
-        return None if self.S is None else self.S.shape[0]
-
     def __repr__(self):
         parts = []
         if self.T is not None:
@@ -210,41 +192,6 @@ class SymmetrySet:
         return f"SymmetrySet({', '.join(parts) or 'none'})"
 
 
-def cartan_class(sym: SymmetrySet, tol: Tolerances = TOL) -> CartanClass:
-    """Cartan label of a symmetry set.
-
-    Raises InconsistentSymmetries when the presence pattern matches no
-    class (a chiral generator alongside exactly one antiunitary), when
-    T and C fail their sign-graded commutation relation, or when a
-    provided S is not (up to sign) the composition of T and C.
-    """
-    T, C, S = sym.T, sym.C, sym.S
-    if T is not None and C is not None:
-        eps = T.sign * C.sign
-        lhs = T.V @ np.conj(C.V)
-        rhs = eps * (C.V @ np.conj(T.V))
-        if np.abs(lhs - rhs).max() > 10 * tol.frame_tol:
-            raise InconsistentSymmetries(
-                "T and C do not satisfy the sign-graded commutation relation"
-            )
-        if S is not None:
-            if not (np.abs(S - lhs).max() <= 10 * tol.frame_tol
-                    or np.abs(S + lhs).max() <= 10 * tol.frame_tol):
-                raise InconsistentSymmetries("S is not the composition of T and C")
-        key = (T.sign, C.sign)
-        label = {(1, 1): "BDI", (-1, 1): "DIII", (-1, -1): "CII", (1, -1): "CI"}[key]
-        return CartanClass(label)
-    if T is None and C is None:
-        return CartanClass.AIII if S is not None else CartanClass.A
-    if S is not None:
-        raise InconsistentSymmetries(
-            "a chiral generator with exactly one antiunitary matches no class"
-        )
-    if T is not None:
-        return CartanClass.AI if T.sign == 1 else CartanClass.AII
-    return CartanClass.D if C.sign == 1 else CartanClass.C
-
-
 @dataclass(frozen=True)
 class SymmetryDefects:
     """Per-generator defects (None when absent) and whether all pass."""
@@ -253,33 +200,6 @@ class SymmetryDefects:
     defect_c: float | None
     defect_s: float | None
     ok: bool
-
-
-def check_J_compatibility(sym: SymmetrySet, form: SymplecticForm,
-                          tol: Tolerances = TOL) -> SymmetryDefects:
-    """Whether the generators transform the boundary form correctly.
-
-    T must intertwine J with conj(J), C with -conj(J), and S must
-    anticommute with J. Defects are relative to the norm of J.
-    """
-    J = form.J
-    scale = form.norm
-    d_t = d_c = d_s = None
-    if sym.T is not None:
-        if sym.T.dim != form.dim:
-            raise DimensionMismatch("T and form dimensions differ")
-        d_t = float(np.abs(sym.T.V @ np.conj(J) - J @ sym.T.V).max() / scale)
-    if sym.C is not None:
-        if sym.C.dim != form.dim:
-            raise DimensionMismatch("C and form dimensions differ")
-        d_c = float(np.abs(sym.C.V @ np.conj(J) + J @ sym.C.V).max() / scale)
-    if sym.S is not None:
-        if sym.S.shape[0] != form.dim:
-            raise DimensionMismatch("S and form dimensions differ")
-        d_s = float(np.abs(sym.S @ J + J @ sym.S).max() / scale)
-    defects = [d for d in (d_t, d_c, d_s) if d is not None]
-    ok = all(d <= tol.frame_tol for d in defects)
-    return SymmetryDefects(d_t, d_c, d_s, ok)
 
 
 def plane_respects(plane: LagrangianPlane, sym: SymmetrySet,
@@ -409,63 +329,6 @@ def canonical_symmetry_basis(label, N: int, tol: Tolerances = TOL):
             C = AntiUnitary(v_c, -1, tol)
             S = 1j * np.block([[Z, Om], [Om, Z]])
     return SymmetrySet(T, C, S, tol), form
-
-
-def _count_kernel(evals: np.ndarray, tol: Tolerances) -> int:
-    """Count eigenvalues at +1 with a guard band against ambiguity."""
-    dist = np.abs(evals - 1.0)
-    inside = dist <= tol.eig_tol
-    guard = (dist > tol.eig_tol) & (dist <= 10 * tol.eig_tol)
-    if np.any(guard):
-        raise AmbiguousKernel(
-            f"eigenvalue at distance {dist[guard].min():.3e} from 1 "
-            f"falls inside the guard band ({tol.eig_tol:.1e}, {10 * tol.eig_tol:.1e}]"
-        )
-    return int(np.count_nonzero(inside))
-
-
-@dataclass(frozen=True)
-class GrassmannianReport:
-    """Involution data of a symplectic Grassmannian point."""
-
-    n: int
-    kernel_dim: int
-    defect_hermitian: float
-    defect_involution: float
-    defect_quaternionic: float
-
-
-def symplectic_grassmannian_check(A, tol: Tolerances = TOL, omega=None) -> GrassmannianReport:
-    """Validate a hermitian involution as a symplectic Grassmannian point.
-
-    The point must be hermitian, square to the identity, intertwine the
-    quaternionic structure of omega (A Omega = Omega conj(A)), and have
-    a (+1)-eigenspace of even dimension. Defaults to the standard block
-    omega; pass a pair-interleaved omega for involutions written in a
-    paired basis.
-    """
-    A = _as_square(A, "A")
-    dim = A.shape[0]
-    if dim % 2:
-        raise BadParity(f"dimension {dim} is odd")
-    if omega is None:
-        omega = standard_omega(dim // 2)
-    else:
-        omega = np.asarray(omega, dtype=float)
-        if omega.shape != A.shape:
-            raise DimensionMismatch("omega shape does not match A")
-    scale = max(1.0, float(np.abs(A).max()))
-    d_h = float(np.abs(A - A.conj().T).max() / scale)
-    d_i = float(np.abs(A @ A - np.eye(dim)).max() / scale)
-    d_q = float(np.abs(A @ omega - omega @ np.conj(A)).max() / scale)
-    for name, d in (("hermitian", d_h), ("involution", d_i), ("quaternionic", d_q)):
-        if d > 10 * tol.frame_tol:
-            raise NotInClass(f"{name} defect {d:.3e}")
-    evals = np.linalg.eigvalsh(A)
-    k = _count_kernel(evals, tol)
-    if k % 2:
-        raise NotInClass(f"(+1)-eigenspace has odd dimension {k}")
-    return GrassmannianReport(dim // 2, k, d_h, d_i, d_q)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .errors import (
     Singular,
     SplitMismatch,
 )
-from .linalg import TOL, Frame, Tolerances, _as_matrix, _as_square, hermitian_eig, orthonormalize
+from .linalg import TOL, Frame, Tolerances, _as_square, hermitian_eig, orthonormalize
 
 __all__ = [
     "SymplecticForm",
@@ -72,9 +72,6 @@ class SymplecticForm:
     def norm(self) -> float:
         """Largest singular value of J, the scale for defect measures."""
         return self._norm
-
-    def omega(self, x, y) -> complex:
-        return complex(np.vdot(x, self.J @ np.asarray(y, dtype=complex)))
 
     def same_as(self, other: "SymplecticForm", tol: Tolerances = TOL) -> bool:
         if self is other:
@@ -153,14 +150,6 @@ class CanonicalSplit:
     def n(self) -> int:
         return self.a_plus.size
 
-    @property
-    def q_plus(self) -> np.ndarray:
-        return self.Q[:, : self.n]
-
-    @property
-    def q_minus(self) -> np.ndarray:
-        return self.Q[:, self.n :]
-
     def same_as(self, other: "CanonicalSplit", tol: Tolerances = TOL) -> bool:
         if self is other:
             return True
@@ -231,9 +220,8 @@ def _split(form: SymplecticForm, tol: Tolerances) -> CanonicalSplit:
     a_minus = -evals[~pos][::-1]
     v_minus = V[:, ~pos][:, ::-1]
 
-    q_plus = _cluster_basis(v_plus, _clusters(a_plus, gap))
-    q_minus = _cluster_basis(v_minus, _clusters(a_minus, gap))
-    Q = np.hstack([q_plus, q_minus])
+    Q = np.hstack([_cluster_basis(v_plus, _clusters(a_plus, gap)),
+                   _cluster_basis(v_minus, _clusters(a_minus, gap))])
 
     # defensive: the basis must actually block-diagonalize J
     D = Q.conj().T @ form.J @ Q

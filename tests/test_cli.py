@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from test_junction import CENSUS_BREAKPOINTS, CENSUS_MASSES
+
 from tenfold1d.cli import RunReport, main
 
 DIRAC_POS = "kind dirac\nW [[1.0]]\n"
@@ -33,10 +35,6 @@ class TestRunReport:
     def test_csv_layout(self):
         r = RunReport("demo", ["a", "b"], [["1", "x"], ["2", "y"]], {"k": 1})
         assert r.to_csv() == "a,b\n1,x\n2,y\n"
-
-    def test_json_round_trip(self):
-        r = RunReport("demo", ["a"], [["1"]], {"k": [1, 2]})
-        assert RunReport.from_json(r.to_json()) == r
 
 
 class TestClassify:
@@ -133,6 +131,16 @@ class TestJunction:
 
     def test_needs_some_input(self):
         assert main(["junction", "--class", "D"]) == 3
+
+    def test_ambiguous_count_exits_2(self, write, capsys):
+        text = "kind dirac_profile\n" + "".join(
+            f"W{j} {json.dumps(W)}\n" for j, W in enumerate(CENSUS_MASSES)
+        ) + f"breakpoints {json.dumps(CENSUS_BREAKPOINTS)}\n"
+        code = main(["junction", "--profile", write("p.tf", text), "--class", "D"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("tenfold1d: AmbiguousKernel: ") and err.count("\n") == 1
 
     def test_incompatible_seam_exits_3(self, write):
         code = main(["junction", "--left", write("l.tf", SSH_L),

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tenfold1d import (
-    IndexValue,
     Tolerances,
     bulk_consistency_check,
     protected_bound,
@@ -13,6 +12,7 @@ from tenfold1d import (
     topological_index,
 )
 from tenfold1d.errors import AmbiguousKernel, KindMismatch, NotInClass
+from tenfold1d.index import IndexValue
 from tenfold1d.symmetry import random_unitary
 
 

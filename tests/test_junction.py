@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from test_models import gapped_mass
 
 from tenfold1d import (
-    IndexValue,
     PiecewiseDiracProfile,
     TightBindingModel,
     continuous_junction_report,
@@ -18,15 +17,31 @@ from tenfold1d import (
     tb_bulk,
     topological_index,
 )
-from tenfold1d.errors import GapClosed, IncompatibleBoundary, NotInClass
+from tenfold1d.errors import AmbiguousKernel, GapClosed, IncompatibleBoundary, NotInClass
+
+# a stiff three-channel staircase (perfbench transport census, seed 2):
+# masses P D_j Q^T with P != Q real orthogonal, exact kernel 2, and a
+# 27.9-long middle segment; cut at t = 0 the unit-eigenvalue count reads
+# 0 while the principal angles of the same two planes count 2
+CENSUS_MASSES = [
+    [[0.19155840397114274, -0.6361901646675994, 0.8942800700715824],
+     [-1.050298180844254, -0.6122014632881598, -0.15066108768787687],
+     [-0.6374846194405376, 0.7276617169345339, 0.9871014058449881]],
+    [[-0.8056150897041804, 1.0418976879647472, -0.05583746568812765],
+     [0.9567194489078417, 0.8424500641442324, 0.6366999788202317],
+     [-0.7409783488319021, -0.11432006650868687, 1.4378162048608754]],
+    [[0.8888489972483645, -1.324067108481993, 0.46833242293435384],
+     [0.4626210573868663, 0.387341670580125, -0.039938412128769925],
+     [0.10139629163308607, 0.17953632295813626, -1.0880405576002912]],
+]
+CENSUS_BREAKPOINTS = [-10.295097455768548, 17.580113686870323]
 
 
 class TestHardJunction:
     def test_accepts_shared_form(self, rng):
         left = dirac_bulk(gapped_mass(2, rng))
         right = dirac_bulk(gapped_mass(2, rng))
-        j = hard_junction(left, right)
-        assert j.left is left and j.right is right
+        assert hard_junction(left, right) is None
 
     def test_rejects_dimension_mismatch(self, rng):
         with pytest.raises(IncompatibleBoundary):
@@ -171,6 +186,21 @@ class TestContinuousReport:
         assert r.predicted >= r.bound
         assert r.transport_consistent
         assert max(r.defect_plus, r.defect_minus) <= 1e-9
+
+    def test_disagreeing_counts_raise(self):
+        p = PiecewiseDiracProfile([np.array(W) for W in CENSUS_MASSES], CENSUS_BREAKPOINTS)
+        with pytest.raises(AmbiguousKernel, match="crossing count 0 and principal-angle count 2"):
+            continuous_junction_report(p, 0.0, "D")
+
+    def test_non_finite_breakpoint_rejected(self):
+        # a NaN wall would vanish from the discretized matrix, and a wall
+        # at +inf would predict a mode that no finite operator has
+        masses = [-np.eye(1), np.eye(1), -np.eye(1)]
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                PiecewiseDiracProfile(masses[:2], [bad])
+            with pytest.raises(ValueError, match="finite"):
+                PiecewiseDiracProfile(masses, [0.0, bad])
 
     def test_class_gate_propagates(self):
         W = np.array([[1.0 + 1.0j]])

@@ -5,13 +5,9 @@ from hypothesis import strategies as st
 
 from helpers import random_antisymmetric
 from tenfold1d import (
-    Frame,
     Tolerances,
-    hermitian_eig,
-    orthonormalize,
     pfaffian,
     principal_log_trace,
-    stable_unstable_split,
     subspace_intersection_dim,
 )
 from tenfold1d.errors import (
@@ -23,6 +19,7 @@ from tenfold1d.errors import (
     Singular,
     ZeroRank,
 )
+from tenfold1d.linalg import Frame, hermitian_eig, orthonormalize, stable_unstable_split
 from tenfold1d.symmetry import random_orthogonal, random_unitary
 
 

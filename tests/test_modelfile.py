@@ -1,14 +1,13 @@
-import numpy as np
 import pytest
 
-from tenfold1d import (
+from tenfold1d.errors import ParseError
+from tenfold1d.modelfile import (
     build_bulk,
     build_profile,
     build_tb,
     parse_model,
     parse_model_text,
 )
-from tenfold1d.errors import ParseError
 
 DIRAC = """\
 # scalar mass

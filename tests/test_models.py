@@ -11,13 +11,11 @@ from tenfold1d import (
     crossing_dim,
     dirac_bulk,
     dirac_form,
-    is_lagrangian,
     plane_to_unitary,
     propagate_plane,
     schrodinger_bulk,
     subspace_intersection_dim,
     tb_bulk,
-    tb_form,
     topological_index,
 )
 from tenfold1d.errors import (
@@ -26,7 +24,8 @@ from tenfold1d.errors import (
     NotInGap,
     NotInvertible,
 )
-from tenfold1d.symmetry import random_unitary
+from tenfold1d.models import tb_form
+from tenfold1d.symplectic import is_lagrangian
 
 
 def gapped_mass(n, rng, floor=0.5):

@@ -8,16 +8,13 @@ from hypothesis import strategies as st
 
 from helpers import random_form, random_plane
 from tenfold1d import (
-    Frame,
     LagrangianPlane,
-    LerayUnitary,
     SymplecticForm,
     TOL,
     Tolerances,
     canonical_split,
     crossing_dim,
     dirac_form,
-    is_lagrangian,
     plane_to_unitary,
     subspace_intersection_dim,
     unitary_to_plane,
@@ -31,21 +28,14 @@ from tenfold1d.errors import (
     Singular,
     SplitMismatch,
 )
+from tenfold1d.linalg import Frame
 from tenfold1d.symmetry import random_unitary
-from tenfold1d.symplectic import _SPLIT_CACHE_SIZE, _split, _splits
+from tenfold1d.symplectic import _SPLIT_CACHE_SIZE, LerayUnitary, _split, _splits, is_lagrangian
 
 SCHRODINGER_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 class TestSymplecticForm:
-    def test_pairing(self, rng):
-        form = SymplecticForm(SCHRODINGER_J)
-        x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        assert form.omega(x, y) == pytest.approx(np.vdot(x, SCHRODINGER_J @ y))
-        # antihermitian pairing: omega(y, x) = -conj(omega(x, y))
-        assert form.omega(y, x) == pytest.approx(-np.conj(form.omega(x, y)))
-
     def test_norm_is_largest_singular_value(self):
         form = SymplecticForm(np.diag([3j, -3j, 1j, -1j]))
         assert form.norm == pytest.approx(3.0)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from tenfold1d import (
     DiscretizationSpec,
-    OracleReport,
     PiecewiseDiracProfile,
     TightBindingModel,
     count_near_zero_localized,
@@ -27,7 +26,13 @@ from tenfold1d.errors import (
 )
 from tenfold1d import verify
 from tenfold1d.linalg import TOL
-from tenfold1d.verify import HermitianBand, _definite_sign, _scanned_band, _split_mass
+from tenfold1d.verify import (
+    HermitianBand,
+    OracleReport,
+    _definite_sign,
+    _scanned_band,
+    _split_mass,
+)
 
 
 class TestDiscretizationSpec:
