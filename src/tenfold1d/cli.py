@@ -157,7 +157,6 @@ def cmd_junction(args, tol: Tolerances):
                  _fmt(rep.gap_right)]]
         meta = {
             "profile": args.profile,
-            "predicted_principal_angles": rep.predicted_principal_angles,
             "index_plus_transported": str(rep.index_plus_transported),
             "index_minus_transported": str(rep.index_minus_transported),
             "defect_plus": rep.defect_plus,

@@ -106,7 +106,7 @@ class NotInGap(ValueError):
 
 
 class NotInvertible(ValueError):
-    """A hopping matrix is singular, so the transfer matrix is undefined."""
+    """A hopping matrix is singular, so the site transfer maps are undefined."""
 
 
 class IncompatibleBoundary(ValueError):

@@ -87,7 +87,6 @@ class JunctionReport:
     cartan: str
     energy: float
     predicted: int
-    predicted_principal_angles: int
     bound: int
     index_left: IndexValue
     index_right: IndexValue
@@ -108,13 +107,14 @@ def continuous_junction_report(profile: PiecewiseDiracProfile, energy: float,
     Both far-side unitaries are transported to t = 0 clamped to the
     breakpoints' span (beyond it a far segment drowns the other side's
     plane) and crossed; the report carries the crossing count, the
-    principal-angle count of the same intersection (an independent
-    route), the index bound from the far bulks, whether transport
-    preserved both indices, and as defect_plus and defect_minus each
-    transport's largest departure from unitarity before projection.
+    index bound from the far bulks, whether transport preserved both
+    indices, and as defect_plus and defect_minus each transport's
+    largest departure from unitarity before projection.
 
-    Raises AmbiguousKernel when the two counts disagree: the transported
-    planes are then too inaccurate to tell how many modes there are.
+    The crossing count is checked against the principal-angle count of
+    the same intersection, an independent route. Raises AmbiguousKernel
+    when the two disagree: the transported planes are then too
+    inaccurate to tell how many modes there are.
     """
     label = CartanClass.coerce(label)
     left_bulk = dirac_bulk(profile.masses[0], tol, energy)
@@ -144,7 +144,6 @@ def continuous_junction_report(profile: PiecewiseDiracProfile, energy: float,
         cartan=label.value,
         energy=float(energy),
         predicted=predicted,
-        predicted_principal_angles=angles,
         bound=protected_bound(label, index_left, index_right),
         index_left=index_left,
         index_right=index_right,

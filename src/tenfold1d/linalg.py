@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     BranchCutHit,
@@ -20,7 +19,6 @@ from .errors import (
     NotAntisymmetric,
     NotHermitian,
     OddDimension,
-    Singular,
     ZeroRank,
 )
 
@@ -31,7 +29,6 @@ __all__ = [
     "hermitian_eig",
     "orthonormalize",
     "subspace_intersection_dim",
-    "stable_unstable_split",
     "pfaffian",
     "principal_log_trace",
 ]
@@ -85,7 +82,7 @@ class Frame:
     """Matrix with orthonormal columns spanning a subspace.
 
     Rank zero (no columns) is allowed; it represents the trivial
-    subspace and shows up as the stable space of an expansive map.
+    subspace.
     """
 
     __slots__ = ("matrix",)
@@ -178,43 +175,6 @@ def subspace_intersection_dim(f1: Frame, f2: Frame, tol: Tolerances = TOL) -> in
         return 0
     s = np.linalg.svd(f1.matrix.conj().T @ f2.matrix, compute_uv=False)
     return int(np.count_nonzero(np.abs(s - 1.0) <= tol.eig_tol))
-
-
-def stable_unstable_split(M, tol: Tolerances = TOL):
-    """Spectral split of an invertible map by the unit circle.
-
-    Returns
-    -------
-    stable : Frame
-        Orthonormal basis of the span of eigenvectors with |lambda| < 1.
-    unstable : Frame
-        Same for |lambda| > 1.
-    unit_circle_count : int
-        Number of eigenvalues within ``tol.eig_tol`` of the unit circle;
-        these belong to neither frame.
-
-    Raises Singular only when double precision cannot split M, that is
-    when sigma_min <= dim * eps * sigma_max; a large but finite condition
-    number (a long gapped chain) still splits cleanly.
-    """
-    M = _as_square(M, "M")
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[-1] <= M.shape[0] * np.finfo(float).eps * s[0]:
-        raise Singular(f"smallest singular value {s[-1]:.3e} at largest {s[0]:.3e}")
-    return _schur_frames(M, lambda z: abs(z) < 1.0 - tol.eig_tol,
-                         lambda z: abs(z) > 1.0 + tol.eig_tol, tol)
-
-
-def _schur_frames(M, first, second, tol: Tolerances):
-    """Invariant subspaces of M for two disjoint eigenvalue predicates.
-
-    Each frame spans the eigenvalues its predicate selects, taken from
-    a sorted complex Schur form. Also returns how many eigenvalues
-    neither predicate selects.
-    """
-    _, z1, k1 = sla.schur(M, output="complex", sort=first)
-    _, z2, k2 = sla.schur(M, output="complex", sort=second)
-    return Frame(z1[:, :k1], tol), Frame(z2[:, :k2], tol), M.shape[0] - k1 - k2
 
 
 def pfaffian(A, tol: Tolerances = TOL) -> float:

@@ -4,8 +4,9 @@ Three families are implemented. A constant-mass Dirac operator
 (-i sigma_3 d/dt + mass coupling W) whose half-line solution planes at
 energy zero are the spectral subspaces of the flattened mass matrix; a
 constant-potential Schrodinger operator (-d^2/dt^2 + V) below its
-spectrum; and a periodic block tight-binding chain whose planes come
-from the stable and unstable subspaces of the transfer matrix over one
+spectrum; and a periodic block tight-binding chain, composed site by
+site as unitary scattering matrices whose star product never grows,
+so that one bounded pencil gives both planes and the gap for any
 period. Each bulk ships with planes on both sides, their unitaries in
 the canonical split, and a gap certificate.
 
@@ -29,10 +30,8 @@ from .linalg import (
     Frame,
     Tolerances,
     _as_square,
-    _schur_frames,
     hermitian_eig,
     orthonormalize,
-    stable_unstable_split,
 )
 from .symplectic import (
     LagrangianPlane,
@@ -63,38 +62,56 @@ class BulkData:
     Carries the form, its canonical split, the Lagrangian planes of
     solutions decaying to the right (plus) and to the left (minus),
     their unitaries, and a positive gap certificate (distance from the
-    energy to the spectrum, in the model's own units).
+    energy to the spectrum, in the model's own units). A plane the
+    builder did not supply is built from its unitary, with the bulk's
+    tolerances, the first time it is read.
     """
 
-    __slots__ = ("form", "split", "plane_plus", "plane_minus", "u_plus",
-                 "u_minus", "gap", "energy")
+    __slots__ = ("form", "split", "_planes", "u_plus", "u_minus", "gap",
+                 "energy", "_tol")
 
     def __init__(self, form, split, plane_plus, plane_minus, u_plus, u_minus,
-                 gap, energy):
+                 gap, energy, tol: Tolerances = TOL):
         self.form = form
         self.split = split
-        self.plane_plus = plane_plus
-        self.plane_minus = plane_minus
+        self._planes = [plane_plus, plane_minus]
         self.u_plus = u_plus
         self.u_minus = u_minus
         self.gap = float(gap)
         self.energy = float(energy)
+        self._tol = tol
+
+    def _plane(self, side: int) -> LagrangianPlane:
+        if self._planes[side] is None:
+            u = self.u_minus if side else self.u_plus
+            self._planes[side] = unitary_to_plane(u, tol=self._tol)
+        return self._planes[side]
+
+    @property
+    def plane_plus(self) -> LagrangianPlane:
+        return self._plane(0)
+
+    @property
+    def plane_minus(self) -> LagrangianPlane:
+        return self._plane(1)
 
     def __repr__(self):
         return (f"BulkData(n={self.split.n}, energy={self.energy:g}, "
                 f"gap={self.gap:.3g})")
 
 
-def _finish_bulk(form, split, f_plus, f_minus, gap, energy, tol) -> BulkData:
-    plane_plus = LagrangianPlane(f_plus, form, tol)
-    plane_minus = LagrangianPlane(f_minus, form, tol)
-    u_plus = plane_to_unitary(plane_plus, split, tol)
-    u_minus = plane_to_unitary(plane_minus, split, tol)
+def _finish_bulk(form, split, u_plus, u_minus, gap, energy, tol,
+                 planes=(None, None)) -> BulkData:
     # in-gap energies force transverse planes
     if crossing_dim(u_plus, u_minus, tol):
         raise GapClosed("half-line planes intersect; the energy is not in a gap")
-    return BulkData(form, split, plane_plus, plane_minus, u_plus, u_minus,
-                    gap, energy)
+    return BulkData(form, split, *planes, u_plus, u_minus, gap, energy, tol)
+
+
+def _frame_bulk(form, split, f_plus, f_minus, gap, energy, tol) -> BulkData:
+    planes = (LagrangianPlane(f_plus, form, tol), LagrangianPlane(f_minus, form, tol))
+    u_plus, u_minus = (plane_to_unitary(p, split, tol) for p in planes)
+    return _finish_bulk(form, split, u_plus, u_minus, gap, energy, tol, planes)
 
 
 @functools.lru_cache(maxsize=64)
@@ -135,11 +152,11 @@ def _hyperbolic_frames(B: np.ndarray, tol: Tolerances):
     margin = tol.rank_tol * max(1.0, float(np.abs(B).max()))
     if np.abs(lam.real).min() <= margin:
         raise GapClosed("coefficient matrix has a near-imaginary eigenvalue")
-    decaying, growing, missing = _schur_frames(
-        B, lambda z: z.real < 0, lambda z: z.real > 0, tol)
-    if missing:
+    _, z1, k1 = sla.schur(B, output="complex", sort=lambda z: z.real < 0)
+    _, z2, k2 = sla.schur(B, output="complex", sort=lambda z: z.real > 0)
+    if k1 + k2 < B.shape[0]:
         raise GapClosed("hyperbolic split is incomplete")
-    return decaying, growing
+    return Frame(z1[:, :k1], tol), Frame(z2[:, :k2], tol)
 
 
 def dirac_bulk(W, tol: Tolerances = TOL, energy: float = 0.0) -> BulkData:
@@ -170,7 +187,7 @@ def dirac_bulk(W, tol: Tolerances = TOL, energy: float = 0.0) -> BulkData:
         f_minus = Frame(V[:, evals < 0], tol)
     else:
         f_plus, f_minus = _hyperbolic_frames(_dirac_generator(W, energy), tol)
-    return _finish_bulk(form, split, f_plus, f_minus, gap, energy, tol)
+    return _frame_bulk(form, split, f_plus, f_minus, gap, energy, tol)
 
 
 @functools.lru_cache(maxsize=64)
@@ -209,7 +226,7 @@ def schrodinger_bulk(V, energy: float, tol: Tolerances = TOL) -> BulkData:
     Vm = vecs.matrix
     f_plus = orthonormalize(np.vstack([Vm, -Vm * kappa[None, :]]), tol)
     f_minus = orthonormalize(np.vstack([Vm, Vm * kappa[None, :]]), tol)
-    return _finish_bulk(form, split, f_plus, f_minus, gap, energy, tol)
+    return _frame_bulk(form, split, f_plus, f_minus, gap, energy, tol)
 
 
 class TightBindingModel:
@@ -268,49 +285,94 @@ def tb_form(model: TightBindingModel, tol: Tolerances = TOL) -> SymplecticForm:
     return SymplecticForm(J, tol)
 
 
+@functools.lru_cache(maxsize=64)
+def _cayley(N: int) -> np.ndarray:
+    """K = [[I, iI], [I, -iI]]/sqrt(2): takes the form -u*w + w*u to i diag(I, -I)."""
+    K = np.kron(np.array([[1.0, 1j], [1.0, -1j]]) / np.sqrt(2.0), np.eye(N))
+    K.flags.writeable = False
+    return K
+
+
+def _star(S1: np.ndarray, S2: np.ndarray, N: int) -> np.ndarray:
+    """Stacked Redheffer star products: S1 then S2, each [[t, r'], [r, t']].
+
+    One solve with I - r1' r2 serves all four blocks (push-through identity).
+    """
+    t1, rp1, r1, tp1 = S1[:, :N, :N], S1[:, :N, N:], S1[:, N:, :N], S1[:, N:, N:]
+    t2, rp2, r2, tp2 = S2[:, :N, :N], S2[:, :N, N:], S2[:, N:, :N], S2[:, N:, N:]
+    Z = np.linalg.solve(np.eye(N) - rp1 @ r2, np.concatenate([t1, rp1 @ tp2], axis=2))
+    S = np.concatenate([t2 @ Z, tp1 @ r2 @ Z], axis=1)
+    S[:, :N, N:] += rp2
+    S[:, N:, :N] += r1
+    S[:, N:, N:] += tp1 @ tp2
+    return S
+
+
 def tb_bulk(model: TightBindingModel, energy: float = 0.0,
             tol: Tolerances = TOL) -> BulkData:
     """Boundary data of a periodic chain at an in-gap energy.
 
-    The transfer matrix over one period maps (psi_0, psi_1) to
-    (psi_q, psi_{q+1}); an energy is in a gap exactly when it has no
-    unit-circle eigenvalues, and then the decaying plane is its stable
-    subspace. NotInvertible is raised when a bond block is singular,
-    GapClosed when unit-circle modes exist, and Singular when double
-    precision cannot split it (sigma_min at most 2N eps sigma_max).
-    NotInGap is raised for a non-finite energy.
+    Site n maps the trace (psi_{n-1}, a_{n-1} psi_n) to (psi_n, a_n
+    psi_{n+1}) and keeps its form -u*w + w*u, which ``_cayley`` makes
+    diag(I, -I); so each site is a unitary scattering matrix, and star
+    products in a balanced tree compose any period without growth. With
+    the period's S = [[t, r'], [r, t']], the pencil [[t, 0], [r, -I]] -
+    lambda [[I, -r'], [0, -t']] has the transfer spectrum; its deflating
+    subspaces inside and outside the unit circle are the planes decaying
+    to the right and to the left, and the gap is min ||lambda| - 1|.
+    NotInvertible is raised when a bond block is singular, GapClosed
+    when the sites do not compose, the gap is not above 10 sqrt(eps) or
+    not half the modes are stable, and NotInGap for a non-finite energy.
     """
     _require_finite(energy)
     N = model.block_dim
-    q = model.period
-    for x in model.a:
-        s = np.linalg.svd(x, compute_uv=False)
-        if s[-1] <= tol.rank_tol * max(1.0, s[0]):
-            raise NotInvertible(f"bond block with sigma_min {s[-1]:.3e}")
+    a = np.array(model.a, dtype=complex)
+    s = np.linalg.svd(a, compute_uv=False)
+    singular = s[:, -1] <= tol.rank_tol * np.maximum(1.0, s[:, 0])
+    if singular.any():
+        raise NotInvertible(f"bond block with sigma_min {s[singular][0, -1]:.3e}")
     form = tb_form(model, tol)
     split = canonical_split(form, tol)
-    M = np.eye(2 * N, dtype=complex)
-    for n in range(1, q + 1):
-        a_n = model.bond(n)
-        top = np.hstack([np.zeros((N, N)), np.eye(N)])
-        low_left = -np.linalg.solve(a_n, model.bond(n - 1).conj().T)
-        low_right = np.linalg.solve(a_n, energy * np.eye(N) - model.site(n))
-        M = np.vstack([top, np.hstack([low_left, low_right])]) @ M
-    lam = np.linalg.eigvals(M)
-    gap = float(np.abs(np.abs(lam) - 1.0).min())
-    # a defective band-edge pair splits by O(sqrt(eps)) in eigvals and can
-    # land just outside eig_tol; anything that close to the circle is on it
-    floor = np.sqrt(np.finfo(float).eps) * max(1.0, float(np.abs(lam).max()))
-    if gap <= 10.0 * floor:
-        raise GapClosed(f"transfer spectrum within {gap:.3e} of the unit circle")
-    stable, unstable, on_circle = stable_unstable_split(M, tol)
-    if on_circle:
-        raise GapClosed(f"{on_circle} unit-circle modes at energy {energy:g}")
-    if stable.rank != N or unstable.rank != N:
-        raise GapClosed(
-            f"stable/unstable ranks ({stable.rank}, {unstable.rank}) are unbalanced"
-        )
-    return _finish_bulk(form, split, stable, unstable, gap, energy, tol)
+    K = _cayley(N)
+    a_inv = np.linalg.inv(a)
+    # site n in the traces (u, w): [[0, a_{n-1}^-1], [-a_{n-1}*, (E - b_n) a_{n-1}^-1]]
+    T = np.zeros((model.period, 2 * N, 2 * N), dtype=complex)
+    T[:, :N, N:] = a_inv
+    T[:, N:, :N] = -a.conj().transpose(0, 2, 1)
+    T[:, N:, N:] = (energy * np.eye(N) - np.array(model.b[1:] + model.b[:1])) @ a_inv
+    T = K @ T @ K.conj().T
+    # Potapov-Ginzburg: T takes (y+, y-) to (y+', y-'), S takes (y+, y-') to (y+', y-)
+    S = np.empty_like(T)
+    try:
+        S[:, N:, N:] = np.linalg.inv(T[:, N:, N:])
+        S[:, N:, :N] = -S[:, N:, N:] @ T[:, N:, :N]
+        S[:, :N, N:] = T[:, :N, N:] @ S[:, N:, N:]
+        S[:, :N, :N] = T[:, :N, :N] + T[:, :N, N:] @ S[:, N:, :N]
+        while len(S) > 1:
+            S = np.concatenate([_star(S[:-1:2], S[1::2], N), S[len(S) - len(S) % 2:]])
+    except np.linalg.LinAlgError as exc:
+        raise GapClosed(f"site scattering matrices do not compose at energy {energy:g}") from exc
+    # the pencil [[t, 0], [r, -I]] - lambda [[I, -r'], [0, -t']]
+    A, B, E2 = S[0].copy(), -S[0], np.eye(2 * N)
+    A[:, N:], B[:, :N] = -E2[:, N:], E2[:, :N]
+    _, _, alpha, beta, _, z_plus = sla.ordqz(A, B, sort="iuc", output="complex")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = float(np.min(np.abs(np.abs(alpha) / np.abs(beta) - 1.0)))
+    stable = int(np.count_nonzero(np.abs(alpha) < np.abs(beta)))
+    # a defective band-edge pair splits by O(sqrt(eps)), so that close to the
+    # circle is on it; a NaN modulus fails the comparison and counts as closed
+    if not gap > 10.0 * np.sqrt(np.finfo(float).eps) or stable != N:
+        raise GapClosed(f"transfer spectrum within {gap:.3e} of the unit circle "
+                        f"({stable} of {2 * N} modes stable)")
+    z_minus = sla.ordqz(A, B, sort="ouc", output="complex")[5]
+    # from y to the canonical split of tb_form: psi_1 = a0^-1 w, then D^1/2 Q*
+    L = K.conj().T.copy()
+    L[N:] = a_inv[0] @ L[N:]
+    L = np.sqrt(np.concatenate([split.a_plus, split.a_minus]))[:, None] * (split.Q.conj().T @ L)
+    # each plane is the graph {(y+, U y+)} there, so U solves U y+ = y-
+    u_plus, u_minus = (LerayUnitary(np.linalg.solve(Y[:N].T, Y[N:].T).T, split, tol)
+                       for Y in (L @ z_plus[:, :N], L @ z_minus[:, :N]))
+    return _finish_bulk(form, split, u_plus, u_minus, gap, energy, tol)
 
 
 class PiecewiseDiracProfile:

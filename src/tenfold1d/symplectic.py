@@ -315,16 +315,13 @@ def plane_to_unitary(
     """Unitary whose rescaled graph is the given Lagrangian plane.
 
     In split coordinates the plane is {(x, V x)}; the unitary is
-    sqrt(A_minus) V / sqrt(A_plus). Raises NotLagrangian when the input
-    frame is not isotropic and ProjectionSingular when the plane fails
+    sqrt(A_minus) V / sqrt(A_plus). The plane's isotropy was checked
+    when it was built. Raises ProjectionSingular when the plane fails
     to be transverse to the negative block (impossible for an exactly
     Lagrangian plane, so it signals a defective input).
     """
     if not plane.form.same_as(split.form, tol):
         raise DimensionMismatch("plane and split refer to different forms")
-    defect, ok = is_lagrangian(plane.frame, plane.form, tol)
-    if not ok:
-        raise NotLagrangian(f"isotropy defect {defect:.3e}")
     n = split.n
     C = split.Q.conj().T @ plane.frame.matrix
     c_plus = C[:n]

@@ -124,7 +124,7 @@ class TestJunction:
         header, rows = rows_of(out)
         row = dict(zip(header, rows[0]))
         assert row["predicted"] == "1" and row["transport_consistent"] == "true"
-        assert "# predicted_principal_angles: 1" in err
+        assert "predicted_principal_angles" not in err
 
     def test_profile_needs_class(self, write):
         assert main(["junction", "--profile", write("p.tf", WALL)]) == 3

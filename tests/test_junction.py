@@ -118,7 +118,6 @@ class TestContinuousReport:
         p = PiecewiseDiracProfile([-np.eye(1), np.eye(1)], [0.0])
         r = continuous_junction_report(p, 0.0, "D")
         assert r.predicted == 1
-        assert r.predicted_principal_angles == 1
         assert r.bound == 1
         assert r.index_left.value == -1 and r.index_right.value == 1
         assert r.transport_consistent
@@ -140,7 +139,7 @@ class TestContinuousReport:
         Q = np.array([[c, -s], [s, c]])
         masses = [P @ np.diag(d) @ Q.T for d in ((-3.0, -2.0), (3.0, 2.0))]
         r = continuous_junction_report(PiecewiseDiracProfile(masses, [10.0]), 0.0, "D")
-        assert r.predicted == r.predicted_principal_angles == 2
+        assert r.predicted == 2
         assert r.bound == 0
         assert r.transport_consistent
 
@@ -163,7 +162,7 @@ class TestContinuousReport:
         )
         r = continuous_junction_report(p, 0.0, "D")
         assert r.bound == 0
-        assert r.predicted == r.predicted_principal_angles == 0
+        assert r.predicted == 0
         assert r.transport_consistent
         assert max(r.defect_plus, r.defect_minus) <= 1e-9
 
@@ -182,7 +181,6 @@ class TestContinuousReport:
             bps = np.arange(steps, dtype=float)
         p = PiecewiseDiracProfile(masses, list(bps))
         r = continuous_junction_report(p, 0.0, "D")
-        assert r.predicted == r.predicted_principal_angles
         assert r.predicted >= r.bound
         assert r.transport_consistent
         assert max(r.defect_plus, r.defect_minus) <= 1e-9

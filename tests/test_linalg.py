@@ -16,10 +16,9 @@ from tenfold1d.errors import (
     NotAntisymmetric,
     NotHermitian,
     OddDimension,
-    Singular,
     ZeroRank,
 )
-from tenfold1d.linalg import Frame, hermitian_eig, orthonormalize, stable_unstable_split
+from tenfold1d.linalg import Frame, hermitian_eig, orthonormalize
 from tenfold1d.symmetry import random_orthogonal, random_unitary
 
 
@@ -121,35 +120,6 @@ class TestIntersection:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             subspace_intersection_dim(Frame(np.eye(3)), Frame(np.eye(4)))
-
-
-class TestStableUnstableSplit:
-    def test_counts_and_invariance(self, rng):
-        lam = np.concatenate([rng.uniform(0.2, 0.8, 3), rng.uniform(1.3, 3.0, 4)])
-        V = random_unitary(7, rng)
-        M = V @ np.diag(lam) @ V.conj().T
-        stable, unstable, on_circle = stable_unstable_split(M)
-        assert (stable.rank, unstable.rank, on_circle) == (3, 4, 0)
-        # spans are invariant: M maps each into itself
-        for f in (stable, unstable):
-            assert np.allclose(f.projector() @ M @ f.matrix, M @ f.matrix)
-
-    def test_unit_circle_counted(self, rng):
-        M = np.diag([0.5, np.exp(0.3j), 2.0])
-        stable, unstable, on_circle = stable_unstable_split(M)
-        assert (stable.rank, unstable.rank, on_circle) == (1, 1, 1)
-
-    def test_singular_gate(self):
-        with pytest.raises(Singular):
-            stable_unstable_split(np.diag([1.0, 0.0]))
-        with pytest.raises(Singular):
-            stable_unstable_split(np.diag([1.0, 1e-17]))
-
-    def test_ill_conditioned_map_still_splits(self):
-        # condition number 1e12, far past 1/rank_tol, yet exactly splittable
-        stable, unstable, on_circle = stable_unstable_split(np.diag([1e-6, 1e6]))
-        assert (stable.rank, unstable.rank, on_circle) == (1, 1, 0)
-        assert np.allclose(np.abs(stable.matrix[:, 0]), [1.0, 0.0])
 
 
 class TestPfaffian:

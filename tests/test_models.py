@@ -1,5 +1,8 @@
+import time
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -248,6 +251,115 @@ class TestTightBindingModel:
         )
         J = tb_form(m).J
         assert J[0, 1] == -2.0 and J[1, 0] == 2.0
+
+
+def ssh_supercell(t1, t2, q):
+    """Bonds alternating t1, t2 over a period-q cell, zero sites."""
+    a = [np.array([[t1 if n % 2 == 0 else t2]]) for n in range(q)]
+    return TightBindingModel(a, [np.zeros((1, 1))] * q)
+
+
+def transfer_reference(model, energy):
+    """The period's transfer product, its gap and its sorted Schur split.
+
+    Multiplies the q site transfers on (psi_{n-1}, psi_n) into one
+    matrix M, then takes the stable (|lambda| < 1) and unstable frames
+    of M and their unitaries in the canonical split of ``tb_form``.
+    Returns log cond M, the gap, the parent-style closed flag, and the
+    two unitaries (None when closed).
+    """
+    N = model.block_dim
+    M = np.eye(2 * N, dtype=complex)
+    for n in range(1, model.period + 1):
+        low_left = -np.linalg.solve(model.bond(n), model.bond(n - 1).conj().T)
+        low_right = np.linalg.solve(model.bond(n), energy * np.eye(N) - model.site(n))
+        M = np.block([[np.zeros((N, N)), np.eye(N)], [low_left, low_right]]) @ M
+    s = np.linalg.svd(M, compute_uv=False)
+    lam = np.linalg.eigvals(M)
+    gap = float(np.abs(np.abs(lam) - 1.0).min())
+    closed = gap <= 10.0 * np.sqrt(np.finfo(float).eps) * max(1.0, float(np.abs(lam).max()))
+    if closed:
+        return float(np.log(s[0] / s[-1])), gap, True, None
+    form = tb_form(model)
+    split = canonical_split(form)
+    unitaries = []
+    for inside in (True, False):
+        _, Z, k = sla.schur(M, output="complex", sort=lambda z: (abs(z) < 1.0) == inside)
+        assert k == N
+        unitaries.append(plane_to_unitary(LagrangianPlane(Z[:, :N], form), split).U)
+    return float(np.log(s[0] / s[-1])), gap, False, unitaries
+
+
+def bloch_bands(model, k):
+    """Bloch energies at quasi-momentum k over one period."""
+    N, q = model.block_dim, model.period
+    H = np.zeros((q * N, q * N), dtype=complex)
+    for n in range(q):
+        i, j = n * N, ((n + 1) % q) * N
+        phase = np.exp(1j * k) if n == q - 1 else 1.0
+        H[i:i + N, i:i + N] += model.site(n)
+        H[i:i + N, j:j + N] += model.bond(n) * phase
+        H[j:j + N, i:i + N] += (model.bond(n) * phase).conj().T
+    return np.linalg.eigvalsh(H)
+
+
+class TestChainComposition:
+    """Chains composed site by site: long periods that a period product
+    could not split, and agreement with that product where it can."""
+
+    def test_period_20_ssh_probe(self):
+        bulk = tb_bulk(ssh_supercell(1.0, 5.0, 20))
+        assert topological_index(bulk.u_plus, "BDI").value == 1
+        assert topological_index(bulk.u_minus, "BDI").value == 0
+        assert bulk.gap == pytest.approx(1.0 - 5.0 ** -10, rel=1e-12)
+
+    @pytest.mark.parametrize("t1, t2, q", [
+        (1.4605357415087759, 0.6073447654913633, 36),
+        (1.376402150515517, 0.5205749957148794, 38),
+        (1.4256715932471313, 0.5594105831390664, 38),
+        (1.353743747735725, 0.5356172588497331, 34),
+    ])
+    def test_census_supercells(self, t1, t2, q):
+        bulk = tb_bulk(ssh_supercell(t1, t2, q))
+        assert topological_index(bulk.u_plus, "BDI").value == 0
+        assert topological_index(bulk.u_minus, "BDI").value == 1
+
+    def test_period_2000_under_a_second(self):
+        start = time.perf_counter()
+        bulk = tb_bulk(ssh_supercell(1.0, 1.001, 2000))
+        assert time.perf_counter() - start < 1.0
+        assert bulk.gap == pytest.approx(1.0 - np.exp(-1000.0 * np.log(1.001)), rel=1e-9)
+        assert topological_index(bulk.u_plus, "BDI").value == 1
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_transfer_product(self, seed, q, N):
+        rng = np.random.default_rng(seed)
+        a, b = [], []
+        for _ in range(q):
+            X = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+            P, _, Qh = np.linalg.svd(X)
+            a.append(P @ np.diag(rng.uniform(0.6, 1.6, N)) @ Qh)
+            G = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+            b.append(0.4 * (G + G.conj().T))
+        model = TightBindingModel(a, b)
+        bands = np.array([bloch_bands(model, k) for k in np.linspace(0.0, 2 * np.pi, 48)])
+        lo, hi = bands.min(axis=0), bands.max(axis=0)
+        in_gap = [lo[0] - 0.5, hi[-1] + 0.5]
+        in_gap += [0.5 * (h + l) for h, l in zip(hi[:-1], lo[1:]) if l - h > 0.05]
+        for energy in in_gap:
+            growth, gap, closed, want = transfer_reference(model, energy)
+            if growth >= 15.0 or gap < 1e-3:
+                continue
+            assert not closed
+            bulk = tb_bulk(model, energy)
+            assert np.abs(bulk.u_plus.U - want[0]).max() <= 1e-10
+            assert np.abs(bulk.u_minus.U - want[1]).max() <= 1e-10
+            assert bulk.gap == pytest.approx(gap, rel=1e-9)
+        for energy in bloch_bands(model, 0.7)[::N]:
+            assert transfer_reference(model, energy)[2]
+            with pytest.raises(GapClosed):
+                tb_bulk(model, energy)
 
 
 class TestPiecewiseProfile:
