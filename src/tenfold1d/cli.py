@@ -34,6 +34,7 @@ from .errors import (
     BadTemplate,
     GapClosed,
     IncompatibleBoundary,
+    NotInClass,
     NotInGap,
     ParseError,
 )
@@ -52,7 +53,7 @@ from .modelfile import (
     parse_model_text,
 )
 from .models import tb_bulk
-from .symmetry import CartanClass, membership
+from .symmetry import CartanClass
 from .verify import (
     DiscretizationSpec,
     count_near_zero_localized,
@@ -101,12 +102,9 @@ def _fmt(x) -> str:
 def _membership_row(U, label: CartanClass, tol: Tolerances):
     """(member, index string) of one unitary in one class."""
     try:
-        member = membership(U.U, label, tol)
-    except BadParity:
-        member = False
-    if not member:
+        return True, str(topological_index(U, label, tol))
+    except (NotInClass, BadParity):
         return False, ""
-    return True, str(topological_index(U, label, tol))
 
 
 def cmd_classify(args, tol: Tolerances):

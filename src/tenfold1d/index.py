@@ -105,7 +105,8 @@ def topological_index(U, label, tol: Tolerances = TOL) -> IndexValue:
     if label == CartanClass.D:
         det = np.linalg.det(M)
         return IndexValue.sign(_snap_sign(float(det.real), "det(U)"))
-    return IndexValue.sign(_snap_sign(pfaffian(M, tol), "Pf(U)"))
+    # membership passed U at eig_tol; pfaffian gates at the tighter frame_tol
+    return IndexValue.sign(_snap_sign(pfaffian(0.5 * (M.real - M.real.T), tol), "Pf(U)"))
 
 
 def bulk_consistency_check(label, index_plus: IndexValue, index_minus: IndexValue,

@@ -2,7 +2,7 @@
 
 Three families are implemented. A constant-mass Dirac operator
 (-i sigma_3 d/dt + mass coupling W) whose half-line solution planes at
-energy zero are the spectral subspaces of the flattened mass matrix; a
+every in-gap energy follow from the eigenvectors of its flattened mass; a
 constant-potential Schrodinger operator (-d^2/dt^2 + V) below its
 spectrum; and a periodic block tight-binding chain, composed site by
 site as unitary scattering matrices whose star product never grows,
@@ -18,6 +18,7 @@ that preserves unitarity because the flow preserves the boundary pairing.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 
@@ -146,27 +147,17 @@ def _dirac_generator(W: np.ndarray, energy: float) -> np.ndarray:
     return 1j * energy * sigma3 - _flat_mass(W)
 
 
-def _hyperbolic_frames(B: np.ndarray, tol: Tolerances):
-    """Frames of the decaying (Re < 0) and growing (Re > 0) subspaces."""
-    lam = np.linalg.eigvals(B)
-    margin = tol.rank_tol * max(1.0, float(np.abs(B).max()))
-    if np.abs(lam.real).min() <= margin:
-        raise GapClosed("coefficient matrix has a near-imaginary eigenvalue")
-    _, z1, k1 = sla.schur(B, output="complex", sort=lambda z: z.real < 0)
-    _, z2, k2 = sla.schur(B, output="complex", sort=lambda z: z.real > 0)
-    if k1 + k2 < B.shape[0]:
-        raise GapClosed("hyperbolic split is incomplete")
-    return Frame(z1[:, :k1], tol), Frame(z2[:, :k2], tol)
-
-
 def dirac_bulk(W, tol: Tolerances = TOL, energy: float = 0.0) -> BulkData:
     """Boundary data of the constant Dirac operator with mass coupling W.
 
     The spectrum is the complement of (-m0, m0) with m0 the smallest
     singular value of W; GapClosed is raised when m0 vanishes or the
-    energy is not strictly inside the gap. At energy zero the planes
-    are the positive and negative spectral subspaces of the flattened
-    mass matrix. NotInGap is raised for a non-finite energy.
+    energy is not strictly inside the gap, and NotInGap for a
+    non-finite energy. An eigenpair (p, q; mu) of the flattened mass
+    [[0, W], [W*, 0]] gives the solution (p, c q) with the unimodular
+    c = sqrt(mu^2 - E^2)/|mu| + iE/mu, which grows at the rate -sign(mu)
+    sqrt(mu^2 - E^2); the mu > 0 columns span the plane decaying to the
+    right, and the mu < 0 columns the plane decaying to the left.
     """
     _require_finite(energy)
     W = _as_square(W, "W")
@@ -180,13 +171,13 @@ def dirac_bulk(W, tol: Tolerances = TOL, energy: float = 0.0) -> BulkData:
         raise GapClosed(f"energy {energy:g} is not inside the gap (m0 = {m0:.6g})")
     form = dirac_form(N)
     split = canonical_split(form, tol)
-    if energy == 0.0:
-        evals, evecs = hermitian_eig(_flat_mass(W), tol)
-        V = evecs.matrix
-        f_plus = Frame(V[:, evals > 0], tol)
-        f_minus = Frame(V[:, evals < 0], tol)
-    else:
-        f_plus, f_minus = _hyperbolic_frames(_dirac_generator(W, energy), tol)
+    mu, evecs = hermitian_eig(_flat_mass(W), tol)
+    # c is exactly 1 at E = 0; the clip keeps it unimodular if roundoff puts |E| past |mu|
+    r = np.clip(energy / mu, -1.0, 1.0)
+    V = evecs.matrix.copy()
+    V[N:] *= np.sqrt((1.0 - r) * (1.0 + r)) + 1j * r
+    f_plus = Frame(V[:, mu > 0], tol)
+    f_minus = Frame(V[:, mu < 0], tol)
     return _frame_bulk(form, split, f_plus, f_minus, gap, energy, tol)
 
 
@@ -413,12 +404,7 @@ class PiecewiseDiracProfile:
 
     def mass_at(self, t: float) -> np.ndarray:
         """Mass on the segment containing t (right-continuous)."""
-        j = 0
-        for b in self.breakpoints:
-            if t < b:
-                break
-            j += 1
-        return self.masses[j]
+        return self.masses[bisect.bisect_right(self.breakpoints, t)]
 
     def __repr__(self):
         return (f"PiecewiseDiracProfile(block_dim={self.block_dim}, "

@@ -404,8 +404,6 @@ def random_member(label, N: int, rng=None, index=None) -> np.ndarray:
     """
     label = CartanClass.coerce(label)
     rng = np.random.default_rng(rng)
-    if label.needs_even_dim and N % 2:
-        raise BadParity(f"class {label.value} needs even dimension, got {N}")
     allowed = realizable_indices(label, N)
     if index is not None and label.index_kind == "zero" and index != 0:
         raise ValueError(f"class {label.value} carries no index")

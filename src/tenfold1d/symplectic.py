@@ -343,19 +343,11 @@ def unitary_to_plane(U, split: CanonicalSplit | None = None, tol: Tolerances = T
     Accepts a LerayUnitary, or a plain unitary matrix together with the
     split it refers to.
     """
-    if isinstance(U, LerayUnitary):
-        split = U.split
-        M = U.U
-    else:
+    if not isinstance(U, LerayUnitary):
         if split is None:
             raise ValueError("a plain matrix needs an explicit split")
-        M = _as_square(U, "U")
-        defect = np.abs(M.conj().T @ M - np.eye(M.shape[0])).max()
-        if defect > tol.frame_tol:
-            raise NotUnitary(f"unitarity defect {defect:.3e}")
-    n = split.n
-    if M.shape[0] != n:
-        raise DimensionMismatch(f"U is {M.shape[0]}-dimensional, split block is {n}")
+        U = LerayUnitary(U, split, tol)
+    split, M, n = U.split, U.U, U.n
     G = (M * np.sqrt(split.a_plus)[None, :]) / np.sqrt(split.a_minus)[:, None]
     X = split.Q @ np.vstack([np.eye(n), G])
     frame = orthonormalize(X, tol)

@@ -54,6 +54,17 @@ class TestClassify:
         assert table["C"][0] == "false"
         assert "# gap: 1.0" in err
 
+    @pytest.mark.parametrize("energy, members", [
+        ("", {"A": "0", "AIII": "1", "AI": "0", "BDI": "1", "D": "-1"}),
+        # the energy breaks the chiral and particle-hole symmetries, not time reversal
+        ("energy 0.3\n", {"A": "0", "AI": "0"}),
+    ])
+    def test_dirac_energy_line(self, write, capsys, energy, members):
+        text = "kind dirac\nW [[1.5, 0.4], [0.4, -1.1]]\n" + energy
+        assert main(["classify", "--model", write("m.tf", text)]) == 0
+        _, rows = rows_of(capsys.readouterr().out)
+        assert {r[0]: r[2] for r in rows if r[1] == "true"} == members
+
     def test_single_class_member(self, write):
         assert main(["classify", "--model", write("m.tf", DIRAC_POS),
                      "--class", "AIII"]) == 0

@@ -13,7 +13,7 @@ from tenfold1d import (
 )
 from tenfold1d.errors import AmbiguousKernel, KindMismatch, NotInClass
 from tenfold1d.index import IndexValue
-from tenfold1d.symmetry import random_unitary
+from tenfold1d.symmetry import membership, random_unitary
 
 
 class TestIndexValue:
@@ -68,6 +68,15 @@ class TestTopologicalIndex:
         M = np.eye(2) * (1.0 + 1e-5)
         with pytest.raises(NotInClass):
             topological_index(M, "D", tol=Tolerances(eig_tol=1e-4))
+
+    @pytest.mark.parametrize("offset", [1e-9 * np.outer(np.eye(4)[0], np.eye(4)[1]),
+                                        1e-9j * np.eye(4)],
+                             ids=["asymmetric_entry", "imaginary_part"])
+    def test_diii_sign_within_membership_tolerance(self, rng, offset):
+        # membership accepts U at eig_tol; the Pfaffian gates at the tighter frame_tol
+        U = random_member("DIII", 4, rng, index=-1) + offset
+        assert membership(U, "DIII")
+        assert topological_index(U, "DIII").value == -1
 
     def test_guard_band_raises(self, rng):
         # hermitian unitary with an eigenvalue a hair off +1

@@ -95,12 +95,13 @@ class TestDiracBulk:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
     @settings(max_examples=30, deadline=None)
     def test_zero_energy_shortcut_matches_schur_path(self, seed, n):
-        # energy 0 takes the eigh shortcut; any other energy the Schur split
+        # the planes are continuous in the energy: E = 1e-12 rotates the
+        # lower halves of the E = 0 eigenvectors by phases within 1e-11 of 1
         W = gapped_mass(n, np.random.default_rng(seed), floor=0.1)
-        fast = dirac_bulk(W)
-        schur = dirac_bulk(W, energy=1e-12)
-        assert np.abs(fast.u_plus.U - schur.u_plus.U).max() <= 1e-9
-        assert np.abs(fast.u_minus.U - schur.u_minus.U).max() <= 1e-9
+        zero = dirac_bulk(W)
+        near = dirac_bulk(W, energy=1e-12)
+        assert np.abs(zero.u_plus.U - near.u_plus.U).max() <= 1e-9
+        assert np.abs(zero.u_minus.U - near.u_minus.U).max() <= 1e-9
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
     @settings(max_examples=20, deadline=None)
@@ -139,6 +140,25 @@ class TestDiracBulk:
             dirac_bulk(np.array([[1.0]]), energy=1.0)
         with pytest.raises(GapClosed):
             dirac_bulk(np.array([[0.5]]), energy=-0.7)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.booleans(),
+           st.floats(-0.95, 0.95))
+    @settings(max_examples=40, deadline=None)
+    def test_planes_are_generator_eigenspaces(self, seed, n, orthogonal, ratio):
+        # W = c O repeats every singular value; energies span 95% of the gap
+        rng = np.random.default_rng(seed)
+        if orthogonal:
+            W = rng.uniform(0.5, 2.0) * np.linalg.qr(rng.standard_normal((n, n)))[0]
+        else:
+            W = gapped_mass(n, rng)
+        E = ratio * np.linalg.svd(W, compute_uv=False)[-1]
+        bulk = dirac_bulk(W, energy=E)
+        B = np.block([[1j * E * np.eye(n), -W], [-W.conj().T, -1j * E * np.eye(n)]])
+        lam, vecs = np.linalg.eig(B)
+        for plane, side in ((bulk.plane_plus, lam.real < 0), (bulk.plane_minus, lam.real > 0)):
+            assert np.count_nonzero(side) == n
+            want = np.linalg.qr(vecs[:, side])[0]
+            assert sla.subspace_angles(plane.frame.matrix, want).max() <= 1e-9
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
     @settings(max_examples=20, deadline=None)
