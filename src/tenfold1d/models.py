@@ -1,19 +1,20 @@
 """Gapped one-dimensional model families and their boundary planes.
 
 Three families are implemented. A constant-mass Dirac operator
-(-i sigma_3 d/dt + mass coupling W) whose half-line solution planes at
-every in-gap energy follow from the eigenvectors of its flattened mass; a
+(-i sigma_3 d/dt + mass coupling W) whose half-line planes at every
+in-gap energy are read off one singular value decomposition of W; a
 constant-potential Schrodinger operator (-d^2/dt^2 + V) below its
 spectrum; and a periodic block tight-binding chain, composed site by
 site as unitary scattering matrices whose star product never grows,
 so that one bounded pencil gives both planes and the gap for any
-period. Each bulk ships with planes on both sides, their unitaries in
-the canonical split, and a gap certificate.
+period. Each bulk ships with the unitaries of its planes on both sides
+in the canonical split, and a gap certificate.
 
 Piecewise-constant Dirac profiles extend the Dirac family: the plane
 that decays on a far side is carried across the steps to any point as
-its Leray unitary, on which each segment's flow acts as a Moebius map
-that preserves unitarity because the flow preserves the boundary pairing.
+its Leray unitary, on which each segment's closed-form flow acts as a
+Moebius map that preserves unitarity because the flow preserves the
+boundary pairing.
 """
 
 from __future__ import annotations
@@ -26,21 +27,13 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import DimensionMismatch, GapClosed, NotInGap, NotInvertible, NotLagrangian
-from .linalg import (
-    TOL,
-    Frame,
-    Tolerances,
-    _as_square,
-    hermitian_eig,
-    orthonormalize,
-)
+from .linalg import TOL, Tolerances, _as_square, hermitian_eig
 from .symplectic import (
     LagrangianPlane,
     LerayUnitary,
     SymplecticForm,
     canonical_split,
     crossing_dim,
-    plane_to_unitary,
     unitary_to_plane,
 )
 
@@ -60,22 +53,22 @@ __all__ = [
 class BulkData:
     """Boundary data of one gapped bulk at one energy.
 
-    Carries the form, its canonical split, the Lagrangian planes of
-    solutions decaying to the right (plus) and to the left (minus),
-    their unitaries, and a positive gap certificate (distance from the
-    energy to the spectrum, in the model's own units). A plane the
-    builder did not supply is built from its unitary, with the bulk's
-    tolerances, the first time it is read.
+    Carries the form, its canonical split, the unitaries of the
+    Lagrangian planes of solutions decaying to the right (plus) and to
+    the left (minus), and a positive gap certificate (distance from the
+    energy to the spectrum, in the model's own units). Each plane is
+    built from its unitary, with the bulk's tolerances, the first time
+    it is read.
     """
 
     __slots__ = ("form", "split", "_planes", "u_plus", "u_minus", "gap",
                  "energy", "_tol")
 
-    def __init__(self, form, split, plane_plus, plane_minus, u_plus, u_minus,
-                 gap, energy, tol: Tolerances = TOL):
+    def __init__(self, form, split, u_plus, u_minus, gap, energy,
+                 tol: Tolerances = TOL):
         self.form = form
         self.split = split
-        self._planes = [plane_plus, plane_minus]
+        self._planes = [None, None]
         self.u_plus = u_plus
         self.u_minus = u_minus
         self.gap = float(gap)
@@ -101,18 +94,12 @@ class BulkData:
                 f"gap={self.gap:.3g})")
 
 
-def _finish_bulk(form, split, u_plus, u_minus, gap, energy, tol,
-                 planes=(None, None)) -> BulkData:
+def _finish_bulk(form, split, u_plus, u_minus, gap, energy, tol) -> BulkData:
+    u_plus, u_minus = LerayUnitary(u_plus, split, tol), LerayUnitary(u_minus, split, tol)
     # in-gap energies force transverse planes
     if crossing_dim(u_plus, u_minus, tol):
         raise GapClosed("half-line planes intersect; the energy is not in a gap")
-    return BulkData(form, split, *planes, u_plus, u_minus, gap, energy, tol)
-
-
-def _frame_bulk(form, split, f_plus, f_minus, gap, energy, tol) -> BulkData:
-    planes = (LagrangianPlane(f_plus, form, tol), LagrangianPlane(f_minus, form, tol))
-    u_plus, u_minus = (plane_to_unitary(p, split, tol) for p in planes)
-    return _finish_bulk(form, split, u_plus, u_minus, gap, energy, tol, planes)
+    return BulkData(form, split, u_plus, u_minus, gap, energy, tol)
 
 
 @functools.lru_cache(maxsize=64)
@@ -132,19 +119,12 @@ def _require_finite(energy: float) -> None:
         raise NotInGap(f"energy must be finite, got {float(energy)!r}")
 
 
-def _flat_mass(W: np.ndarray) -> np.ndarray:
-    N = W.shape[0]
-    A = np.zeros((2 * N, 2 * N), dtype=complex)
-    A[:N, N:] = W
-    A[N:, :N] = W.conj().T
+def _finite_square(a, name: str) -> np.ndarray:
+    """Square complex matrix with finite entries; ValueError naming it otherwise."""
+    A = _as_square(a, name)
+    if not np.isfinite(A).all():
+        raise ValueError(f"{name} must have finite entries")
     return A
-
-
-def _dirac_generator(W: np.ndarray, energy: float) -> np.ndarray:
-    """First-order coefficient matrix: solutions satisfy psi' = B psi."""
-    N = W.shape[0]
-    sigma3 = np.diag(np.concatenate([np.ones(N), -np.ones(N)]))
-    return 1j * energy * sigma3 - _flat_mass(W)
 
 
 def dirac_bulk(W, tol: Tolerances = TOL, energy: float = 0.0) -> BulkData:
@@ -152,33 +132,31 @@ def dirac_bulk(W, tol: Tolerances = TOL, energy: float = 0.0) -> BulkData:
 
     The spectrum is the complement of (-m0, m0) with m0 the smallest
     singular value of W; GapClosed is raised when m0 vanishes or the
-    energy is not strictly inside the gap, and NotInGap for a
-    non-finite energy. An eigenpair (p, q; mu) of the flattened mass
-    [[0, W], [W*, 0]] gives the solution (p, c q) with the unimodular
-    c = sqrt(mu^2 - E^2)/|mu| + iE/mu, which grows at the rate -sign(mu)
-    sqrt(mu^2 - E^2); the mu > 0 columns span the plane decaying to the
-    right, and the mu < 0 columns the plane decaying to the left.
+    energy is not strictly inside the gap, NotInGap for a non-finite
+    energy and ValueError for a non-finite W. With W = U S V* and
+    kappa = sqrt(s^2 - E^2), each triplet (u, s, v) gives the solutions
+    (u, c v) that decay at the rate kappa to the right for the unimodular
+    c = (kappa + iE)/s and to the left for c = (iE - kappa)/s. The Dirac
+    split is the identity with unit blocks, so u_plus takes u to c v
+    with the first c and u_minus with the second.
     """
     _require_finite(energy)
-    W = _as_square(W, "W")
-    N = W.shape[0]
-    s = np.linalg.svd(W, compute_uv=False)
+    W = _finite_square(W, "W")
+    U, s, Vh = np.linalg.svd(W)
     m0 = float(s[-1])
     if m0 <= tol.rank_tol * max(1.0, float(s[0])):
         raise GapClosed(f"smallest singular value of W is {m0:.3e}")
     gap = m0 - abs(energy)
     if gap <= tol.rank_tol * max(1.0, m0):
         raise GapClosed(f"energy {energy:g} is not inside the gap (m0 = {m0:.6g})")
-    form = dirac_form(N)
+    form = dirac_form(W.shape[0])
     split = canonical_split(form, tol)
-    mu, evecs = hermitian_eig(_flat_mass(W), tol)
-    # c is exactly 1 at E = 0; the clip keeps it unimodular if roundoff puts |E| past |mu|
-    r = np.clip(energy / mu, -1.0, 1.0)
-    V = evecs.matrix.copy()
-    V[N:] *= np.sqrt((1.0 - r) * (1.0 + r)) + 1j * r
-    f_plus = Frame(V[:, mu > 0], tol)
-    f_minus = Frame(V[:, mu < 0], tol)
-    return _frame_bulk(form, split, f_plus, f_minus, gap, energy, tol)
+    # kappa/s is exactly 1 at E = 0; the clip keeps c unimodular if roundoff puts |E| past s
+    r = np.clip(energy / s, -1.0, 1.0)
+    k = np.sqrt((1.0 - r) * (1.0 + r))
+    V, Uh = Vh.conj().T, U.conj().T
+    return _finish_bulk(form, split, (V * (k + 1j * r)) @ Uh,
+                        (V * (1j * r - k)) @ Uh, gap, energy, tol)
 
 
 @functools.lru_cache(maxsize=64)
@@ -197,12 +175,14 @@ def schrodinger_bulk(V, energy: float, tol: Tolerances = TOL) -> BulkData:
     """Boundary data of -d^2/dt^2 + V at an energy below the spectrum.
 
     V is a constant hermitian potential; the spectrum starts at its
-    lowest eigenvalue, so NotInGap is raised unless energy < min(V).
-    Traces are (psi(0), psi'(0)) and the decaying solutions have slope
-    -sqrt(mu - E) along each potential eigenvector.
+    lowest eigenvalue, so NotInGap is raised unless energy < min(V),
+    and ValueError for a non-finite V. Traces are (psi(0), psi'(0)) and
+    the decaying solutions have slope -kappa = -sqrt(mu - E) along each
+    eigenvector of V, on which, in the split Q = [[I, I], [iI, -iI]]/sqrt(2),
+    u_plus is (1 - i kappa)/(1 + i kappa) and u_minus its inverse.
     """
     _require_finite(energy)
-    V = _as_square(V, "V")
+    V = _finite_square(V, "V")
     M = V.shape[0]
     mu, vecs = hermitian_eig(V, tol)
     scale = max(1.0, float(np.abs(mu).max()), abs(energy))
@@ -214,10 +194,10 @@ def schrodinger_bulk(V, energy: float, tol: Tolerances = TOL) -> BulkData:
     form = _schrodinger_form(M)
     split = canonical_split(form, tol)
     kappa = np.sqrt(mu - energy)
+    z = (1.0 - 1j * kappa) / (1.0 + 1j * kappa)
     Vm = vecs.matrix
-    f_plus = orthonormalize(np.vstack([Vm, -Vm * kappa[None, :]]), tol)
-    f_minus = orthonormalize(np.vstack([Vm, Vm * kappa[None, :]]), tol)
-    return _frame_bulk(form, split, f_plus, f_minus, gap, energy, tol)
+    return _finish_bulk(form, split, (Vm * z) @ Vm.conj().T, (Vm * z.conj()) @ Vm.conj().T,
+                        gap, energy, tol)
 
 
 class TightBindingModel:
@@ -232,8 +212,8 @@ class TightBindingModel:
     __slots__ = ("a", "b")
 
     def __init__(self, a, b, tol: Tolerances = TOL):
-        a = [_as_square(x, "a") for x in a]
-        b = [_as_square(x, "b") for x in b]
+        a = [_finite_square(x, "bond block a") for x in a]
+        b = [_finite_square(x, "site block b") for x in b]
         if len(a) != len(b) or not a:
             raise DimensionMismatch(
                 f"need equally many bond and site blocks, got {len(a)} and {len(b)}"
@@ -361,7 +341,7 @@ def tb_bulk(model: TightBindingModel, energy: float = 0.0,
     L[N:] = a_inv[0] @ L[N:]
     L = np.sqrt(np.concatenate([split.a_plus, split.a_minus]))[:, None] * (split.Q.conj().T @ L)
     # each plane is the graph {(y+, U y+)} there, so U solves U y+ = y-
-    u_plus, u_minus = (LerayUnitary(np.linalg.solve(Y[:N].T, Y[N:].T).T, split, tol)
+    u_plus, u_minus = (np.linalg.solve(Y[:N].T, Y[N:].T).T
                        for Y in (L @ z_plus[:, :N], L @ z_minus[:, :N]))
     return _finish_bulk(form, split, u_plus, u_minus, gap, energy, tol)
 
@@ -376,7 +356,7 @@ class PiecewiseDiracProfile:
     __slots__ = ("masses", "breakpoints")
 
     def __init__(self, masses, breakpoints):
-        masses = [_as_square(W, "mass") for W in masses]
+        masses = [_finite_square(W, "mass") for W in masses]
         breakpoints = [float(t) for t in breakpoints]
         if len(masses) != len(breakpoints) + 1:
             raise DimensionMismatch(
@@ -411,17 +391,39 @@ class PiecewiseDiracProfile:
                 f"steps={self.steps})")
 
 
+def _segment_flow(W: np.ndarray, energy: float, length: float):
+    """Sub-step count and flow over one sub-step h of psi' = B psi.
+
+    B = [[iE, -W], [-W*, -iE]]. With W = U S V*, B acts on each
+    span{(u_k, 0), (0, v_k)} as M_k = [[iE, -s_k], [-s_k, -iE]], whose
+    square is kappa^2 = s_k^2 - E^2, so the flow is cosh(kappa h) +
+    sinh(kappa h)/kappa M_k there: kappa is imaginary where the segment
+    is gapless at E, and the factor is its limit h at kappa = 0.
+    """
+    U, s, Vh = np.linalg.svd(W)
+    # growth of at most e^4 per sub-step keeps P11 + P12 U well conditioned;
+    # ||B||_2 = s_max + |E|
+    nsub = max(1, int(np.ceil(abs(length) * (float(s[0]) + abs(energy)) / 4.0)))
+    h = length / nsub
+    x = h * np.sqrt(((s - abs(energy)) * (s + abs(energy))).astype(complex))
+    c = np.cosh(x)
+    d = h * np.divide(np.sinh(x), x, out=np.ones_like(x), where=x != 0)
+    V, Uh = Vh.conj().T, U.conj().T
+    P = np.block([[(U * (c + 1j * energy * d)) @ Uh, (U * (-s * d)) @ Vh],
+                  [(V * (-s * d)) @ Uh, (V * (c - 1j * energy * d)) @ Vh]])
+    return nsub, P
+
+
 def _transport(far: LerayUnitary, profile: PiecewiseDiracProfile, energy: float,
                side: str, t: float, tol: Tolerances):
     """Carry a far-side Leray unitary through the steps up to t.
 
-    The Dirac form's canonical split has unit blocks (a_plus = a_minus =
-    1), so with the flow P of a sub-step written in the split's basis Q,
-    Q* P Q, it maps U to (P21 + P22 U)(P11 + P12 U)^-1.
-    That image is unitary up to roundoff; it is replaced by its polar
-    factor, and NotLagrangian is raised when it departs from unitarity
-    by more than ``tol.frame_tol``. Returns the unitary at t and the
-    largest departure seen.
+    The Dirac form's canonical split is the identity with unit blocks
+    (a_plus = a_minus = 1), so the flow P of a sub-step maps U to
+    (P21 + P22 U)(P11 + P12 U)^-1. That image is unitary up to
+    roundoff; it is replaced by its polar factor, and NotLagrangian is
+    raised when it departs from unitarity by more than ``tol.frame_tol``.
+    Returns the unitary at t and the largest departure seen.
     """
     bps = profile.breakpoints
     if not bps:
@@ -440,14 +442,9 @@ def _transport(far: LerayUnitary, profile: PiecewiseDiracProfile, energy: float,
 
     U = far.U
     N = far.n
-    Q = far.split.Q
     defect = 0.0
     for start, stop in zip(path, path[1:]):
-        B = _dirac_generator(profile.mass_at(0.5 * (start + stop)), energy)
-        # growth of at most e^4 per sub-step keeps P11 + P12 U well conditioned
-        rate = float(np.linalg.norm(B, 2))
-        nsub = max(1, int(np.ceil(abs(stop - start) * rate / 4.0)))
-        P = Q.conj().T @ sla.expm(B * ((stop - start) / nsub)) @ Q
+        nsub, P = _segment_flow(profile.mass_at(0.5 * (start + stop)), energy, stop - start)
         P11, P12, P21, P22 = P[:N, :N], P[:N, N:], P[N:, :N], P[N:, N:]
         for _ in range(nsub):
             V = np.linalg.solve((P11 + P12 @ U).T, (P21 + P22 @ U).T).T

@@ -27,7 +27,7 @@ from tenfold1d.errors import (
     NotInGap,
     NotInvertible,
 )
-from tenfold1d.models import tb_form
+from tenfold1d.models import _schrodinger_form, _segment_flow, tb_form
 from tenfold1d.symplectic import is_lagrangian
 
 
@@ -57,6 +57,23 @@ def test_non_finite_energy_rejected(build, energy):
         build(energy)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.inf])
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda x: dirac_bulk(np.array([[x]])), "W"),
+        (lambda x: schrodinger_bulk(np.array([[x]]), -1.0), "V"),
+        (lambda x: TightBindingModel([np.array([[x]])], [np.zeros((1, 1))]), "bond block a"),
+        (lambda x: TightBindingModel([np.eye(1)], [np.array([[x]])]), "site block b"),
+        (lambda x: PiecewiseDiracProfile([np.eye(1), np.array([[x]])], [0.0]), "mass"),
+    ],
+    ids=["dirac", "schrodinger", "bond", "site", "profile"],
+)
+def test_non_finite_matrix_rejected(build, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must have finite entries$"):
+        build(bad)
+
+
 class TestSharedForms:
     def test_one_dirac_form_per_n(self):
         assert dirac_form(2) is dirac_form(2)
@@ -76,6 +93,20 @@ class TestSharedForms:
         assert tb_form(SSH) is not tb_form(other)
         assert canonical_split(tb_form(SSH)) is canonical_split(tb_form(other))
         assert tb_bulk(SSH).split is tb_bulk(other).split
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_closed_forms_rest_on_these_splits(self, n):
+        # dirac_bulk and _transport read their unitaries off Q = I with unit
+        # blocks, schrodinger_bulk off Q = [[I, I], [iI, -iI]]/sqrt(2)
+        dirac = canonical_split(dirac_form(n))
+        assert np.array_equal(dirac.Q, np.eye(2 * n))
+        assert np.array_equal(dirac.a_plus, np.ones(n))
+        assert np.array_equal(dirac.a_minus, np.ones(n))
+        schrodinger = canonical_split(_schrodinger_form(n))
+        want = np.kron(np.array([[1.0, 1.0], [1j, -1j]]), np.eye(n)) / np.sqrt(2.0)
+        assert np.abs(schrodinger.Q - want).max() <= 1e-15
+        assert np.abs(schrodinger.a_plus - 1.0).max() <= 1e-15
+        assert np.abs(schrodinger.a_minus - 1.0).max() <= 1e-15
 
 
 class TestDiracBulk:
@@ -130,6 +161,27 @@ class TestDiracBulk:
         assert topological_index(minus.u_plus, "AIII").value == 0
         assert topological_index(plus.u_plus, "D").value == 1
         assert topological_index(minus.u_plus, "D").value == -1
+
+    @pytest.mark.parametrize("top, edge", [(1e7, False), (1e8, True)])
+    def test_ill_conditioned_mass_matches_its_factors(self, top, edge):
+        # W = P diag(1, 3, 1e4, top) Q*: its unitaries are Q diag(c) P* to
+        # about eps s0/m0, at E = 0 and 1.5e-9 inside the gap's edge
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            P, Q = (np.linalg.qr(rng.standard_normal((4, 4))
+                                 + 1j * rng.standard_normal((4, 4)))[0] for _ in range(2))
+            s = np.array([1.0, 3.0, 1e4, top])
+            W = (P * s) @ Q.conj().T
+            E = 0.0
+            if edge:
+                # m0 as dirac_bulk computes it, which W's roundoff moves by ~1e-9
+                s[0] = np.linalg.svd(W)[1][-1]
+                E = s[0] - 1.5e-9
+            k = np.sqrt((s - E) * (s + E))
+            bulk = dirac_bulk(W, energy=E)
+            tol = 10.0 * np.finfo(float).eps * top
+            assert np.abs(bulk.u_plus.U - (Q * ((k + 1j * E) / s)) @ P.conj().T).max() <= tol
+            assert np.abs(bulk.u_minus.U - (Q * ((1j * E - k) / s)) @ P.conj().T).max() <= tol
 
     def test_singular_mass_rejected(self):
         with pytest.raises(GapClosed):
@@ -201,6 +253,42 @@ class TestSchrodingerBulk:
     def test_energy_in_spectrum_rejected(self):
         with pytest.raises(NotInGap):
             schrodinger_bulk(np.array([[0.0]]), energy=1.0)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.floats(0.01, 5.0))
+    @settings(max_examples=30, deadline=None)
+    def test_planes_hold_the_decaying_slopes(self, seed, m, depth):
+        # the decaying traces are (v, -kappa v) along each eigenvector v of V
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        mu, Vm = np.linalg.eigh(X + X.conj().T)
+        E = float(mu[0]) - depth
+        bulk = schrodinger_bulk(X + X.conj().T, energy=E)
+        kappa = np.sqrt(mu - E)
+        for plane, slope in ((bulk.plane_plus, -kappa), (bulk.plane_minus, kappa)):
+            want = np.linalg.qr(np.vstack([Vm, Vm * slope]))[0]
+            assert sla.subspace_angles(plane.frame.matrix, want).max() <= 1e-9
+
+
+class TestSegmentFlow:
+    @pytest.mark.parametrize(
+        "W, E, length, sign",
+        [
+            (gapped_mass(3, np.random.default_rng(3), floor=1.0), 0.4, 2.3, 1),
+            (gapped_mass(3, np.random.default_rng(4), floor=0.1), -1.2, -1.7, -1),
+            (np.diag([0.5, 2.0]), -0.5, 0.9, 0),
+        ],
+        ids=["gapped", "gapless", "kappa_zero"],
+    )
+    def test_matches_expm(self, W, E, length, sign):
+        # psi' = B psi with B = [[iE, -W], [-W*, -iE]], at most e^4 growth per sub-step
+        n = W.shape[0]
+        # every singular value above |E|, one below it, or one equal to it exactly
+        assert np.sign(np.linalg.svd(W)[1] - abs(E)).min() == sign
+        B = np.block([[1j * E * np.eye(n), -W], [-W.conj().T, -1j * E * np.eye(n)]])
+        nsub, P = _segment_flow(W, E, length)
+        assert nsub == max(1, int(np.ceil(abs(length) * np.linalg.norm(B, 2) / 4.0)))
+        want = sla.expm(B * (length / nsub))
+        assert np.abs(P - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestTightBindingModel:
