@@ -10,8 +10,9 @@ Subcommands:
 
 Data goes to stdout as CSV (or JSON with --json); diagnostics and
 metadata go to stderr. Exit status: 0 on success (including WARN
-verdicts), 2 when a check fails (membership, consistency, a FAIL
-verdict, or an AmbiguousKernel count), 3 on parse and usage errors.
+verdicts), 2 when a check fails (membership, including a class that
+does not fit a bulk, consistency, a FAIL verdict, or an AmbiguousKernel
+count), 3 on parse and usage errors.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from .linalg import TOL, Tolerances
 from .modelfile import (
     build_bulk,
     build_profile,
+    build_stack,
     build_tb,
     parse_model,
     parse_model_text,
@@ -86,7 +88,8 @@ class RunReport:
         return buf.getvalue()
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2) + "\n"
+        return json.dumps({"kind": self.kind, "columns": self.columns, "rows": self.rows,
+                           "meta": self.meta}, indent=2) + "\n"
 
 
 def _fmt(x) -> str:
@@ -216,6 +219,14 @@ def _parse_values(spec: str) -> list:
 
 
 def cmd_sweep(args, tol: Tolerances):
+    """Index and gap at each grid point of a one-parameter family.
+
+    Each grid point's text is parsed as its own model; the reference
+    point and the whole grid are then built as one stacked computation
+    (``build_stack``), and the rows follow the grid in order. So the
+    first point that fails decides the error, as if the points were
+    built one at a time, and a closed gap gives a GAP_CLOSED row.
+    """
     with open(args.model, encoding="utf-8") as fh:
         template = fh.read()
     holes = template.count("?")
@@ -228,32 +239,43 @@ def cmd_sweep(args, tol: Tolerances):
     if args.ref is not None and not math.isfinite(args.ref):
         raise ParseError(f"bad --ref {args.ref!r}: must be finite")
 
-    def bulk_at(v: float):
+    def parse_at(v: float):
         text = template.replace("?", repr(float(v)))
-        mf = parse_model_text(text, source=f"{args.model}[?={v:g}]")
-        return build_bulk(mf, tol, energy=args.energy)
+        return parse_model_text(text, source=f"{args.model}[?={v:g}]")
 
     ref_value = values[0] if args.ref is None else float(args.ref)
-    try:
-        ref_bulk = bulk_at(ref_value)
-    except (GapClosed, NotInGap) as exc:
-        raise ParseError(
-            f"reference point {ref_value:g} is not gapped: {exc}"
-        ) from None
-
-    rows = []
+    mfs = [parse_at(ref_value)]
+    # a point that does not parse ends the grid, but only once the rows before it are made
+    parse_error = None
     for v in values:
         try:
-            bulk = bulk_at(v)
-        except (GapClosed, NotInGap):
+            mfs.append(parse_at(v))
+        except ValueError as exc:
+            parse_error = exc
+            break
+    ref_bulk, *bulks = build_stack(mfs, tol, energy=args.energy)
+    if isinstance(ref_bulk, (GapClosed, NotInGap)):
+        raise ParseError(
+            f"reference point {ref_value:g} is not gapped: {ref_bulk}"
+        )
+    if isinstance(ref_bulk, Exception):
+        raise ref_bulk
+
+    rows = []
+    for v, bulk in zip(values, bulks):
+        if isinstance(bulk, (GapClosed, NotInGap)):
             rows.append([_fmt(v), "GAP_CLOSED", "", ""])
             continue
+        if isinstance(bulk, Exception):
+            raise bulk
         idx = topological_index(bulk.u_plus, label, tol)
         try:
             predicted = _fmt(predicted_zero_modes(ref_bulk, bulk, tol))
         except IncompatibleBoundary:
             predicted = "NA"
         rows.append([_fmt(v), _fmt(bulk.gap), str(idx), predicted])
+    if parse_error is not None:
+        raise parse_error
     meta = {"model": args.model, "class": label.value, "reference": ref_value}
     return RunReport("sweep", ["parameter", "gap", "index", "predicted"],
                      rows, meta), 0
@@ -432,8 +454,8 @@ def main(argv=None) -> int:
     except (ParseError, BadSpec, BadTemplate, OSError) as exc:
         print(f"tenfold1d: error: {exc}", file=sys.stderr)
         return 3
-    except AmbiguousKernel as exc:
-        print(f"tenfold1d: AmbiguousKernel: {exc}", file=sys.stderr)
+    except (AmbiguousKernel, NotInClass, BadParity) as exc:
+        print(f"tenfold1d: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"tenfold1d: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ computation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,14 @@ def _as_square(a, name="matrix"):
     return A
 
 
+@functools.lru_cache(maxsize=64)
+def _identity(n: int) -> np.ndarray:
+    """Read-only n x n identity, shared by the orthonormality and unitarity checks."""
+    I = np.eye(n)
+    I.flags.writeable = False
+    return I
+
+
 class Frame:
     """Matrix with orthonormal columns spanning a subspace.
 
@@ -94,7 +103,7 @@ class Frame:
                 f"frame has more columns than rows: {F.shape}"
             )
         if F.shape[1]:
-            defect = np.abs(F.conj().T @ F - np.eye(F.shape[1])).max()
+            defect = np.abs(F.conj().T @ F - _identity(F.shape[1])).max()
             if defect > tol.frame_tol:
                 raise ValueError(
                     f"columns are not orthonormal (defect {defect:.3e})"

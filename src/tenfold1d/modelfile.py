@@ -28,15 +28,17 @@ from .models import (
     BulkData,
     PiecewiseDiracProfile,
     TightBindingModel,
-    dirac_bulk,
-    schrodinger_bulk,
-    tb_bulk,
+    _only,
+    dirac_stack,
+    schrodinger_stack,
+    tb_stack,
 )
 
 __all__ = [
     "ModelFile",
     "parse_model",
     "parse_model_text",
+    "build_stack",
     "build_bulk",
     "build_tb",
     "build_profile",
@@ -45,6 +47,9 @@ __all__ = [
 _KINDS = ("dirac", "schrodinger", "tight_binding", "dirac_profile")
 _SCALAR_KEYS = ("energy",)
 _LIST_KEYS = ("breakpoints",)
+# the stacked builder of each bulk kind and the key of its matrix (chains have several)
+_STACKS = {"dirac": (dirac_stack, "W"), "schrodinger": (schrodinger_stack, "V"),
+           "tight_binding": (tb_stack, None)}
 
 
 def _entry_to_complex(entry, where: str) -> complex:
@@ -212,26 +217,47 @@ def parse_model(path: str) -> ModelFile:
     return parse_model_text(text, source=path)
 
 
+def build_stack(mfs, tol: Tolerances = TOL, energy: float | None = None) -> list:
+    """Boundary data for parsed models, one stacked computation per family.
+
+    Returns, in order, each model's BulkData or the exception that
+    ``build_bulk`` raises for it. ``energy`` overrides every file's
+    energy line.
+    """
+    override = None if energy is None else float(energy)
+    out = [None] * len(mfs)
+    points = {kind: [] for kind in _STACKS}
+    for i, mf in enumerate(mfs):
+        e = mf.energy if override is None else override
+        try:
+            if mf.kind == "dirac_profile":
+                raise ParseError("dirac_profile describes a junction, not a bulk; "
+                                 "use the junction or verify commands")
+            if mf.kind == "schrodinger" and e is None:
+                raise ParseError("schrodinger models need an energy")
+            key = _STACKS[mf.kind][1]
+            x = build_tb(mf, tol) if key is None else mf.matrices[key]
+        except ValueError as exc:
+            out[i] = exc
+            continue
+        points[mf.kind].append((i, x, 0.0 if e is None else e))
+    for kind, members in points.items():
+        if members:
+            idx, xs, es = zip(*members)
+            for i, result in zip(idx, _STACKS[kind][0](xs, es, tol)):
+                out[i] = result
+    return out
+
+
 def build_bulk(mf: ModelFile, tol: Tolerances = TOL,
                energy: float | None = None) -> BulkData:
     """Boundary data for a parsed model.
 
     ``energy`` overrides the file's energy line. Profiles have no
-    single bulk; callers handle kind dirac_profile themselves.
+    single bulk; callers handle kind dirac_profile themselves. This is
+    the one-model case of ``build_stack``.
     """
-    if mf.kind == "dirac_profile":
-        raise ParseError("dirac_profile describes a junction, not a bulk; "
-                         "use the junction or verify commands")
-    e = mf.energy if energy is None else float(energy)
-    if mf.kind == "dirac":
-        return dirac_bulk(mf.matrices["W"], tol=tol,
-                          energy=0.0 if e is None else e)
-    if mf.kind == "schrodinger":
-        if e is None:
-            raise ParseError("schrodinger models need an energy")
-        return schrodinger_bulk(mf.matrices["V"], e, tol=tol)
-    model = build_tb(mf, tol)
-    return tb_bulk(model, energy=0.0 if e is None else e, tol=tol)
+    return _only(build_stack([mf], tol, energy))
 
 
 def build_tb(mf: ModelFile, tol: Tolerances = TOL) -> TightBindingModel:

@@ -10,6 +10,12 @@ so that one bounded pencil gives both planes and the gap for any
 period. Each bulk ships with the unitaries of its planes on both sides
 in the canonical split, and a gap certificate.
 
+Each family has one stacked builder (``dirac_stack``,
+``schrodinger_stack``, ``tb_stack``) that takes many points, each at its
+own energy, and returns for each its bulk or the error it raises alone;
+points of one shape share the batched factorizations. The one-point
+builders are stacks of one.
+
 Piecewise-constant Dirac profiles extend the Dirac family: the plane
 that decays on a far side is carried across the steps to any point as
 its Leray unitary, on which each segment's closed-form flow acts as a
@@ -26,8 +32,15 @@ import math
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DimensionMismatch, GapClosed, NotInGap, NotInvertible, NotLagrangian
-from .linalg import TOL, Tolerances, _as_square, hermitian_eig
+from .errors import (
+    DimensionMismatch,
+    GapClosed,
+    NotHermitian,
+    NotInGap,
+    NotInvertible,
+    NotLagrangian,
+)
+from .linalg import TOL, Tolerances, _as_square, _identity
 from .symplectic import (
     LagrangianPlane,
     LerayUnitary,
@@ -40,10 +53,13 @@ from .symplectic import (
 __all__ = [
     "BulkData",
     "dirac_form",
+    "dirac_stack",
     "dirac_bulk",
+    "schrodinger_stack",
     "schrodinger_bulk",
     "TightBindingModel",
     "tb_form",
+    "tb_stack",
     "tb_bulk",
     "PiecewiseDiracProfile",
     "propagate_plane",
@@ -102,6 +118,30 @@ def _finish_bulk(form, split, u_plus, u_minus, gap, energy, tol) -> BulkData:
     return BulkData(form, split, u_plus, u_minus, gap, energy, tol)
 
 
+def _finish_each(out, idx, form, split, u_plus, u_minus, gaps, energies, tol) -> None:
+    """``_finish_bulk`` of points of one form; each bulk, or its error, goes to out[idx]."""
+    for i, up, um, gap, energy in zip(idx, u_plus, u_minus, gaps, energies):
+        try:
+            out[i] = _finish_bulk(form, split, up, um, gap, energy, tol)
+        except ValueError as exc:
+            out[i] = exc
+
+
+def _rows(live: list, *stacks):
+    """The stacks cut down to the points in live; unchanged when every point is."""
+    if len(live) == len(stacks[0]):
+        return stacks
+    return tuple(x[live] for x in stacks)
+
+
+def _only(results: list):
+    """The one result of a one-point stack, raised when it is an error."""
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 @functools.lru_cache(maxsize=64)
 def dirac_form(N: int) -> SymplecticForm:
     """Boundary form of an N-channel Dirac operator: J = blkdiag(iI, -iI).
@@ -127,6 +167,67 @@ def _finite_square(a, name: str) -> np.ndarray:
     return A
 
 
+def _stacks(points, energies, check, out) -> list:
+    """The points that pass their checks, stacked by shape.
+
+    ``check`` takes a point to an array and raises when the point is
+    malformed; a point with a non-finite energy or a failed check gets
+    its error in ``out``. Returns (indices, stack, energies) for each
+    shape in order of first appearance.
+    """
+    groups = {}
+    for i, (x, energy) in enumerate(zip(points, energies, strict=True)):
+        try:
+            _require_finite(energy)
+            x = check(x)
+        except ValueError as exc:
+            out[i] = exc
+            continue
+        groups.setdefault(x.shape, []).append((i, x, energy))
+    return [(idx, np.array(xs), np.array(es, dtype=float))
+            for idx, xs, es in (zip(*members) for members in groups.values())]
+
+
+def _ct(X: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return X.conj().swapaxes(-1, -2)
+
+
+def dirac_stack(Ws, energies, tol: Tolerances = TOL) -> list:
+    """Boundary data of constant Dirac operators, each at its own energy.
+
+    Returns one entry per point: its BulkData, or the exception that
+    ``dirac_bulk`` raises for it. The masses of one size share one
+    batched SVD.
+    """
+    out = [None] * len(Ws)
+    for idx, W, E in _stacks(Ws, energies, lambda W: _finite_square(W, "W"), out):
+        U, s, Vh = np.linalg.svd(W)
+        live, gaps = [], []
+        for j, (sv, e) in enumerate(zip(s.tolist(), E.tolist())):
+            top, m0 = sv[0], sv[-1]
+            gap = m0 - abs(e)
+            if m0 <= tol.rank_tol * max(1.0, top):
+                out[idx[j]] = GapClosed(f"smallest singular value of W is {m0:.3e}")
+            elif gap <= tol.rank_tol * max(1.0, m0):
+                out[idx[j]] = GapClosed(f"energy {e:g} is not inside the gap (m0 = {m0:.6g})")
+            else:
+                live.append(j)
+                gaps.append(gap)
+        if not live:
+            continue
+        U, s, Vh, E = _rows(live, U, s, Vh, E)
+        form = dirac_form(W.shape[-1])
+        split = canonical_split(form, tol)
+        # the gap gate leaves |E| < m0 <= s, so |r| < 1 and c is unimodular; kappa/s is 1 at E = 0
+        r = E[:, None, None] / s[:, None, :]
+        k, ir = np.sqrt((1.0 - r) * (1.0 + r)), 1j * r
+        V, Uh = _ct(Vh), _ct(U)
+        _finish_each(out, [idx[j] for j in live], form, split, (V * (k + ir)) @ Uh,
+                     (V * (ir - k)) @ Uh, gaps, E.tolist(), tol)
+    return out
+
+
 def dirac_bulk(W, tol: Tolerances = TOL, energy: float = 0.0) -> BulkData:
     """Boundary data of the constant Dirac operator with mass coupling W.
 
@@ -138,25 +239,10 @@ def dirac_bulk(W, tol: Tolerances = TOL, energy: float = 0.0) -> BulkData:
     (u, c v) that decay at the rate kappa to the right for the unimodular
     c = (kappa + iE)/s and to the left for c = (iE - kappa)/s. The Dirac
     split is the identity with unit blocks, so u_plus takes u to c v
-    with the first c and u_minus with the second.
+    with the first c and u_minus with the second. This is the one-point
+    case of ``dirac_stack``.
     """
-    _require_finite(energy)
-    W = _finite_square(W, "W")
-    U, s, Vh = np.linalg.svd(W)
-    m0 = float(s[-1])
-    if m0 <= tol.rank_tol * max(1.0, float(s[0])):
-        raise GapClosed(f"smallest singular value of W is {m0:.3e}")
-    gap = m0 - abs(energy)
-    if gap <= tol.rank_tol * max(1.0, m0):
-        raise GapClosed(f"energy {energy:g} is not inside the gap (m0 = {m0:.6g})")
-    form = dirac_form(W.shape[0])
-    split = canonical_split(form, tol)
-    # kappa/s is exactly 1 at E = 0; the clip keeps c unimodular if roundoff puts |E| past s
-    r = np.clip(energy / s, -1.0, 1.0)
-    k = np.sqrt((1.0 - r) * (1.0 + r))
-    V, Uh = Vh.conj().T, U.conj().T
-    return _finish_bulk(form, split, (V * (k + 1j * r)) @ Uh,
-                        (V * (1j * r - k)) @ Uh, gap, energy, tol)
+    return _only(dirac_stack([W], [energy], tol))
 
 
 @functools.lru_cache(maxsize=64)
@@ -171,6 +257,49 @@ def _schrodinger_form(M: int) -> SymplecticForm:
     return SymplecticForm(J)
 
 
+def schrodinger_stack(Vs, energies, tol: Tolerances = TOL) -> list:
+    """Boundary data of constant Schrodinger operators, each at its own energy.
+
+    Returns one entry per point: its BulkData, or the exception that
+    ``schrodinger_bulk`` raises for it. The potentials of one size share
+    one batched hermiticity check and one batched ``eigh``, gated as in
+    ``hermitian_eig``.
+    """
+    out = [None] * len(Vs)
+    for idx, V, E in _stacks(Vs, energies, lambda V: _finite_square(V, "V"), out):
+        M = V.shape[-1]
+        # hermitian_eig's gates: hermiticity, then orthonormal eigenvectors
+        skew = np.abs(V - _ct(V)).max(axis=(1, 2)).tolist()
+        mu, Vm = np.linalg.eigh(V)
+        loose = np.abs(_ct(Vm) @ Vm - _identity(M)).max(axis=(1, 2)).tolist()
+        live, gaps = [], []
+        for j, (d, f, ev, e) in enumerate(zip(skew, loose, mu.tolist(), E.tolist())):
+            gap = ev[0] - e
+            # the scale max(1, max|V|) is at least 1, so only a defect past frame_tol needs it
+            scale = max(1.0, float(np.abs(V[j]).max())) if d > tol.frame_tol else 1.0
+            if d > tol.frame_tol * scale:
+                out[idx[j]] = NotHermitian(f"hermiticity defect {d:.3e} at scale {scale:.3e}")
+            elif f > tol.frame_tol:
+                out[idx[j]] = ValueError(f"columns are not orthonormal (defect {f:.3e})")
+            elif gap <= tol.rank_tol * max(1.0, -ev[0], ev[-1], abs(e)):
+                out[idx[j]] = NotInGap(
+                    f"energy {e:g} is not below the spectrum bottom {ev[0]:.6g}")
+            else:
+                live.append(j)
+                gaps.append(gap)
+        if not live:
+            continue
+        mu, Vm, E = _rows(live, mu, Vm, E)
+        form = _schrodinger_form(M)
+        split = canonical_split(form, tol)
+        ikappa = 1j * np.sqrt(mu[:, None, :] - E[:, None, None])
+        z = (1.0 - ikappa) / (1.0 + ikappa)
+        Vmh = _ct(Vm)
+        _finish_each(out, [idx[j] for j in live], form, split, (Vm * z) @ Vmh,
+                     (Vm * z.conj()) @ Vmh, gaps, E.tolist(), tol)
+    return out
+
+
 def schrodinger_bulk(V, energy: float, tol: Tolerances = TOL) -> BulkData:
     """Boundary data of -d^2/dt^2 + V at an energy below the spectrum.
 
@@ -179,25 +308,10 @@ def schrodinger_bulk(V, energy: float, tol: Tolerances = TOL) -> BulkData:
     and ValueError for a non-finite V. Traces are (psi(0), psi'(0)) and
     the decaying solutions have slope -kappa = -sqrt(mu - E) along each
     eigenvector of V, on which, in the split Q = [[I, I], [iI, -iI]]/sqrt(2),
-    u_plus is (1 - i kappa)/(1 + i kappa) and u_minus its inverse.
+    u_plus is (1 - i kappa)/(1 + i kappa) and u_minus its inverse. This
+    is the one-point case of ``schrodinger_stack``.
     """
-    _require_finite(energy)
-    V = _finite_square(V, "V")
-    M = V.shape[0]
-    mu, vecs = hermitian_eig(V, tol)
-    scale = max(1.0, float(np.abs(mu).max()), abs(energy))
-    gap = float(mu[0]) - energy
-    if gap <= tol.rank_tol * scale:
-        raise NotInGap(
-            f"energy {energy:g} is not below the spectrum bottom {mu[0]:.6g}"
-        )
-    form = _schrodinger_form(M)
-    split = canonical_split(form, tol)
-    kappa = np.sqrt(mu - energy)
-    z = (1.0 - 1j * kappa) / (1.0 + 1j * kappa)
-    Vm = vecs.matrix
-    return _finish_bulk(form, split, (Vm * z) @ Vm.conj().T, (Vm * z.conj()) @ Vm.conj().T,
-                        gap, energy, tol)
+    return _only(schrodinger_stack([V], [energy], tol))
 
 
 class TightBindingModel:
@@ -246,14 +360,26 @@ class TightBindingModel:
         return f"TightBindingModel(period={self.period}, block_dim={self.block_dim})"
 
 
-def tb_form(model: TightBindingModel, tol: Tolerances = TOL) -> SymplecticForm:
-    """Boundary form on the trace (psi_0, psi_1): J = [[0, -a0], [a0*, 0]]."""
-    a0 = model.a[0]
-    N = model.block_dim
+@functools.lru_cache(maxsize=64)
+def _seam_form(shape: tuple, a0: bytes, tol: Tolerances) -> SymplecticForm:
+    """``tb_form`` of the seam bond with these shape and bytes, built once."""
+    A = np.frombuffer(a0, dtype=complex).reshape(shape)
+    N = shape[0]
     J = np.zeros((2 * N, 2 * N), dtype=complex)
-    J[:N, N:] = -a0
-    J[N:, :N] = a0.conj().T
+    J[:N, N:] = -A
+    J[N:, :N] = A.conj().T
     return SymplecticForm(J, tol)
+
+
+def tb_form(model: TightBindingModel, tol: Tolerances = TOL) -> SymplecticForm:
+    """Boundary form on the trace (psi_0, psi_1): J = [[0, -a0], [a0*, 0]].
+
+    Like ``dirac_form``, one read-only form per seam bond: models whose
+    a0 are equal entry for entry share it while it stays among the most
+    recently used.
+    """
+    a0 = model.a[0]
+    return _seam_form(a0.shape, a0.tobytes(), tol)
 
 
 @functools.lru_cache(maxsize=64)
@@ -265,18 +391,153 @@ def _cayley(N: int) -> np.ndarray:
 
 
 def _star(S1: np.ndarray, S2: np.ndarray, N: int) -> np.ndarray:
-    """Stacked Redheffer star products: S1 then S2, each [[t, r'], [r, t']].
+    """Redheffer star products, S1 then S2, over stacks of [[t, r'], [r, t']].
 
     One solve with I - r1' r2 serves all four blocks (push-through identity).
     """
-    t1, rp1, r1, tp1 = S1[:, :N, :N], S1[:, :N, N:], S1[:, N:, :N], S1[:, N:, N:]
-    t2, rp2, r2, tp2 = S2[:, :N, :N], S2[:, :N, N:], S2[:, N:, :N], S2[:, N:, N:]
-    Z = np.linalg.solve(np.eye(N) - rp1 @ r2, np.concatenate([t1, rp1 @ tp2], axis=2))
-    S = np.concatenate([t2 @ Z, tp1 @ r2 @ Z], axis=1)
-    S[:, :N, N:] += rp2
-    S[:, N:, :N] += r1
-    S[:, N:, N:] += tp1 @ tp2
+    t1, rp1, r1, tp1 = S1[..., :N, :N], S1[..., :N, N:], S1[..., N:, :N], S1[..., N:, N:]
+    t2, rp2, r2, tp2 = S2[..., :N, :N], S2[..., :N, N:], S2[..., N:, :N], S2[..., N:, N:]
+    Z = np.linalg.solve(np.eye(N) - rp1 @ r2, np.concatenate([t1, rp1 @ tp2], axis=-1))
+    S = np.concatenate([t2 @ Z, tp1 @ r2 @ Z], axis=-2)
+    S[..., :N, N:] += rp2
+    S[..., N:, :N] += r1
+    S[..., N:, N:] += tp1 @ tp2
     return S
+
+
+def _compose(T: np.ndarray, N: int) -> np.ndarray:
+    """Period scattering matrices of a (points, sites) stack of site transfers.
+
+    Potapov-Ginzburg: T takes (y+, y-) to (y+', y-'), S takes (y+, y-')
+    to (y+', y-); star products in a balanced tree over the sites then
+    compose each point's period.
+    """
+    S = np.empty_like(T)
+    S[..., N:, N:] = np.linalg.inv(T[..., N:, N:])
+    S[..., N:, :N] = -S[..., N:, N:] @ T[..., N:, :N]
+    S[..., :N, N:] = T[..., :N, N:] @ S[..., N:, N:]
+    S[..., :N, :N] = T[..., :N, :N] + T[..., :N, N:] @ S[..., N:, :N]
+    while S.shape[1] > 1:
+        q = S.shape[1]
+        S = np.concatenate([_star(S[:, :-1:2], S[:, 1::2], N), S[:, q - q % 2:]], axis=1)
+    return S[:, 0]
+
+
+def _composed(T: np.ndarray, E: np.ndarray, N: int) -> list:
+    """Each point's period scattering matrix, or GapClosed where its sites do not compose."""
+    try:
+        S = _compose(T, N)
+    except np.linalg.LinAlgError:
+        if len(T) > 1:
+            # one singular solve fails the whole stack; compose its points one by one
+            return [r for j in range(len(T)) for r in _composed(T[j:j + 1], E[j:j + 1], N)]
+        S = np.full_like(T[:, 0], np.nan)
+    return [S[j] if finite else
+            GapClosed(f"site scattering matrices do not compose at energy {E[j]:g}")
+            for j, finite in enumerate(np.isfinite(S).all(axis=(1, 2)).tolist())]
+
+
+_gges, _tgsen = sla.get_lapack_funcs(("gges", "tgsen"), (np.zeros((1, 1), dtype=complex),))
+
+
+def _unsorted(alpha, beta):
+    """gges's select callback; never called, since the QZ is reordered by tgsen."""
+
+
+def _reordered(select, qz: tuple, energy: float):
+    """alpha, beta and right Schur vectors of a QZ with the selected eigenvalues first."""
+    _, _, alpha, beta, _, z, *_, info = _tgsen(select, *qz, ijob=0)
+    if info:
+        raise GapClosed(f"reordering of the transfer pencil failed at energy {energy:g} "
+                        f"(tgsen info {info})")
+    return alpha, beta, z
+
+
+def _transfer_planes(S: np.ndarray, N: int, energy: float):
+    """Gap and the planes decaying to the right and to the left of one period.
+
+    With S = [[t, r'], [r, t']], the pencil [[t, 0], [r, -I]] - lambda
+    [[I, -r'], [0, -t']] has the transfer spectrum. One QZ (``gges``)
+    and two reorderings (``tgsen``) give its deflating subspaces inside
+    and outside the unit circle, as the first N right Schur vectors of
+    each; a nonzero LAPACK info raises GapClosed naming it.
+    """
+    A, B, E2 = S.copy(), -S, np.eye(2 * N)
+    A[:, N:], B[:, :N] = -E2[:, N:], E2[:, :N]
+    AA, BB, _, alpha, beta, Q, Z, _, info = _gges(_unsorted, A, B, sort_t=0)
+    if info:
+        raise GapClosed(f"QZ of the transfer pencil failed at energy {energy:g} (gges info {info})")
+    qz = (AA, BB, Q, Z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        modulus = np.abs(alpha / beta)
+        alpha, beta, z_plus = _reordered(modulus < 1.0, qz, energy)
+        gap = float(np.min(np.abs(np.abs(alpha) / np.abs(beta) - 1.0)))
+    stable = int(np.count_nonzero(np.abs(alpha) < np.abs(beta)))
+    # a defective band-edge pair splits by O(sqrt(eps)), so that close to the
+    # circle is on it; a NaN modulus fails the comparison and counts as closed
+    if not gap > 10.0 * np.sqrt(np.finfo(float).eps) or stable != N:
+        raise GapClosed(f"transfer spectrum within {gap:.3e} of the unit circle "
+                        f"({stable} of {2 * N} modes stable)")
+    z_minus = _reordered(modulus > 1.0, qz, energy)[2]
+    return gap, z_plus[:, :N], z_minus[:, :N]
+
+
+def tb_stack(models, energies, tol: Tolerances = TOL) -> list:
+    """Boundary data of periodic chains, each at its own energy.
+
+    Returns one entry per point: its BulkData, or the exception that
+    ``tb_bulk`` raises for it. Chains of one period and block size share
+    the bond checks, the site scattering matrices and the star-product
+    tree over a (points, sites) stack; each point then takes one QZ of
+    its period's pencil.
+    """
+    out = [None] * len(models)
+    for idx, ab, E in _stacks(models, energies, lambda m: np.array(m.a + m.b), out):
+        q, N = ab.shape[1] // 2, ab.shape[-1]
+        s = np.linalg.svd(ab[:, :q], compute_uv=False)
+        singular = s[..., -1] <= tol.rank_tol * np.maximum(1.0, s[..., 0])
+        live = []
+        for j, bad in enumerate(singular.any(axis=1).tolist()):
+            if bad:
+                out[idx[j]] = NotInvertible(
+                    f"bond block with sigma_min {s[j][singular[j]][0, -1]:.3e}")
+            else:
+                live.append(j)
+        if not live:
+            continue
+        ab, E = _rows(live, ab, E)
+        a, b = ab[:, :q], ab[:, q:]
+        K = _cayley(N)
+        Kh = K.conj().T
+        a_inv = np.linalg.inv(a)
+        # site n in the traces (u, w): [[0, a_{n-1}^-1], [-a_{n-1}*, (E - b_n) a_{n-1}^-1]]
+        T = np.zeros(a.shape[:2] + (2 * N, 2 * N), dtype=complex)
+        T[..., :N, N:] = a_inv
+        T[..., N:, :N] = -_ct(a)
+        T[..., N:, N:] = (E[:, None, None, None] * np.eye(N)
+                          - np.concatenate([b[:, 1:], b[:, :1]], axis=1)) @ a_inv
+        T = K @ T @ Kh
+        for row, (j, S) in enumerate(zip(live, _composed(T, E, N))):
+            i = idx[j]
+            if isinstance(S, Exception):
+                out[i] = S
+                continue
+            try:
+                gap, z_plus, z_minus = _transfer_planes(S, N, E[row])
+                form = tb_form(models[i], tol)
+                split = canonical_split(form, tol)
+                # from y to the canonical split of tb_form: psi_1 = a0^-1 w, then D^1/2 Q*
+                L = Kh.copy()
+                L[N:] = a_inv[row, 0] @ L[N:]
+                L = (np.sqrt(np.concatenate([split.a_plus, split.a_minus]))[:, None]
+                     * (split.Q.conj().T @ L))
+                # each plane is the graph {(y+, U y+)} there, so U solves U y+ = y-
+                u_plus, u_minus = (np.linalg.solve(Y[:N].T, Y[N:].T).T
+                                   for Y in (L @ z_plus, L @ z_minus))
+                out[i] = _finish_bulk(form, split, u_plus, u_minus, gap, E[row], tol)
+            except ValueError as exc:
+                out[i] = exc
+    return out
 
 
 def tb_bulk(model: TightBindingModel, energy: float = 0.0,
@@ -286,64 +547,16 @@ def tb_bulk(model: TightBindingModel, energy: float = 0.0,
     Site n maps the trace (psi_{n-1}, a_{n-1} psi_n) to (psi_n, a_n
     psi_{n+1}) and keeps its form -u*w + w*u, which ``_cayley`` makes
     diag(I, -I); so each site is a unitary scattering matrix, and star
-    products in a balanced tree compose any period without growth. With
-    the period's S = [[t, r'], [r, t']], the pencil [[t, 0], [r, -I]] -
-    lambda [[I, -r'], [0, -t']] has the transfer spectrum; its deflating
-    subspaces inside and outside the unit circle are the planes decaying
-    to the right and to the left, and the gap is min ||lambda| - 1|.
+    products in a balanced tree compose any period without growth. The
+    deflating subspaces of the period's pencil (``_transfer_planes``)
+    inside and outside the unit circle are the planes decaying to the
+    right and to the left, and the gap is min ||lambda| - 1|.
     NotInvertible is raised when a bond block is singular, GapClosed
-    when the sites do not compose, the gap is not above 10 sqrt(eps) or
-    not half the modes are stable, and NotInGap for a non-finite energy.
+    when the sites do not compose, the QZ fails, the gap is not above
+    10 sqrt(eps) or not half the modes are stable, and NotInGap for a
+    non-finite energy. This is the one-point case of ``tb_stack``.
     """
-    _require_finite(energy)
-    N = model.block_dim
-    a = np.array(model.a, dtype=complex)
-    s = np.linalg.svd(a, compute_uv=False)
-    singular = s[:, -1] <= tol.rank_tol * np.maximum(1.0, s[:, 0])
-    if singular.any():
-        raise NotInvertible(f"bond block with sigma_min {s[singular][0, -1]:.3e}")
-    form = tb_form(model, tol)
-    split = canonical_split(form, tol)
-    K = _cayley(N)
-    a_inv = np.linalg.inv(a)
-    # site n in the traces (u, w): [[0, a_{n-1}^-1], [-a_{n-1}*, (E - b_n) a_{n-1}^-1]]
-    T = np.zeros((model.period, 2 * N, 2 * N), dtype=complex)
-    T[:, :N, N:] = a_inv
-    T[:, N:, :N] = -a.conj().transpose(0, 2, 1)
-    T[:, N:, N:] = (energy * np.eye(N) - np.array(model.b[1:] + model.b[:1])) @ a_inv
-    T = K @ T @ K.conj().T
-    # Potapov-Ginzburg: T takes (y+, y-) to (y+', y-'), S takes (y+, y-') to (y+', y-)
-    S = np.empty_like(T)
-    try:
-        S[:, N:, N:] = np.linalg.inv(T[:, N:, N:])
-        S[:, N:, :N] = -S[:, N:, N:] @ T[:, N:, :N]
-        S[:, :N, N:] = T[:, :N, N:] @ S[:, N:, N:]
-        S[:, :N, :N] = T[:, :N, :N] + T[:, :N, N:] @ S[:, N:, :N]
-        while len(S) > 1:
-            S = np.concatenate([_star(S[:-1:2], S[1::2], N), S[len(S) - len(S) % 2:]])
-    except np.linalg.LinAlgError as exc:
-        raise GapClosed(f"site scattering matrices do not compose at energy {energy:g}") from exc
-    # the pencil [[t, 0], [r, -I]] - lambda [[I, -r'], [0, -t']]
-    A, B, E2 = S[0].copy(), -S[0], np.eye(2 * N)
-    A[:, N:], B[:, :N] = -E2[:, N:], E2[:, :N]
-    _, _, alpha, beta, _, z_plus = sla.ordqz(A, B, sort="iuc", output="complex")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gap = float(np.min(np.abs(np.abs(alpha) / np.abs(beta) - 1.0)))
-    stable = int(np.count_nonzero(np.abs(alpha) < np.abs(beta)))
-    # a defective band-edge pair splits by O(sqrt(eps)), so that close to the
-    # circle is on it; a NaN modulus fails the comparison and counts as closed
-    if not gap > 10.0 * np.sqrt(np.finfo(float).eps) or stable != N:
-        raise GapClosed(f"transfer spectrum within {gap:.3e} of the unit circle "
-                        f"({stable} of {2 * N} modes stable)")
-    z_minus = sla.ordqz(A, B, sort="ouc", output="complex")[5]
-    # from y to the canonical split of tb_form: psi_1 = a0^-1 w, then D^1/2 Q*
-    L = K.conj().T.copy()
-    L[N:] = a_inv[0] @ L[N:]
-    L = np.sqrt(np.concatenate([split.a_plus, split.a_minus]))[:, None] * (split.Q.conj().T @ L)
-    # each plane is the graph {(y+, U y+)} there, so U solves U y+ = y-
-    u_plus, u_minus = (np.linalg.solve(Y[:N].T, Y[N:].T).T
-                       for Y in (L @ z_plus[:, :N], L @ z_minus[:, :N]))
-    return _finish_bulk(form, split, u_plus, u_minus, gap, energy, tol)
+    return _only(tb_stack([model], [energy], tol))
 
 
 class PiecewiseDiracProfile:

@@ -27,7 +27,15 @@ from .errors import (
     Singular,
     SplitMismatch,
 )
-from .linalg import TOL, Frame, Tolerances, _as_square, hermitian_eig, orthonormalize
+from .linalg import (
+    TOL,
+    Frame,
+    Tolerances,
+    _as_square,
+    _identity,
+    hermitian_eig,
+    orthonormalize,
+)
 
 __all__ = [
     "SymplecticForm",
@@ -293,8 +301,9 @@ class LerayUnitary:
             raise DimensionMismatch(
                 f"U is {U.shape[0]}-dimensional, split block is {split.n}"
             )
-        defect = np.abs(U.conj().T @ U - np.eye(split.n)).max()
-        if defect > tol.frame_tol:
+        defect = np.abs(U.conj().T @ U - _identity(split.n)).max()
+        # a NaN defect fails the comparison, so a NaN entry is not unitary either
+        if not defect <= tol.frame_tol:
             raise NotUnitary(f"unitarity defect {defect:.3e}")
         U = U.copy()
         U.flags.writeable = False
@@ -354,6 +363,11 @@ def unitary_to_plane(U, split: CanonicalSplit | None = None, tol: Tolerances = T
     return LagrangianPlane(frame, split.form, tol)
 
 
+# LAPACK's eigenvalue routine without numpy's wrapper, whose checks cost a
+# few times the 1x1 to 4x4 solve itself; crossing_dim runs once per bulk
+_geev, = sla.get_lapack_funcs(("geev",), (np.zeros((1, 1), dtype=complex),))
+
+
 def crossing_dim(u_a, u_b, tol: Tolerances = TOL) -> int:
     """Dimension of the intersection of the planes behind two unitaries.
 
@@ -371,5 +385,12 @@ def crossing_dim(u_a, u_b, tol: Tolerances = TOL) -> int:
         raise SplitMismatch("unitaries refer to different canonical splits")
     if A.shape != B.shape:
         raise DimensionMismatch(f"shapes differ: {A.shape} vs {B.shape}")
-    lam = np.linalg.eigvals(A @ B.conj().T)
+    # a LerayUnitary is finite by construction; LAPACK must not see a bare NaN or inf
+    if split_a is None and not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise np.linalg.LinAlgError("unitaries must have finite entries")
+    if not A.size:
+        return 0
+    lam, _, _, info = _geev(A @ B.conj().T, compute_vl=0, compute_vr=0)
+    if info:
+        raise np.linalg.LinAlgError(f"eigenvalues of U_A U_B* not found (geev info {info})")
     return int(np.count_nonzero(np.abs(lam - 1.0) <= tol.eig_tol))

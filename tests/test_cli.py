@@ -1,10 +1,12 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
 from test_junction import CENSUS_BREAKPOINTS, CENSUS_MASSES
 
-from tenfold1d.cli import RunReport, main
+from tenfold1d import TOL
+from tenfold1d.cli import _COMMANDS, RunReport, _build_parser, main
 
 DIRAC_POS = "kind dirac\nW [[1.0]]\n"
 DIRAC_NEG = "kind dirac\nW [[-1.0]]\n"
@@ -35,6 +37,22 @@ class TestRunReport:
     def test_csv_layout(self):
         r = RunReport("demo", ["a", "b"], [["1", "x"], ["2", "y"]], {"k": 1})
         assert r.to_csv() == "a,b\n1,x\n2,y\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--model", "{pos}"],
+        ["junction", "--left", "{neg}", "--right", "{pos}", "--class", "D"],
+        ["sweep", "--model", "{family}", "--class", "D", "--values=-1:1:5"],
+        ["table"],
+        ["verify", "--profile", "{wall}", "--class", "D", "--length", "20",
+         "--step", "0.1", "--energy-window", "0.1"],
+    ], ids=lambda argv: argv[0])
+    def test_json_is_the_dataclass_dump(self, write, argv):
+        files = {"pos": write("p.tf", DIRAC_POS), "neg": write("n.tf", DIRAC_NEG),
+                 "family": write("f.tf", FAMILY), "wall": write("w.tf", WALL)}
+        args = _build_parser().parse_args([a.format(**files) for a in argv])
+        report, _ = _COMMANDS[args.command](args, TOL)
+        assert report.rows
+        assert report.to_json() == json.dumps(asdict(report), indent=2) + "\n"
 
 
 class TestClassify:
@@ -153,6 +171,14 @@ class TestJunction:
         assert out == ""
         assert err.startswith("tenfold1d: AmbiguousKernel: ") and err.count("\n") == 1
 
+    def test_class_needing_even_dimension_exits_2(self, write, capsys):
+        code = main(["junction", "--left", write("l.tf", DIRAC_NEG),
+                     "--right", write("r.tf", DIRAC_POS), "--class", "DIII"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "tenfold1d: BadParity: class DIII needs even dimension, got 1\n"
+
     def test_incompatible_seam_exits_3(self, write):
         code = main(["junction", "--left", write("l.tf", SSH_L),
                      "--right", write("r.tf", SSH_R), "--class", "BDI"])
@@ -213,6 +239,44 @@ class TestSweep:
                      "--values=1,2", "--energy=nan"]) == 3
         _, err = capsys.readouterr()
         assert "energy must be finite" in err and "LinAlgError" not in err
+
+
+    def test_energy_template(self, write, capsys):
+        # each point carries its own energy, so only the reference's own
+        # energy has a glued count; the band edge closes the last point
+        code = main(["sweep", "--model", write("e.tf", "kind dirac\nW [[1.0]]\nenergy ?\n"),
+                     "--class", "A", "--values=-0.5:1.0:7"])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert out == ("parameter,gap,index,predicted\n"
+                       "-0.5,0.5,0,0\n"
+                       "-0.25,0.75,0,NA\n"
+                       "0.0,1.0,0,NA\n"
+                       "0.25,0.75,0,NA\n"
+                       "0.5,0.5,0,NA\n"
+                       "0.75,0.25,0,NA\n"
+                       "1.0,GAP_CLOSED,,\n")
+        assert err.endswith("# class: A\n# reference: -0.5\n")
+
+    def test_first_failing_point_decides_the_error(self, write, capsys):
+        # the second point has a singular bond and the third does not parse
+        # ('--1.0'); the grid is built at once, but the second point fails first
+        tmpl = "kind tight_binding\na0 [[1.0]]\na1 [[-?]]\nb0 [[0.0]]\nb1 [[0.0]]\n"
+        code = main(["sweep", "--model", write("t.tf", tmpl), "--class", "BDI",
+                     "--values=0.5,0,-1"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err == "tenfold1d: NotInvertible: bond block with sigma_min 0.000e+00\n"
+
+    def test_point_outside_the_class_exits_2(self, write, capsys):
+        # a nonzero energy breaks particle-hole symmetry, so class D fails
+        code = main(["sweep", "--model", write("e.tf", "kind dirac\nW [[1.0]]\nenergy ?\n"),
+                     "--class", "D", "--values=0,0.5"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "tenfold1d: NotInClass: matrix fails the D membership test\n"
 
 
 class TestTable:

@@ -10,6 +10,7 @@ from tenfold1d import (
     LagrangianPlane,
     PiecewiseDiracProfile,
     TightBindingModel,
+    Tolerances,
     canonical_split,
     crossing_dim,
     dirac_bulk,
@@ -27,7 +28,18 @@ from tenfold1d.errors import (
     NotInGap,
     NotInvertible,
 )
-from tenfold1d.models import _schrodinger_form, _segment_flow, tb_form
+from tenfold1d import models
+from tenfold1d.modelfile import ModelFile, build_bulk, build_stack
+from tenfold1d.models import (
+    BulkData,
+    _composed,
+    _schrodinger_form,
+    _segment_flow,
+    dirac_stack,
+    schrodinger_stack,
+    tb_form,
+    tb_stack,
+)
 from tenfold1d.symplectic import is_lagrangian
 
 
@@ -90,9 +102,15 @@ class TestSharedForms:
     def test_equal_seam_bonds_share_one_split(self):
         other = TightBindingModel([np.array([[1.0]]), np.array([[3.0]])],
                                   [np.zeros((1, 1)), np.ones((1, 1))])
-        assert tb_form(SSH) is not tb_form(other)
+        assert tb_form(SSH) is tb_form(other)
+        assert not tb_form(SSH).J.flags.writeable
         assert canonical_split(tb_form(SSH)) is canonical_split(tb_form(other))
         assert tb_bulk(SSH).split is tb_bulk(other).split
+        # one bit of a0 apart is another form
+        nudged = TightBindingModel([np.array([[np.nextafter(1.0, 2.0)]]), np.array([[3.0]])],
+                                   [np.zeros((1, 1)), np.ones((1, 1))])
+        assert tb_form(nudged) is not tb_form(SSH)
+        assert tb_form(SSH, Tolerances(frame_tol=1e-11)) is not tb_form(SSH)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_closed_forms_rest_on_these_splits(self, n):
@@ -352,6 +370,18 @@ class TestTightBindingModel:
         assert topological_index(bulk.u_plus, "BDI").value == 1
         assert topological_index(bulk.u_minus, "BDI").value == 0
 
+    @pytest.mark.parametrize("routine, info", [("gges", 2), ("tgsen", 1)])
+    def test_failed_qz_is_a_closed_gap(self, monkeypatch, routine, info):
+        # LAPACK reports a failed QZ or reordering in its last output, info
+        real = getattr(models, f"_{routine}")
+
+        def failing(*args, **kwargs):
+            return (*real(*args, **kwargs)[:-1], info)
+
+        monkeypatch.setattr(models, f"_{routine}", failing)
+        with pytest.raises(GapClosed, match=f"{routine} info {info}"):
+            tb_bulk(SSH)
+
     def test_form_uses_trace_bond(self):
         m = TightBindingModel(
             [np.array([[2.0]]), np.array([[1.0]])],
@@ -529,3 +559,93 @@ class TestPiecewiseProfile:
                 plane = propagate_plane(p, 0.1, side, t=t)
                 defect, ok = is_lagrangian(plane.frame, form)
                 assert ok, (side, t, defect)
+
+
+def _dirac_point(rng, draw):
+    N, case = draw(st.integers(1, 3)), draw(st.sampled_from(["gapped", "outside", "singular"]))
+    P, Q = (np.linalg.qr(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)))[0]
+            for _ in range(2))
+    s = rng.uniform(0.5, 2.0, N)
+    if case == "singular":
+        s[-1] = 0.0
+    energy = s.min() * (rng.uniform(1.0, 1.5) if case == "outside" else rng.uniform(-0.9, 0.9))
+    return ModelFile("dirac", float(energy), {"W": (P * s) @ Q.conj().T}, {})
+
+
+def _schrodinger_point(rng, draw):
+    M, case = draw(st.integers(1, 3)), draw(st.sampled_from(["gapped", "inside", "skew"]))
+    X = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))
+    V = X + X.conj().T
+    bottom = float(np.linalg.eigvalsh(V)[0])
+    if case == "skew":
+        V = V + 1e-3 * X
+    energy = bottom + (rng.uniform(0.0, 1.0) if case == "inside" else -rng.uniform(0.01, 2.0))
+    return ModelFile("schrodinger", energy, {"V": V}, {})
+
+
+def _chain_point(rng, draw):
+    q, N = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    case = draw(st.sampled_from(["gapped", "band", "singular", "not_finite"]))
+    a, b = [], []
+    for _ in range(q):
+        X = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+        P, _, Qh = np.linalg.svd(X)
+        a.append(P @ np.diag(rng.uniform(0.6, 1.6, N)) @ Qh)
+        G = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+        b.append(0.4 * (G + G.conj().T))
+    if case == "singular":
+        a[int(rng.integers(q))] = np.zeros((N, N))
+    model = TightBindingModel(a, b)
+    energy = {"gapped": float(rng.choice([-1.0, 1.0])) * (bloch_bands(model, 0.0).max() + 6.0),
+              "band": float(rng.choice(bloch_bands(model, float(rng.uniform(0.0, np.pi))))),
+              "singular": float(rng.normal()), "not_finite": np.nan}[case]
+    matrices = {f"a{n}": x for n, x in enumerate(a)}
+    matrices.update({f"b{n}": x for n, x in enumerate(b)})
+    return ModelFile("tight_binding", energy, matrices, {})
+
+
+class TestStacks:
+    """A stack of points, grouped by family and shape, gives each point the
+    result its own one-point call gives."""
+
+    @given(st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_each_point_as_if_alone(self, seed, data):
+        rng = np.random.default_rng(seed)
+        makers = data.draw(st.lists(st.sampled_from([_dirac_point, _schrodinger_point,
+                                                      _chain_point]), min_size=1, max_size=6))
+        # repeat some points, so that each stack also holds equal shapes
+        points = [make(rng, data.draw) for make in makers]
+        points += data.draw(st.lists(st.sampled_from(points), max_size=6 - len(points)))
+        stacked = build_stack(points)
+        for mf, got in zip(points, stacked):
+            try:
+                want = build_bulk(mf)
+            except ValueError as exc:
+                assert type(got) is type(exc) and str(got) == str(exc)
+                continue
+            assert isinstance(got, BulkData)
+            assert got.u_plus.U.tobytes() == want.u_plus.U.tobytes()
+            assert got.u_minus.U.tobytes() == want.u_minus.U.tobytes()
+            assert got.gap == want.gap and got.energy == want.energy
+
+    def test_a_point_that_does_not_compose_fails_alone(self):
+        # a singular block of one point fails the stacked inverse; the other
+        # points are composed one by one, as their own stacks
+        rng = np.random.default_rng(7)
+        T = rng.normal(size=(3, 4, 2, 2)) + 1j * rng.normal(size=(3, 4, 2, 2))
+        T[1, 2, 1:, 1:] = 0.0
+        E = np.array([0.1, 0.2, 0.3])
+        got = _composed(T, E, 1)
+        assert isinstance(got[1], GapClosed)
+        assert str(got[1]) == "site scattering matrices do not compose at energy 0.2"
+        for j in (0, 2):
+            assert np.array_equal(got[j], _composed(T[j:j + 1], E[j:j + 1], 1)[0])
+
+    def test_one_point_builders_are_stacks_of_one(self):
+        W = np.array([[0.3, 1.0], [-0.5, 0.8]])
+        assert np.array_equal(dirac_stack([W], [0.1])[0].u_plus.U,
+                              dirac_bulk(W, energy=0.1).u_plus.U)
+        V = np.array([[2.0, 0.5], [0.5, 1.0]])
+        assert schrodinger_stack([V], [0.0])[0].gap == schrodinger_bulk(V, 0.0).gap
+        assert tb_stack([SSH, SSH], [0.0, 0.5])[1].gap == tb_bulk(SSH, 0.5).gap

@@ -240,6 +240,11 @@ class TestLerayUnitary:
         with pytest.raises(DimensionMismatch):
             LerayUnitary(np.eye(3), split)
 
+    def test_rejects_nan(self, rng):
+        split = canonical_split(random_form(1, rng))
+        with pytest.raises(NotUnitary):
+            LerayUnitary(np.array([[np.nan]]), split)
+
     def test_read_only(self, rng):
         split = canonical_split(random_form(1, rng))
         u = LerayUnitary(np.array([[1j]]), split)
@@ -360,3 +365,12 @@ class TestCrossingDim:
     def test_shape_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
             crossing_dim(random_unitary(2, rng), random_unitary(3, rng))
+
+    def test_non_finite_bare_matrix_raises(self, rng):
+        U = random_unitary(2, rng)
+        U[0, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            crossing_dim(U, random_unitary(2, rng))
+
+    def test_empty_space_has_no_crossing(self):
+        assert crossing_dim(np.zeros((0, 0)), np.zeros((0, 0))) == 0
