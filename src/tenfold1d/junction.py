@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AmbiguousKernel, IncompatibleBoundary, KindMismatch
-from .linalg import TOL, Tolerances, subspace_intersection_dim
-from .symplectic import crossing_dim, unitary_to_plane
+from .linalg import TOL, Tolerances
+from .symplectic import _crossing_spectrum, crossing_dim
 from .index import IndexValue, topological_index
 from .models import BulkData, PiecewiseDiracProfile, _transport, dirac_bulk
 from .symmetry import CartanClass
@@ -112,9 +112,9 @@ def continuous_junction_report(profile: PiecewiseDiracProfile, energy: float,
     largest departure from unitarity before projection.
 
     The crossing count is checked against the principal-angle count of
-    the same intersection, an independent route. Raises AmbiguousKernel
-    when the two disagree: the transported planes are then too
-    inaccurate to tell how many modes there are.
+    the same planes; both are read off the eigenvalues of U_+ U_-*.
+    Raises AmbiguousKernel when the two disagree: the transported planes
+    are then too inaccurate to tell how many modes there are.
     """
     label = CartanClass.coerce(label)
     left_bulk = dirac_bulk(profile.masses[0], tol, energy)
@@ -124,9 +124,10 @@ def continuous_junction_report(profile: PiecewiseDiracProfile, energy: float,
     u_plus, defect_plus = _transport(right_bulk.u_plus, profile, energy, "+", t, tol)
     u_minus, defect_minus = _transport(left_bulk.u_minus, profile, energy, "-", t, tol)
 
-    predicted = crossing_dim(u_plus, u_minus, tol)
-    angles = subspace_intersection_dim(unitary_to_plane(u_plus, tol=tol).frame,
-                                       unitary_to_plane(u_minus, tol=tol).frame, tol)
+    # the Dirac split has unit blocks: frames are [I; U]/sqrt(2), angle cosines |1 + lambda|/2
+    lam = _crossing_spectrum(u_plus, u_minus, tol)
+    predicted = int((abs(lam - 1.0) <= tol.eig_tol).sum())
+    angles = int((abs(0.5 * abs(1.0 + lam) - 1.0) <= tol.eig_tol).sum())
     if predicted != angles:
         raise AmbiguousKernel(
             f"crossing count {predicted} and principal-angle count {angles} "

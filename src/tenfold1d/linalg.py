@@ -104,7 +104,7 @@ class Frame:
             )
         if F.shape[1]:
             defect = np.abs(F.conj().T @ F - _identity(F.shape[1])).max()
-            if defect > tol.frame_tol:
+            if not defect <= tol.frame_tol:
                 raise ValueError(
                     f"columns are not orthonormal (defect {defect:.3e})"
                 )
@@ -147,7 +147,7 @@ def hermitian_eig(A, tol: Tolerances = TOL):
     A = _as_square(A, "A")
     scale = max(1.0, np.abs(A).max()) if A.size else 1.0
     defect = np.abs(A - A.conj().T).max() if A.size else 0.0
-    if defect > tol.frame_tol * scale:
+    if not defect <= tol.frame_tol * scale:
         raise NotHermitian(f"hermiticity defect {defect:.3e} at scale {scale:.3e}")
     evals, vecs = np.linalg.eigh(A)
     return evals, Frame(vecs, tol)
@@ -180,8 +180,6 @@ def subspace_intersection_dim(f1: Frame, f2: Frame, tol: Tolerances = TOL) -> in
         raise DimensionMismatch(
             f"ambient dimensions differ: {f1.dim} vs {f2.dim}"
         )
-    if f1.rank == 0 or f2.rank == 0:
-        return 0
     s = np.linalg.svd(f1.matrix.conj().T @ f2.matrix, compute_uv=False)
     return int(np.count_nonzero(np.abs(s - 1.0) <= tol.eig_tol))
 
@@ -200,9 +198,9 @@ def pfaffian(A, tol: Tolerances = TOL) -> float:
     if n == 0:
         return 1.0
     scale = max(1.0, np.abs(A).max())
-    if np.abs(A.imag).max() > tol.frame_tol * scale:
+    if not np.abs(A.imag).max() <= tol.frame_tol * scale:
         raise NotAntisymmetric("matrix has a non-negligible imaginary part")
-    if np.abs(A + A.T).max() > tol.frame_tol * scale:
+    if not np.abs(A + A.T).max() <= tol.frame_tol * scale:
         raise NotAntisymmetric("matrix is not antisymmetric")
 
     B = np.array(A.real, dtype=float)

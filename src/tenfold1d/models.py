@@ -662,7 +662,7 @@ def _transport(far: LerayUnitary, profile: PiecewiseDiracProfile, energy: float,
         for _ in range(nsub):
             V = np.linalg.solve((P11 + P12 @ U).T, (P21 + P22 @ U).T).T
             step_defect = float(np.abs(V.conj().T @ V - np.eye(N)).max())
-            if step_defect > tol.frame_tol:
+            if not step_defect <= tol.frame_tol:
                 raise NotLagrangian(f"transported graph map has unitarity defect {step_defect:.3e}")
             defect = max(defect, step_defect)
             W, _, Vh = np.linalg.svd(V)

@@ -132,9 +132,9 @@ class AntiUnitary:
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign!r}")
         n = V.shape[0]
-        if np.abs(V.conj().T @ V - np.eye(n)).max() > tol.frame_tol:
+        if not np.abs(V.conj().T @ V - np.eye(n)).max() <= tol.frame_tol:
             raise NotUnitary("V is not unitary")
-        if np.abs(V @ np.conj(V) - sign * np.eye(n)).max() > tol.frame_tol:
+        if not np.abs(V @ np.conj(V) - sign * np.eye(n)).max() <= tol.frame_tol:
             raise ValueError(f"V conj(V) is not {sign:+d} times identity")
         V = V.copy()
         V.flags.writeable = False
@@ -168,9 +168,9 @@ class SymmetrySet:
         if S is not None:
             S = _as_square(S, "S")
             n = S.shape[0]
-            if np.abs(S.conj().T @ S - np.eye(n)).max() > tol.frame_tol:
+            if not np.abs(S.conj().T @ S - np.eye(n)).max() <= tol.frame_tol:
                 raise NotUnitary("S is not unitary")
-            if np.abs(S @ S - np.eye(n)).max() > tol.frame_tol:
+            if not np.abs(S @ S - np.eye(n)).max() <= tol.frame_tol:
                 raise ValueError("S must square to the identity")
             S = S.copy()
             S.flags.writeable = False
@@ -432,18 +432,12 @@ def random_member(label, N: int, rng=None, index=None) -> np.ndarray:
             return (V * signs[None, :]) @ V.conj().T
         O = random_orthogonal(N, rng)
         return (O * signs[None, :]) @ O.T
-    if label == CartanClass.D:
+    if label in (CartanClass.D, CartanClass.DIII):
         s = int(rng.choice([1, -1])) if index is None else int(index)
         O = random_orthogonal(N, rng)
         if int(round(np.linalg.det(O))) != s:
             O[:, 0] = -O[:, 0]
-        return O
-    if label == CartanClass.DIII:
-        s = int(rng.choice([1, -1])) if index is None else int(index)
-        O = random_orthogonal(N, rng)
-        if int(round(np.linalg.det(O))) != s:
-            O[:, 0] = -O[:, 0]
-        return O @ _sigma_pairs(N // 2) @ O.T
+        return O if label == CartanClass.D else O @ _sigma_pairs(N // 2) @ O.T
     # CII: conjugated projector difference built on symplectic frame columns
     half = N // 2
     m = (int(rng.integers(0, half + 1)) if index is None else int(index) // 2)

@@ -358,9 +358,7 @@ def unitary_to_plane(U, split: CanonicalSplit | None = None, tol: Tolerances = T
         U = LerayUnitary(U, split, tol)
     split, M, n = U.split, U.U, U.n
     G = (M * np.sqrt(split.a_plus)[None, :]) / np.sqrt(split.a_minus)[:, None]
-    X = split.Q @ np.vstack([np.eye(n), G])
-    frame = orthonormalize(X, tol)
-    return LagrangianPlane(frame, split.form, tol)
+    return LagrangianPlane(split.Q @ np.vstack([np.eye(n), G]), split.form, tol)
 
 
 # LAPACK's eigenvalue routine without numpy's wrapper, whose checks cost a
@@ -375,6 +373,11 @@ def crossing_dim(u_a, u_b, tol: Tolerances = TOL) -> int:
     arguments must refer to the same canonical split (or both be plain
     matrices of equal size).
     """
+    return int(np.count_nonzero(np.abs(_crossing_spectrum(u_a, u_b, tol) - 1.0) <= tol.eig_tol))
+
+
+def _crossing_spectrum(u_a, u_b, tol: Tolerances) -> np.ndarray:
+    """Eigenvalues of U_A U_B*, after ``crossing_dim``'s checks on its arguments."""
     split_a = u_a.split if isinstance(u_a, LerayUnitary) else None
     split_b = u_b.split if isinstance(u_b, LerayUnitary) else None
     A = u_a.U if isinstance(u_a, LerayUnitary) else _as_square(u_a, "u_a")
@@ -389,8 +392,8 @@ def crossing_dim(u_a, u_b, tol: Tolerances = TOL) -> int:
     if split_a is None and not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise np.linalg.LinAlgError("unitaries must have finite entries")
     if not A.size:
-        return 0
+        return np.zeros(0, dtype=complex)
     lam, _, _, info = _geev(A @ B.conj().T, compute_vl=0, compute_vr=0)
     if info:
         raise np.linalg.LinAlgError(f"eigenvalues of U_A U_B* not found (geev info {info})")
-    return int(np.count_nonzero(np.abs(lam - 1.0) <= tol.eig_tol))
+    return lam

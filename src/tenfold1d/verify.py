@@ -443,7 +443,7 @@ def _window_pairs(full: np.ndarray, lo: float, hi: float, below: tuple[int, int]
 
 
 def _require_hermitian(defect: float, scale: float, tol: Tolerances) -> None:
-    if defect > tol.frame_tol * scale:
+    if not defect <= tol.frame_tol * scale:
         raise NotHermitian(f"junction matrix has hermiticity defect {defect:.3e} "
                            f"at scale {scale:.3e}")
 

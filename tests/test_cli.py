@@ -5,7 +5,7 @@ import pytest
 
 from test_junction import CENSUS_BREAKPOINTS, CENSUS_MASSES
 
-from tenfold1d import TOL
+from tenfold1d import TOL, LagrangianPlane
 from tenfold1d.cli import _COMMANDS, RunReport, _build_parser, main
 
 DIRAC_POS = "kind dirac\nW [[1.0]]\n"
@@ -53,6 +53,35 @@ class TestRunReport:
         report, _ = _COMMANDS[args.command](args, TOL)
         assert report.rows
         assert report.to_json() == json.dumps(asdict(report), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--model", "{pos}"],
+    ["junction", "--left", "{neg}", "--right", "{pos}", "--class", "D"],
+    ["junction", "--profile", "{wall}", "--class", "D"],
+    ["sweep", "--model", "{family}", "--class", "D", "--values=-1:1:5"],
+    ["table"],
+    ["verify", "--profile", "{wall}", "--class", "D", "--length", "20",
+     "--step", "0.1", "--energy-window", "0.1"],
+    ["verify", "--left", "{ssh_l}", "--right", "{ssh_r}", "--class", "BDI",
+     "--cells", "60", "--energy-window", "1e-3"],
+], ids=["classify", "junction-pair", "junction-profile", "sweep", "table",
+        "verify-profile", "verify-pair"])
+def test_no_command_builds_a_plane(write, monkeypatch, capsys, argv):
+    # every command decides on Leray unitaries alone; planes are built
+    # only when a library caller asks for one
+    built = []
+
+    def refuse(self, *args, **kwargs):
+        built.append(argv[0])
+        raise AssertionError("a command built a LagrangianPlane")
+
+    monkeypatch.setattr(LagrangianPlane, "__init__", refuse)
+    files = {"pos": write("p.tf", DIRAC_POS), "neg": write("n.tf", DIRAC_NEG),
+             "family": write("f.tf", FAMILY), "wall": write("w.tf", WALL),
+             "ssh_l": write("l.tf", SSH_L), "ssh_r": write("r.tf", SSH_R)}
+    assert main([a.format(**files) for a in argv]) == 0
+    assert built == []
 
 
 class TestClassify:

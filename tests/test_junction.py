@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 from test_models import gapped_mass
 
 from tenfold1d import (
+    TOL,
     PiecewiseDiracProfile,
     TightBindingModel,
     continuous_junction_report,
+    crossing_dim,
     dirac_bulk,
     hard_junction,
     predicted_zero_modes,
@@ -16,8 +18,11 @@ from tenfold1d import (
     subspace_intersection_dim,
     tb_bulk,
     topological_index,
+    unitary_to_plane,
 )
 from tenfold1d.errors import AmbiguousKernel, GapClosed, IncompatibleBoundary, NotInClass
+from tenfold1d.models import _transport
+from tenfold1d.symmetry import random_unitary
 
 # a stiff three-channel staircase (perfbench transport census, seed 2):
 # masses P D_j Q^T with P != Q real orthogonal, exact kernel 2, and a
@@ -184,6 +189,33 @@ class TestContinuousReport:
         assert r.predicted >= r.bound
         assert r.transport_consistent
         assert max(r.defect_plus, r.defect_minus) <= 1e-9
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_counts_match_the_plane_route(self, seed, n, steps):
+        # complex masses P D_j Q* with sign flips in D_j carry zero modes at
+        # E = 0, and long interior segments make some cuts ambiguous; the
+        # reference counts principal angles between the frames of the two
+        # transported planes
+        rng = np.random.default_rng(seed)
+        P, Q = random_unitary(n, rng), random_unitary(n, rng)
+        masses = [P @ np.diag(rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)) @ Q.conj().T
+                  for _ in range(steps + 1)]
+        energy = float(rng.choice([0.0, rng.uniform(-0.45, 0.45)]))
+        bps = list(-3.0 + np.cumsum(rng.uniform(0.05, 10.0, steps)))
+        p = PiecewiseDiracProfile(masses, bps)
+        t = min(max(0.0, bps[0]), bps[-1])
+        u_plus = _transport(dirac_bulk(masses[-1], energy=energy).u_plus, p, energy, "+", t, TOL)[0]
+        u_minus = _transport(dirac_bulk(masses[0], energy=energy).u_minus, p, energy, "-", t, TOL)[0]
+        crossing = crossing_dim(u_plus, u_minus)
+        angles = subspace_intersection_dim(unitary_to_plane(u_plus).frame,
+                                           unitary_to_plane(u_minus).frame)
+        if crossing != angles:
+            with pytest.raises(AmbiguousKernel, match=f"crossing count {crossing} and "
+                                                      f"principal-angle count {angles}"):
+                continuous_junction_report(p, energy, "A")
+        else:
+            assert continuous_junction_report(p, energy, "A").predicted == crossing
 
     def test_disagreeing_counts_raise(self):
         p = PiecewiseDiracProfile([np.array(W) for W in CENSUS_MASSES], CENSUS_BREAKPOINTS)

@@ -15,11 +15,12 @@ from tenfold1d.errors import (
     DimensionMismatch,
     NotAntisymmetric,
     NotHermitian,
+    NotUnitary,
     OddDimension,
     ZeroRank,
 )
 from tenfold1d.linalg import Frame, hermitian_eig, orthonormalize
-from tenfold1d.symmetry import random_orthogonal, random_unitary
+from tenfold1d.symmetry import AntiUnitary, SymmetrySet, random_orthogonal, random_unitary
 
 
 class TestTolerances:
@@ -202,3 +203,17 @@ class TestPrincipalLogTrace:
         if np.abs(lam + 1).min() > 1e-6:
             val = principal_log_trace(O)
             assert np.exp(0.5 * val) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Frame([[np.nan]]), ValueError, "not orthonormal"),
+    (lambda: hermitian_eig([[np.nan, 0.0], [0.0, 1.0]]), NotHermitian, "hermiticity defect"),
+    (lambda: pfaffian([[0.0, np.nan], [-np.nan, 0.0]]), NotAntisymmetric, "not antisymmetric"),
+    (lambda: AntiUnitary([[np.nan]], 1), NotUnitary, "V is not unitary"),
+    (lambda: SymmetrySet(S=[[np.nan]]), NotUnitary, "S is not unitary"),
+], ids=["Frame", "hermitian_eig", "pfaffian", "AntiUnitary", "SymmetrySet"])
+def test_nan_input_fails_the_check(build, error, message):
+    # a NaN defect compares False against any limit, so each check must be
+    # written to fail unless the defect is within it
+    with pytest.raises(error, match=message):
+        build()
