@@ -89,7 +89,9 @@ def topological_index(U, label, tol: Tolerances = TOL) -> IndexValue:
 
     Raises NotInClass when the membership test fails, and
     AmbiguousKernel when a kernel eigenvalue falls inside the guard
-    band where counting would depend on the tolerance.
+    band where counting would depend on the tolerance. As in
+    ``membership``, unitarity and finite entries are the caller's
+    responsibility.
     """
     label = CartanClass.coerce(label)
     M = _unpack_unitary(U)

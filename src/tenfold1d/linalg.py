@@ -79,6 +79,19 @@ def _as_square(a, name="matrix"):
     return A
 
 
+def _finite_matrix(a, name="matrix"):
+    """2-d complex matrix with finite entries; ValueError naming it otherwise."""
+    A = _as_matrix(a, name)
+    if not np.isfinite(A).all():
+        raise ValueError(f"{name} must have finite entries")
+    return A
+
+
+def _finite_square(a, name="matrix"):
+    """Square complex matrix with finite entries; ValueError naming it otherwise."""
+    return _finite_matrix(_as_square(a, name), name)
+
+
 @functools.lru_cache(maxsize=64)
 def _identity(n: int) -> np.ndarray:
     """Read-only n x n identity, shared by the orthonormality and unitarity checks."""
@@ -97,7 +110,7 @@ class Frame:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix, tol: Tolerances = TOL):
-        F = _as_matrix(matrix, "frame")
+        F = _finite_matrix(matrix, "frame")
         if F.shape[1] > F.shape[0]:
             raise DimensionMismatch(
                 f"frame has more columns than rows: {F.shape}"
@@ -144,7 +157,7 @@ def hermitian_eig(A, tol: Tolerances = TOL):
     evecs : Frame
         Matching orthonormal eigenvectors.
     """
-    A = _as_square(A, "A")
+    A = _finite_square(A, "A")
     scale = max(1.0, np.abs(A).max()) if A.size else 1.0
     defect = np.abs(A - A.conj().T).max() if A.size else 0.0
     if not defect <= tol.frame_tol * scale:
@@ -159,7 +172,7 @@ def orthonormalize(vectors, tol: Tolerances = TOL) -> Frame:
     Singular values below ``tol.rank_tol`` times the largest are
     treated as zero. Raises ZeroRank when nothing survives.
     """
-    V = _as_matrix(vectors, "vectors")
+    V = _finite_matrix(vectors, "vectors")
     if V.shape[1] == 0:
         raise ZeroRank("no columns to orthonormalize")
     U, s, _ = np.linalg.svd(V, full_matrices=False)
@@ -191,7 +204,7 @@ def pfaffian(A, tol: Tolerances = TOL) -> float:
     result is exact up to roundoff. Complex-typed input is accepted as
     long as its imaginary part is negligible.
     """
-    A = _as_square(A, "A")
+    A = _finite_square(A, "A")
     n = A.shape[0]
     if n % 2:
         raise OddDimension(f"dimension {n} is odd")
@@ -229,7 +242,7 @@ def principal_log_trace(O, tol: Tolerances = TOL) -> complex:
     Raises BranchCutHit when an eigenvalue lies within ``tol.eig_tol``
     of -1 (the principal branch is discontinuous there).
     """
-    O = _as_square(O, "O")
+    O = _finite_square(O, "O")
     scale = max(1.0, np.abs(O).max())
     if np.abs(O.imag).max() > tol.frame_tol * scale:
         raise ValueError("matrix has a non-negligible imaginary part")

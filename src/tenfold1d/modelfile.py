@@ -52,11 +52,15 @@ _STACKS = {"dirac": (dirac_stack, "W"), "schrodinger": (schrodinger_stack, "V"),
            "tight_binding": (tb_stack, None)}
 
 
+def _is_number(x) -> bool:
+    # JSON true and false decode to bools, which are ints to isinstance
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _entry_to_complex(entry, where: str) -> complex:
-    if isinstance(entry, (int, float)):
+    if _is_number(entry):
         return complex(entry)
-    if (isinstance(entry, list) and len(entry) == 2
-            and all(isinstance(x, (int, float)) for x in entry)):
+    if isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry)):
         return complex(entry[0], entry[1])
     raise ParseError(f"{where}: matrix entries are numbers or [re, im] pairs, "
                      f"got {entry!r}")
@@ -81,14 +85,13 @@ def _value_to_matrix(value, where: str) -> np.ndarray:
 
 
 def _value_to_real(value, where: str) -> float:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return float(value)
     raise ParseError(f"{where}: expected a real number, got {value!r}")
 
 
 def _value_to_real_list(value, where: str) -> list[float]:
-    if (isinstance(value, list)
-            and all(isinstance(x, (int, float)) for x in value)):
+    if isinstance(value, list) and all(map(_is_number, value)):
         return [float(x) for x in value]
     raise ParseError(f"{where}: expected a list of real numbers")
 

@@ -40,7 +40,7 @@ from .errors import (
     NotInvertible,
     NotLagrangian,
 )
-from .linalg import TOL, Tolerances, _as_square, _identity
+from .linalg import TOL, Tolerances, _finite_square, _identity
 from .symplectic import (
     LagrangianPlane,
     LerayUnitary,
@@ -110,7 +110,8 @@ class BulkData:
                 f"gap={self.gap:.3g})")
 
 
-def _finish_bulk(form, split, u_plus, u_minus, gap, energy, tol) -> BulkData:
+def _finish_bulk(form, u_plus, u_minus, gap, energy, tol) -> BulkData:
+    split = canonical_split(form, tol)
     u_plus, u_minus = LerayUnitary(u_plus, split, tol), LerayUnitary(u_minus, split, tol)
     # in-gap energies force transverse planes
     if crossing_dim(u_plus, u_minus, tol):
@@ -118,11 +119,11 @@ def _finish_bulk(form, split, u_plus, u_minus, gap, energy, tol) -> BulkData:
     return BulkData(form, split, u_plus, u_minus, gap, energy, tol)
 
 
-def _finish_each(out, idx, form, split, u_plus, u_minus, gaps, energies, tol) -> None:
+def _finish_each(out, idx, form, u_plus, u_minus, gaps, energies, tol) -> None:
     """``_finish_bulk`` of points of one form; each bulk, or its error, goes to out[idx]."""
     for i, up, um, gap, energy in zip(idx, u_plus, u_minus, gaps, energies):
         try:
-            out[i] = _finish_bulk(form, split, up, um, gap, energy, tol)
+            out[i] = _finish_bulk(form, up, um, gap, energy, tol)
         except ValueError as exc:
             out[i] = exc
 
@@ -157,14 +158,6 @@ def _require_finite(energy: float) -> None:
     # a non-finite energy would otherwise reach LAPACK and fail there
     if not math.isfinite(energy):
         raise NotInGap(f"energy must be finite, got {float(energy)!r}")
-
-
-def _finite_square(a, name: str) -> np.ndarray:
-    """Square complex matrix with finite entries; ValueError naming it otherwise."""
-    A = _as_square(a, name)
-    if not np.isfinite(A).all():
-        raise ValueError(f"{name} must have finite entries")
-    return A
 
 
 def _stacks(points, energies, check, out) -> list:
@@ -218,12 +211,11 @@ def dirac_stack(Ws, energies, tol: Tolerances = TOL) -> list:
             continue
         U, s, Vh, E = _rows(live, U, s, Vh, E)
         form = dirac_form(W.shape[-1])
-        split = canonical_split(form, tol)
         # the gap gate leaves |E| < m0 <= s, so |r| < 1 and c is unimodular; kappa/s is 1 at E = 0
         r = E[:, None, None] / s[:, None, :]
         k, ir = np.sqrt((1.0 - r) * (1.0 + r)), 1j * r
         V, Uh = _ct(Vh), _ct(U)
-        _finish_each(out, [idx[j] for j in live], form, split, (V * (k + ir)) @ Uh,
+        _finish_each(out, [idx[j] for j in live], form, (V * (k + ir)) @ Uh,
                      (V * (ir - k)) @ Uh, gaps, E.tolist(), tol)
     return out
 
@@ -291,11 +283,10 @@ def schrodinger_stack(Vs, energies, tol: Tolerances = TOL) -> list:
             continue
         mu, Vm, E = _rows(live, mu, Vm, E)
         form = _schrodinger_form(M)
-        split = canonical_split(form, tol)
         ikappa = 1j * np.sqrt(mu[:, None, :] - E[:, None, None])
         z = (1.0 - ikappa) / (1.0 + ikappa)
         Vmh = _ct(Vm)
-        _finish_each(out, [idx[j] for j in live], form, split, (Vm * z) @ Vmh,
+        _finish_each(out, [idx[j] for j in live], form, (Vm * z) @ Vmh,
                      (Vm * z.conj()) @ Vmh, gaps, E.tolist(), tol)
     return out
 
@@ -534,7 +525,7 @@ def tb_stack(models, energies, tol: Tolerances = TOL) -> list:
                 # each plane is the graph {(y+, U y+)} there, so U solves U y+ = y-
                 u_plus, u_minus = (np.linalg.solve(Y[:N].T, Y[N:].T).T
                                    for Y in (L @ z_plus, L @ z_minus))
-                out[i] = _finish_bulk(form, split, u_plus, u_minus, gap, E[row], tol)
+                out[i] = _finish_bulk(form, u_plus, u_minus, gap, E[row], tol)
             except ValueError as exc:
                 out[i] = exc
     return out

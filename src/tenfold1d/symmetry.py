@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BadParity, DimensionMismatch, NotUnitary
-from .linalg import TOL, Tolerances, _as_square
+from .linalg import TOL, Tolerances, _as_square, _finite_square
 from .models import dirac_form
 from .symplectic import LagrangianPlane, LerayUnitary
 
@@ -128,7 +128,7 @@ class AntiUnitary:
     __slots__ = ("V", "sign")
 
     def __init__(self, V, sign: int, tol: Tolerances = TOL):
-        V = _as_square(V, "V")
+        V = _finite_square(V, "V")
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign!r}")
         n = V.shape[0]
@@ -166,7 +166,7 @@ class SymmetrySet:
         if C is not None:
             dims.add(C.dim)
         if S is not None:
-            S = _as_square(S, "S")
+            S = _finite_square(S, "S")
             n = S.shape[0]
             if not np.abs(S.conj().T @ S - np.eye(n)).max() <= tol.frame_tol:
                 raise NotUnitary("S is not unitary")
@@ -248,7 +248,8 @@ def membership(U, label, tol: Tolerances = TOL) -> bool:
     """Whether a unitary lies in the matrix manifold of a class.
 
     Tests only the structural relation (reality, symmetry, symplectic
-    intertwining); unitarity is the caller's responsibility. Raises
+    intertwining); unitarity and finite entries are the caller's
+    responsibility, so the matrix is not checked for either. Raises
     BadParity when the class requires an even dimension.
     """
     label = CartanClass.coerce(label)

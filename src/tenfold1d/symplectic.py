@@ -12,9 +12,6 @@ planes through their unitaries.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-
 import numpy as np
 import scipy.linalg as sla
 
@@ -32,6 +29,7 @@ from .linalg import (
     Frame,
     Tolerances,
     _as_square,
+    _finite_square,
     _identity,
     hermitian_eig,
     orthonormalize,
@@ -51,12 +49,16 @@ __all__ = [
 
 
 class SymplecticForm:
-    """Nondegenerate pairing omega(x, y) = <x, J y> with J* = -J."""
+    """Nondegenerate pairing omega(x, y) = <x, J y> with J* = -J.
 
-    __slots__ = ("J", "_norm")
+    J is read-only, and the form keeps its canonical split under each
+    Tolerances once ``canonical_split`` has computed it.
+    """
+
+    __slots__ = ("J", "_norm", "_splits")
 
     def __init__(self, J, tol: Tolerances = TOL):
-        J = _as_square(J, "J")
+        J = _finite_square(J, "J")
         if J.shape[0] == 0:
             raise DimensionMismatch("form must act on a nonzero space")
         scale = np.abs(J).max()
@@ -71,6 +73,7 @@ class SymplecticForm:
         J.flags.writeable = False
         self.J = J
         self._norm = float(s[0])
+        self._splits = {}
 
     @property
     def dim(self) -> int:
@@ -174,42 +177,26 @@ class CanonicalSplit:
         return f"CanonicalSplit(n={self.n})"
 
 
-# least recently used splits, keyed by the exact bytes of J and the
-# tolerances; the bound keeps a long-lived caller from growing it forever
-_SPLIT_CACHE_SIZE = 256
-_splits: OrderedDict = OrderedDict()
-_splits_lock = threading.Lock()
-
-
 def canonical_split(form: SymplecticForm, tol: Tolerances = TOL) -> CanonicalSplit:
     """Split the space by the sign of -iJ and fix a deterministic basis.
 
-    The split depends only on J and ``tol``, so it is computed once:
-    forms whose J is equal entry for entry get the same CanonicalSplit
-    object (whose form is the first of them that was split) while it
-    stays among the most recently used splits. A form differing in any
-    bit is split afresh.
+    The split is computed the first time a form is asked for it under
+    ``tol`` and kept on the form, so each form is split once per
+    Tolerances. It depends only on J and ``tol``: forms with equal
+    entries get bitwise-equal splits.
 
     Raises NoLagrangianPlanes when the positive and negative blocks have
     different dimensions (no Lagrangian plane exists in that case).
     """
-    key = (form.J.shape, form.J.tobytes(), tol)
-    with _splits_lock:
-        split = _splits.get(key)
-        if split is not None:
-            _splits.move_to_end(key)
-            return split
-    split = _split(form, tol)
-    with _splits_lock:
-        # a racing caller may have stored the same split meanwhile; keep its object
-        split = _splits.setdefault(key, split)
-        if len(_splits) > _SPLIT_CACHE_SIZE:
-            _splits.popitem(last=False)
+    split = form._splits.get(tol)
+    if split is None:
+        # a racing caller may have stored its split meanwhile; keep that object
+        split = form._splits.setdefault(tol, _split(form, tol))
     return split
 
 
 def _split(form: SymplecticForm, tol: Tolerances) -> CanonicalSplit:
-    """The split computed from scratch; canonical_split caches its result."""
+    """The split computed from scratch; canonical_split keeps it on the form."""
     A = -1j * form.J
     evals, evecs = hermitian_eig(A, tol)
     V = evecs.matrix
@@ -296,13 +283,12 @@ class LerayUnitary:
     __slots__ = ("U", "split")
 
     def __init__(self, U, split: CanonicalSplit, tol: Tolerances = TOL):
-        U = _as_square(U, "U")
+        U = _finite_square(U, "U")
         if U.shape[0] != split.n:
             raise DimensionMismatch(
                 f"U is {U.shape[0]}-dimensional, split block is {split.n}"
             )
         defect = np.abs(U.conj().T @ U - _identity(split.n)).max()
-        # a NaN defect fails the comparison, so a NaN entry is not unitary either
         if not defect <= tol.frame_tol:
             raise NotUnitary(f"unitarity defect {defect:.3e}")
         U = U.copy()

@@ -5,22 +5,27 @@ from hypothesis import strategies as st
 
 from helpers import random_antisymmetric
 from tenfold1d import (
+    LagrangianPlane,
+    SymplecticForm,
     Tolerances,
+    canonical_split,
+    dirac_form,
     pfaffian,
     principal_log_trace,
     subspace_intersection_dim,
+    unitary_to_plane,
 )
 from tenfold1d.errors import (
     BranchCutHit,
     DimensionMismatch,
     NotAntisymmetric,
     NotHermitian,
-    NotUnitary,
     OddDimension,
     ZeroRank,
 )
 from tenfold1d.linalg import Frame, hermitian_eig, orthonormalize
 from tenfold1d.symmetry import AntiUnitary, SymmetrySet, random_orthogonal, random_unitary
+from tenfold1d.symplectic import LerayUnitary
 
 
 class TestTolerances:
@@ -205,15 +210,30 @@ class TestPrincipalLogTrace:
             assert np.exp(0.5 * val) == pytest.approx(1.0, abs=1e-8)
 
 
-@pytest.mark.parametrize("build, error, message", [
-    (lambda: Frame([[np.nan]]), ValueError, "not orthonormal"),
-    (lambda: hermitian_eig([[np.nan, 0.0], [0.0, 1.0]]), NotHermitian, "hermiticity defect"),
-    (lambda: pfaffian([[0.0, np.nan], [-np.nan, 0.0]]), NotAntisymmetric, "not antisymmetric"),
-    (lambda: AntiUnitary([[np.nan]], 1), NotUnitary, "V is not unitary"),
-    (lambda: SymmetrySet(S=[[np.nan]]), NotUnitary, "S is not unitary"),
-], ids=["Frame", "hermitian_eig", "pfaffian", "AntiUnitary", "SymmetrySet"])
-def test_nan_input_fails_the_check(build, error, message):
-    # a NaN defect compares False against any limit, so each check must be
-    # written to fail unless the defect is within it
-    with pytest.raises(error, match=message):
-        build()
+# each entry point with a matrix holding one bad value, and the name it gives that matrix
+_ENTRY_POINTS = {
+    "Frame": (lambda x: Frame([[x]]), "frame"),
+    "hermitian_eig": (lambda x: hermitian_eig([[x, 0.0], [0.0, 1.0]]), "A"),
+    "pfaffian": (lambda x: pfaffian([[0.0, x], [-x, 0.0]]), "A"),
+    "AntiUnitary": (lambda x: AntiUnitary([[x]], 1), "V"),
+    "SymmetrySet": (lambda x: SymmetrySet(S=[[x]]), "S"),
+    "SymplecticForm": (lambda x: SymplecticForm([[0.0, x], [-x, 0.0]]), "J"),
+    "LerayUnitary": (lambda x: LerayUnitary([[x]], canonical_split(dirac_form(1))), "U"),
+    "unitary_to_plane": (lambda x: unitary_to_plane([[x]], canonical_split(dirac_form(1))), "U"),
+    "orthonormalize": (lambda x: orthonormalize([[x], [1.0]]), "vectors"),
+    "LagrangianPlane": (lambda x: LagrangianPlane([[1.0], [x]], dirac_form(1)), "vectors"),
+    "principal_log_trace": (lambda x: principal_log_trace([[x, 0.0], [0.0, 1.0]]), "O"),
+}
+
+
+@pytest.mark.parametrize("build, name, bad", [
+    pytest.param(build, name, bad, id=entry + suffix)
+    for entry, (build, name) in _ENTRY_POINTS.items()
+    for bad, suffix in ((np.nan, ""), (np.inf, "-inf"))
+])
+def test_nan_input_fails_the_check(build, name, bad):
+    # a NaN defect compares False against any limit, and NaN or inf reaches
+    # numpy and LAPACK as a RuntimeWarning or a failed factorization, so each
+    # entry point refuses non-finite entries before its checks
+    with pytest.raises(ValueError, match=f"^{name} must have finite entries$"):
+        build(bad)

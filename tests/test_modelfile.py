@@ -90,6 +90,18 @@ class TestParsing:
         with pytest.raises(ParseError, match="entries"):
             parse_model_text('kind dirac\nW [["x"]]')
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("kind dirac\nW [[true]]", 2, "matrix entries are numbers"),
+        ("kind dirac\nW [[[true, 0]]]", 2, "matrix entries are numbers"),
+        ("kind dirac\nW [[1.0]]\nenergy false", 3, "expected a real number"),
+        ("kind dirac_profile\nW0 [[-1.0]]\nW1 [[1.0]]\nbreakpoints [true]", 4,
+         "expected a list of real numbers"),
+    ], ids=["entry", "entry_pair", "energy", "breakpoints"])
+    def test_booleans_are_not_numbers(self, text, line, message):
+        # JSON true and false would otherwise pass as 1 and 0
+        with pytest.raises(ParseError, match=rf"^model\.tf:{line}: {message}"):
+            parse_model_text(text, source="model.tf")
+
     def test_schrodinger_requires_energy(self):
         with pytest.raises(ParseError, match="energy"):
             parse_model_text("kind schrodinger\nV [[0.0]]")

@@ -1,5 +1,7 @@
+import gc
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from tenfold1d.errors import (
 )
 from tenfold1d.linalg import Frame
 from tenfold1d.symmetry import random_unitary
-from tenfold1d.symplectic import _SPLIT_CACHE_SIZE, LerayUnitary, _split, _splits, is_lagrangian
+from tenfold1d.symplectic import LerayUnitary, _split, is_lagrangian
 
 SCHRODINGER_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -110,8 +112,8 @@ class TestCanonicalSplit:
         assert np.array_equal(a.Q, b.Q)
 
     def test_deterministic_uncached(self, rng):
-        # the check above is a cache hit; here both splits run the pivoted QR,
-        # once more on J written in another basis of each degenerate block
+        # both splits run the pivoted QR outside canonical_split, once more
+        # on J written in another basis of each degenerate block
         V = random_unitary(4, rng)
         J = V @ np.diag([1j, 1j, -1j, -1j]) @ V.conj().T
         a = _split(SymplecticForm(J), TOL)
@@ -132,13 +134,15 @@ class TestCanonicalSplit:
 
 class TestSplitCache:
     def test_equal_content_shares_one_split(self, rng):
-        J = random_form(2, rng).J
-        split = canonical_split(SymplecticForm(J))
-        assert canonical_split(SymplecticForm(J.copy())) is split
-        # one ulp anywhere is another form
-        K = J.copy()
-        K[0, 0] = np.nextafter(K[0, 0].real, np.inf) + 1j * K[0, 0].imag
-        assert canonical_split(SymplecticForm(K)) is not split
+        form = random_form(2, rng)
+        split = canonical_split(form)
+        assert canonical_split(form) is split
+        assert canonical_split(form, Tolerances()) is split
+        # a fresh form with equal entries is split afresh, to the same bits
+        other = canonical_split(SymplecticForm(form.J.copy()))
+        assert other is not split and other.form is not form
+        for name in ("Q", "a_plus", "a_minus"):
+            assert np.array_equal(getattr(other, name), getattr(split, name))
 
     def test_tolerances_are_part_of_the_key(self, rng):
         form = random_form(2, rng)
@@ -149,23 +153,16 @@ class TestSplitCache:
         assert canonical_split(form, Tolerances(eig_tol=1e-6)) is other
         assert canonical_split(form, TOL) is split
 
-    def test_bounded(self, rng):
-        first = random_form(1, rng)
-        split = canonical_split(first)
-        for _ in range(_SPLIT_CACHE_SIZE):
-            canonical_split(random_form(1, rng))
-        assert len(_splits) <= _SPLIT_CACHE_SIZE
-        # least recently used goes first
-        assert canonical_split(first) is not split
-
     def test_threads_share_one_split_per_form(self, rng):
         forms = [random_form(1, rng) for _ in range(8)]
         seen = [[] for _ in forms]
+        start = threading.Barrier(4, timeout=60)
 
         def work():
+            start.wait()
             for _ in range(20):
                 for i, form in enumerate(forms):
-                    seen[i].append(canonical_split(SymplecticForm(form.J.copy())))
+                    seen[i].append(canonical_split(form))
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -180,15 +177,23 @@ class TestSplitCache:
         assert not any(t.is_alive() for t in threads)
         assert [len(s) for s in seen] == [80] * len(forms)
         assert all(all(x is s[0] for x in s) for s in seen)
-        assert len(_splits) <= _SPLIT_CACHE_SIZE
+        assert all(s[0].form is form for s, form in zip(seen, forms))
+
+    def test_split_is_freed_with_its_form(self, rng):
+        form = random_form(2, rng)
+        Q = weakref.ref(canonical_split(form).Q)
+        assert Q() is not None
+        del form
+        gc.collect()
+        assert Q() is None
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
     @settings(max_examples=30, deadline=None)
     def test_cached_split_equals_uncached(self, seed, n):
         form = random_form(n, np.random.default_rng(seed))
-        cached = canonical_split(SymplecticForm(form.J.copy()))
+        cached = canonical_split(form)
         fresh = _split(form, TOL)
-        assert canonical_split(form) is cached
+        assert canonical_split(form) is cached and fresh is not cached
         for name in ("Q", "a_plus", "a_minus"):
             assert np.array_equal(getattr(cached, name), getattr(fresh, name))
 
@@ -242,7 +247,7 @@ class TestLerayUnitary:
 
     def test_rejects_nan(self, rng):
         split = canonical_split(random_form(1, rng))
-        with pytest.raises(NotUnitary):
+        with pytest.raises(ValueError, match="^U must have finite entries$"):
             LerayUnitary(np.array([[np.nan]]), split)
 
     def test_read_only(self, rng):
