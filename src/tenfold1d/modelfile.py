@@ -45,8 +45,6 @@ __all__ = [
 ]
 
 _KINDS = ("dirac", "schrodinger", "tight_binding", "dirac_profile")
-_SCALAR_KEYS = ("energy",)
-_LIST_KEYS = ("breakpoints",)
 # the stacked builder of each bulk kind and the key of its matrix (chains have several)
 _STACKS = {"dirac": (dirac_stack, "W"), "schrodinger": (schrodinger_stack, "V"),
            "tight_binding": (tb_stack, None)}
@@ -96,12 +94,10 @@ def _value_to_real_list(value, where: str) -> list[float]:
     raise ParseError(f"{where}: expected a list of real numbers")
 
 
-def _indexed(pairs: dict, prefix: str, where: str) -> list[np.ndarray]:
-    """Collect prefix0, prefix1, ... and demand a contiguous run from 0."""
-    found = {}
-    for key, value in pairs.items():
-        if key.startswith(prefix) and key[len(prefix):].isdigit():
-            found[int(key[len(prefix):])] = value
+def _indexed(pairs: dict, prefix: str, where: str) -> list:
+    """Take prefix0, prefix1, ... out of pairs and demand a contiguous run from 0."""
+    found = {int(key[len(prefix):]): pairs.pop(key) for key in list(pairs)
+             if key.startswith(prefix) and key[len(prefix):].isdigit()}
     if sorted(found) != list(range(len(found))):
         raise ParseError(f"{where}: {prefix}* keys must run {prefix}0, "
                          f"{prefix}1, ... without gaps")
@@ -181,10 +177,8 @@ def parse_model_text(text: str, source: str = "<string>") -> ModelFile:
             raise ParseError(f"{source}: schrodinger models need an energy line")
         matrices["V"] = _value_to_matrix(pairs.pop("V"), locs["V"])
     elif kind == "tight_binding":
-        bond_keys = {k for k in pairs if k.startswith("a") and k[1:].isdigit()}
-        site_keys = {k for k in pairs if k.startswith("b") and k[1:].isdigit()}
-        bonds = _indexed({k: pairs.pop(k) for k in bond_keys}, "a", source)
-        sites = _indexed({k: pairs.pop(k) for k in site_keys}, "b", source)
+        bonds = _indexed(pairs, "a", source)
+        sites = _indexed(pairs, "b", source)
         if not bonds or len(bonds) != len(sites):
             raise ParseError(f"{source}: tight_binding models need matching "
                              "a0..aq-1 and b0..bq-1 runs")
@@ -193,8 +187,7 @@ def parse_model_text(text: str, source: str = "<string>") -> ModelFile:
         for i, m in enumerate(sites):
             matrices[f"b{i}"] = _value_to_matrix(m, locs[f"b{i}"])
     else:
-        mass_keys = {k for k in pairs if k.startswith("W") and k[1:].isdigit()}
-        masses = _indexed({k: pairs.pop(k) for k in mass_keys}, "W", source)
+        masses = _indexed(pairs, "W", source)
         if "breakpoints" not in pairs:
             raise ParseError(f"{source}: dirac_profile models need breakpoints")
         lists["breakpoints"] = _value_to_real_list(

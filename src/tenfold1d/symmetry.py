@@ -132,9 +132,12 @@ class AntiUnitary:
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign!r}")
         n = V.shape[0]
-        if not np.abs(V.conj().T @ V - np.eye(n)).max() <= tol.frame_tol:
+        with np.errstate(over="ignore", invalid="ignore"):
+            unitary = np.abs(V.conj().T @ V - np.eye(n)).max()
+            involution = np.abs(V @ np.conj(V) - sign * np.eye(n)).max()
+        if not unitary <= tol.frame_tol:
             raise NotUnitary("V is not unitary")
-        if not np.abs(V @ np.conj(V) - sign * np.eye(n)).max() <= tol.frame_tol:
+        if not involution <= tol.frame_tol:
             raise ValueError(f"V conj(V) is not {sign:+d} times identity")
         V = V.copy()
         V.flags.writeable = False
@@ -168,9 +171,12 @@ class SymmetrySet:
         if S is not None:
             S = _finite_square(S, "S")
             n = S.shape[0]
-            if not np.abs(S.conj().T @ S - np.eye(n)).max() <= tol.frame_tol:
+            with np.errstate(over="ignore", invalid="ignore"):
+                unitary = np.abs(S.conj().T @ S - np.eye(n)).max()
+                involution = np.abs(S @ S - np.eye(n)).max()
+            if not unitary <= tol.frame_tol:
                 raise NotUnitary("S is not unitary")
-            if not np.abs(S @ S - np.eye(n)).max() <= tol.frame_tol:
+            if not involution <= tol.frame_tol:
                 raise ValueError("S must square to the identity")
             S = S.copy()
             S.flags.writeable = False

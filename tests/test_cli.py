@@ -251,6 +251,20 @@ class TestSweep:
         assert main(["sweep", "--model", write("f.tf", FAMILY), "--class", "D",
                      "--values", "1.0:2.0"]) == 3
 
+    def test_empty_grid_exits_3(self, write, capsys):
+        assert main(["sweep", "--model", write("f.tf", FAMILY), "--class", "D",
+                     "--values=0:1:0"]) == 3
+        _, err = capsys.readouterr()
+        assert err == "tenfold1d: error: bad --values '0:1:0': count must be positive\n"
+
+    def test_singular_reference_exits_3(self, write, capsys):
+        tmpl = "kind tight_binding\na0 [[1.0]]\na1 [[?]]\nb0 [[0.0]]\nb1 [[0.0]]\n"
+        assert main(["sweep", "--model", write("t.tf", tmpl), "--class", "BDI",
+                     "--values=1,2", "--ref", "0"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "tenfold1d: NotInvertible: bond block with sigma_min 0.000e+00\n"
+
     @pytest.mark.parametrize("flags, named", [
         (["--values=nan,1"], "--values"),
         (["--values=1:inf:3"], "--values"),
@@ -384,6 +398,11 @@ class TestVerify:
     def test_missing_geometry_exits_3(self, write):
         assert main(["verify", "--profile", write("p.tf", WALL), "--class", "D",
                      "--energy-window", "0.1"]) == 3
+
+    def test_needs_a_source(self, capsys):
+        assert main(["verify", "--class", "D", "--energy-window", "0.1"]) == 3
+        _, err = capsys.readouterr()
+        assert err == "tenfold1d: error: verify needs --profile, or --left and --right\n"
 
     def test_window_required_by_parser(self, write):
         with pytest.raises(SystemExit) as exc:

@@ -19,11 +19,11 @@ from tenfold1d.errors import (
     BranchCutHit,
     DimensionMismatch,
     NotAntisymmetric,
-    NotHermitian,
+    NotUnitary,
     OddDimension,
     ZeroRank,
 )
-from tenfold1d.linalg import Frame, hermitian_eig, orthonormalize
+from tenfold1d.linalg import Frame, orthonormalize
 from tenfold1d.symmetry import AntiUnitary, SymmetrySet, random_orthogonal, random_unitary
 from tenfold1d.symplectic import LerayUnitary
 
@@ -72,19 +72,6 @@ class TestFrame:
         f = Frame(np.eye(3))
         with pytest.raises(ValueError):
             f.matrix[0, 0] = 2.0
-
-
-class TestHermitianEig:
-    def test_reconstructs(self, rng):
-        X = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        A = X + X.conj().T
-        evals, vecs = hermitian_eig(A)
-        assert np.all(np.diff(evals) >= 0)
-        assert np.allclose(vecs.matrix @ np.diag(evals) @ vecs.matrix.conj().T, A)
-
-    def test_gate(self, rng):
-        with pytest.raises(NotHermitian):
-            hermitian_eig(rng.standard_normal((4, 4)) + 1j)
 
 
 class TestOrthonormalize:
@@ -213,7 +200,6 @@ class TestPrincipalLogTrace:
 # each entry point with a matrix holding one bad value, and the name it gives that matrix
 _ENTRY_POINTS = {
     "Frame": (lambda x: Frame([[x]]), "frame"),
-    "hermitian_eig": (lambda x: hermitian_eig([[x, 0.0], [0.0, 1.0]]), "A"),
     "pfaffian": (lambda x: pfaffian([[0.0, x], [-x, 0.0]]), "A"),
     "AntiUnitary": (lambda x: AntiUnitary([[x]], 1), "V"),
     "SymmetrySet": (lambda x: SymmetrySet(S=[[x]]), "S"),
@@ -237,3 +223,23 @@ def test_nan_input_fails_the_check(build, name, bad):
     # entry point refuses non-finite entries before its checks
     with pytest.raises(ValueError, match=f"^{name} must have finite entries$"):
         build(bad)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Frame([[1e200]]), ValueError, "columns are not orthonormal"),
+    (lambda: LerayUnitary([[1e200]], canonical_split(dirac_form(1))), NotUnitary,
+     "unitarity defect"),
+    (lambda: unitary_to_plane([[1e200]], canonical_split(dirac_form(1))), NotUnitary,
+     "unitarity defect"),
+    (lambda: AntiUnitary([[1e200]], 1), NotUnitary, "V is not unitary"),
+    (lambda: SymmetrySet(S=[[1e200]]), NotUnitary, "S is not unitary"),
+    (lambda: principal_log_trace([[1e200, 0.0], [0.0, 1.0]]), ValueError,
+     "matrix is not orthogonal"),
+], ids=["Frame", "LerayUnitary", "unitary_to_plane", "AntiUnitary", "SymmetrySet",
+        "principal_log_trace"])
+def test_overflowing_check_fails_with_its_own_error(build, error, message):
+    # finite entries near 1e200 overflow the defect's product to inf or NaN;
+    # the check must fail with its typed error, not escape as a RuntimeWarning
+    with pytest.raises(error, match=f"^{message}"):
+        build()

@@ -2,8 +2,10 @@ import pytest
 
 from tenfold1d.errors import ParseError
 from tenfold1d.modelfile import (
+    ModelFile,
     build_bulk,
     build_profile,
+    build_stack,
     build_tb,
     parse_model,
     parse_model_text,
@@ -102,6 +104,16 @@ class TestParsing:
         with pytest.raises(ParseError, match=rf"^model\.tf:{line}: {message}"):
             parse_model_text(text, source="model.tf")
 
+    @pytest.mark.parametrize("text, message", [
+        ("kind dirac\nW [1.0]\n", "model.tf:2: expected a list of rows"),
+        ("kind dirac\nW\n", "model.tf:2: expected 'key value'"),
+        ("kind schrodinger\nenergy -1.0\n", "model.tf: schrodinger models need a V matrix"),
+        ("kind dirac_profile\nW0 [[1.0]]\n", "model.tf: dirac_profile models need breakpoints"),
+    ], ids=["not-rows", "no-value", "no-potential", "no-breakpoints"])
+    def test_malformed_model_located(self, text, message):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_model_text(text, source="model.tf")
+
     def test_schrodinger_requires_energy(self):
         with pytest.raises(ParseError, match="energy"):
             parse_model_text("kind schrodinger\nV [[0.0]]")
@@ -157,6 +169,13 @@ class TestBuilders:
     def test_profile(self):
         p = build_profile(parse_model_text(PROFILE))
         assert p.steps == 1 and p.block_dim == 1
+
+    def test_schrodinger_without_energy_fails_alone(self):
+        # parse_model_text demands the energy line; a hand-built record can lack it
+        bare = ModelFile("schrodinger", None, parse_model_text(SCHRODINGER).matrices, {})
+        got, bulk = build_stack([bare, parse_model_text(DIRAC)])
+        assert type(got) is ParseError and str(got) == "schrodinger models need an energy"
+        assert bulk.gap == pytest.approx(1.0)
 
     def test_profile_is_not_a_bulk(self):
         with pytest.raises(ParseError, match="junction"):

@@ -314,6 +314,10 @@ class TestTightBindingModel:
         with pytest.raises(DimensionMismatch):
             TightBindingModel([np.eye(1)], [np.zeros((1, 1)), np.zeros((1, 1))])
 
+    def test_blocks_share_one_size(self):
+        with pytest.raises(DimensionMismatch, match="^all blocks must share one size$"):
+            TightBindingModel([np.eye(1)], [np.zeros((2, 2))])
+
     def test_site_blocks_must_be_hermitian(self):
         with pytest.raises(ValueError):
             TightBindingModel([np.eye(1)], [np.array([[1j]])])
@@ -504,6 +508,10 @@ class TestPiecewiseProfile:
     def test_count_gate(self):
         with pytest.raises(DimensionMismatch):
             PiecewiseDiracProfile([np.eye(1)], [0.0])
+
+    def test_masses_share_one_size(self):
+        with pytest.raises(DimensionMismatch, match="^all masses must share one size$"):
+            PiecewiseDiracProfile([np.eye(1), np.eye(2)], [0.0])
 
     def test_breakpoints_must_increase(self):
         with pytest.raises(ValueError):

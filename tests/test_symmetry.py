@@ -95,6 +95,10 @@ class TestSymmetrySet:
         with pytest.raises(DimensionMismatch):
             SymmetrySet(T=AntiUnitary(np.eye(2), 1), S=np.eye(4))
 
+    def test_s_must_be_unitary(self):
+        with pytest.raises(NotUnitary, match="^S is not unitary$"):
+            SymmetrySet(S=2.0 * np.eye(2))
+
     def test_s_must_be_involution(self):
         with pytest.raises(ValueError):
             SymmetrySet(S=np.diag([1.0, 1j]))
@@ -153,6 +157,14 @@ class TestMembership:
         assert membership(U, "A")
         for label in ("AIII", "AI", "BDI", "D", "DIII", "AII", "CII", "C", "CI"):
             assert not membership(U, label)
+
+    @pytest.mark.parametrize("U, message", [
+        (np.zeros(3), r"^U must be 2-d, got shape \(3,\)$"),
+        (np.zeros((2, 3)), r"^U must be square, got shape \(2, 3\)$"),
+    ], ids=["1-d", "wide"])
+    def test_needs_a_square_matrix(self, U, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            membership(U, "AIII")
 
     def test_odd_dimension_rejected_for_even_classes(self, rng):
         for label in sorted(EVEN_ONLY):
@@ -250,3 +262,12 @@ class TestPlaneRespects:
         with pytest.raises(DimensionMismatch):
             plane_respects(plane, sym)
 
+    @pytest.mark.parametrize("sym, message", [
+        (lambda: SymmetrySet(T=AntiUnitary(np.eye(4), 1)), "T and plane dimensions differ"),
+        (lambda: SymmetrySet(S=np.eye(4)), "S and plane dimensions differ"),
+    ], ids=["T", "S"])
+    def test_generator_dimension_gates(self, sym, message):
+        _, form = canonical_symmetry_basis("D", 1)
+        plane = unitary_to_plane(np.eye(1), canonical_split(form))
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            plane_respects(plane, sym())
