@@ -94,10 +94,15 @@ def _value_to_real_list(value, where: str) -> list[float]:
     raise ParseError(f"{where}: expected a list of real numbers")
 
 
-def _indexed(pairs: dict, prefix: str, where: str) -> list:
+def _indexed(pairs: dict, locs: dict, prefix: str, where: str) -> list:
     """Take prefix0, prefix1, ... out of pairs and demand a contiguous run from 0."""
-    found = {int(key[len(prefix):]): pairs.pop(key) for key in list(pairs)
-             if key.startswith(prefix) and key[len(prefix):].isdigit()}
+    found = {}
+    for key in [key for key in pairs if key.startswith(prefix) and key[len(prefix):].isdecimal()]:
+        index = int(key[len(prefix):])
+        # the builders look each matrix up under its canonical key
+        if key != f"{prefix}{index}":
+            raise ParseError(f"{locs[key]}: key {key!r} must be written {prefix}{index}")
+        found[index] = pairs.pop(key)
     if sorted(found) != list(range(len(found))):
         raise ParseError(f"{where}: {prefix}* keys must run {prefix}0, "
                          f"{prefix}1, ... without gaps")
@@ -177,8 +182,8 @@ def parse_model_text(text: str, source: str = "<string>") -> ModelFile:
             raise ParseError(f"{source}: schrodinger models need an energy line")
         matrices["V"] = _value_to_matrix(pairs.pop("V"), locs["V"])
     elif kind == "tight_binding":
-        bonds = _indexed(pairs, "a", source)
-        sites = _indexed(pairs, "b", source)
+        bonds = _indexed(pairs, locs, "a", source)
+        sites = _indexed(pairs, locs, "b", source)
         if not bonds or len(bonds) != len(sites):
             raise ParseError(f"{source}: tight_binding models need matching "
                              "a0..aq-1 and b0..bq-1 runs")
@@ -187,7 +192,7 @@ def parse_model_text(text: str, source: str = "<string>") -> ModelFile:
         for i, m in enumerate(sites):
             matrices[f"b{i}"] = _value_to_matrix(m, locs[f"b{i}"])
     else:
-        masses = _indexed(pairs, "W", source)
+        masses = _indexed(pairs, locs, "W", source)
         if "breakpoints" not in pairs:
             raise ParseError(f"{source}: dirac_profile models need breakpoints")
         lists["breakpoints"] = _value_to_real_list(

@@ -30,7 +30,6 @@ import functools
 import math
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     DimensionMismatch,
@@ -412,7 +411,15 @@ def _composed(T: np.ndarray, E: np.ndarray, N: int) -> list:
             for j, finite in enumerate(np.isfinite(S).all(axis=(1, 2)).tolist())]
 
 
-_gges, _tgsen = sla.get_lapack_funcs(("gges", "tgsen"), (np.zeros((1, 1), dtype=complex),))
+@functools.cache
+def _qz():
+    """LAPACK's complex QZ and its reordering, ``gges`` and ``tgsen``.
+
+    Fetched on the first chain: importing scipy.linalg costs more than
+    every command that builds no chain.
+    """
+    import scipy.linalg as sla
+    return sla.get_lapack_funcs(("gges", "tgsen"), (np.zeros((1, 1), dtype=complex),))
 
 
 def _unsorted(alpha, beta):
@@ -421,7 +428,8 @@ def _unsorted(alpha, beta):
 
 def _reordered(select, qz: tuple, energy: float):
     """alpha, beta and right Schur vectors of a QZ with the selected eigenvalues first."""
-    _, _, alpha, beta, _, z, *_, info = _tgsen(select, *qz, ijob=0)
+    _, tgsen = _qz()
+    _, _, alpha, beta, _, z, *_, info = tgsen(select, *qz, ijob=0)
     if info:
         raise GapClosed(f"reordering of the transfer pencil failed at energy {energy:g} "
                         f"(tgsen info {info})")
@@ -439,7 +447,8 @@ def _transfer_planes(S: np.ndarray, N: int, energy: float):
     """
     A, B, E2 = S.copy(), -S, np.eye(2 * N)
     A[:, N:], B[:, :N] = -E2[:, N:], E2[:, :N]
-    AA, BB, _, alpha, beta, Q, Z, _, info = _gges(_unsorted, A, B, sort_t=0)
+    gges, _ = _qz()
+    AA, BB, _, alpha, beta, Q, Z, _, info = gges(_unsorted, A, B, sort_t=0)
     if info:
         raise GapClosed(f"QZ of the transfer pencil failed at energy {energy:g} (gges info {info})")
     qz = (AA, BB, Q, Z)

@@ -13,7 +13,6 @@ planes through their unitaries.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     DimensionMismatch,
@@ -109,9 +108,10 @@ def _fix_phases(F: np.ndarray) -> np.ndarray:
 def _cluster_basis(evecs: np.ndarray, counts: list[int]) -> np.ndarray:
     """Deterministic orthonormal basis of each eigenvalue cluster.
 
-    eigh returns an arbitrary basis inside degenerate clusters; pivoted
-    QR of the cluster projector replaces it with one that depends only
-    on the subspace, so equal forms always get equal splitting bases.
+    eigh returns an arbitrary basis inside degenerate clusters; a QR of
+    c columns of the cluster projector, picked greedily as pivoted QR
+    picks them, replaces it with one that depends only on the subspace,
+    so equal forms always get equal splitting bases.
     """
     cols = []
     start = 0
@@ -119,9 +119,25 @@ def _cluster_basis(evecs: np.ndarray, counts: list[int]) -> np.ndarray:
         block = evecs[:, start : start + c]
         start += c
         P = block @ block.conj().T
-        Q, _, _ = sla.qr(P, pivoting=True, mode="economic")
-        cols.append(_fix_phases(Q[:, :c]))
+        Q = np.linalg.qr(P[:, _pivots(P, c)])[0]
+        cols.append(_fix_phases(Q))
     return np.hstack(cols)
+
+
+def _pivots(P: np.ndarray, c: int) -> list[int]:
+    """The first c column pivots of P, chosen as LAPACK's geqp3 chooses them.
+
+    Each pivot is the column of largest norm once the pivots before it
+    are projected out, the first such column on a tie.
+    """
+    R = P.copy()
+    piv = []
+    for _ in range(c):
+        j = int(np.argmax(np.einsum("ij,ij->j", R.conj(), R).real))
+        piv.append(j)
+        q = R[:, j] / np.linalg.norm(R[:, j])
+        R -= np.outer(q, q.conj() @ R)
+    return piv
 
 
 def _clusters(values: np.ndarray, gap: float) -> list[int]:
@@ -346,11 +362,6 @@ def unitary_to_plane(U, split: CanonicalSplit | None = None, tol: Tolerances = T
     return LagrangianPlane(split.Q @ np.vstack([np.eye(n), G]), split.form, tol)
 
 
-# LAPACK's eigenvalue routine without numpy's wrapper, whose checks cost a
-# few times the 1x1 to 4x4 solve itself; crossing_dim runs once per bulk
-_geev, = sla.get_lapack_funcs(("geev",), (np.zeros((1, 1), dtype=complex),))
-
-
 def crossing_dim(u_a, u_b, tol: Tolerances = TOL) -> int:
     """Dimension of the intersection of the planes behind two unitaries.
 
@@ -373,12 +384,5 @@ def _crossing_spectrum(u_a, u_b, tol: Tolerances) -> np.ndarray:
         raise SplitMismatch("unitaries refer to different canonical splits")
     if A.shape != B.shape:
         raise DimensionMismatch(f"shapes differ: {A.shape} vs {B.shape}")
-    # a LerayUnitary is finite by construction; LAPACK must not see a bare NaN or inf
-    if split_a is None and not (np.isfinite(A).all() and np.isfinite(B).all()):
-        raise np.linalg.LinAlgError("unitaries must have finite entries")
-    if not A.size:
-        return np.zeros(0, dtype=complex)
-    lam, _, _, info = _geev(A @ B.conj().T, compute_vl=0, compute_vr=0)
-    if info:
-        raise np.linalg.LinAlgError(f"eigenvalues of U_A U_B* not found (geev info {info})")
-    return lam
+    # numpy raises LinAlgError on a bare matrix with a NaN or inf
+    return np.linalg.eigvals(A @ B.conj().T)

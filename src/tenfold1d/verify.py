@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     AmbiguousKernel,
@@ -394,6 +393,10 @@ def _window_pairs(full: np.ndarray, lo: float, hi: float, below: tuple[int, int]
     count = below[1] - below[0]
     if count == 0:
         return np.zeros(0), np.zeros((dim, 0), dtype=complex)
+    # imported here, not with the module: scipy.linalg costs more to import
+    # than every command that runs no oracle
+    import scipy.linalg as sla
+
     shift = (np.mean(ritz) if len(ritz) else 0.5 * (lo + hi)) + res_tol
     shifted = full.copy()
     shifted[p] -= shift

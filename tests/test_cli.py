@@ -144,6 +144,16 @@ class TestClassify:
     def test_parse_error_exits_3(self, write):
         assert main(["classify", "--model", write("m.tf", "kind dirac\n")]) == 3
 
+    @pytest.mark.parametrize("text, key", [
+        (SSH_L.replace("a1 ", "a01 "), "a01"),
+        (WALL.replace("W1 ", "W01 "), "W01"),
+    ], ids=["tight_binding", "dirac_profile"])
+    def test_zero_padded_index_exits_3(self, write, capsys, text, key):
+        path = write("m.tf", text)
+        assert main(["classify", "--model", path]) == 3
+        _, err = capsys.readouterr()
+        assert err == f"tenfold1d: error: {path}:3: key '{key}' must be written {key[0]}1\n"
+
     def test_non_finite_energy_exits_3(self, write, capsys):
         assert main(["classify", "--model", write("m.tf", DIRAC_POS),
                      "--energy", "nan"]) == 3

@@ -114,6 +114,20 @@ class TestParsing:
         with pytest.raises(ParseError, match=f"^{message}$"):
             parse_model_text(text, source="model.tf")
 
+    @pytest.mark.parametrize("text, message", [
+        (TIGHT_BINDING.replace("a1 ", "a01 "), "model.tf:3: key 'a01' must be written a1"),
+        (TIGHT_BINDING.replace("b0 ", "b00 "), "model.tf:4: key 'b00' must be written b0"),
+        (TIGHT_BINDING.replace("a1 ", "a\u0661 "), "model.tf:3: key 'a\u0661' must be written a1"),
+        (TIGHT_BINDING.replace("a1 ", "a\u00b2 "),
+         "model.tf: tight_binding models need matching a0..aq-1 and b0..bq-1 runs"),
+        (PROFILE.replace("W1 ", "W01 "), "model.tf:3: key 'W01' must be written W1"),
+    ], ids=["zero-padded-bond", "zero-padded-site", "arabic-indic-digit", "superscript",
+            "zero-padded-mass"])
+    def test_index_keys_are_canonical(self, text, message):
+        # the builders look each matrix up under its canonical key
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_model_text(text, source="model.tf")
+
     def test_schrodinger_requires_energy(self):
         with pytest.raises(ParseError, match="energy"):
             parse_model_text("kind schrodinger\nV [[0.0]]")

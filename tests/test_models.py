@@ -377,12 +377,14 @@ class TestTightBindingModel:
     @pytest.mark.parametrize("routine, info", [("gges", 2), ("tgsen", 1)])
     def test_failed_qz_is_a_closed_gap(self, monkeypatch, routine, info):
         # LAPACK reports a failed QZ or reordering in its last output, info
-        real = getattr(models, f"_{routine}")
+        routines = dict(zip(("gges", "tgsen"), models._qz()))
+        real = routines[routine]
 
         def failing(*args, **kwargs):
             return (*real(*args, **kwargs)[:-1], info)
 
-        monkeypatch.setattr(models, f"_{routine}", failing)
+        routines[routine] = failing
+        monkeypatch.setattr(models, "_qz", lambda: (routines["gges"], routines["tgsen"]))
         with pytest.raises(GapClosed, match=f"{routine} info {info}"):
             tb_bulk(SSH)
 

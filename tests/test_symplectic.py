@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +33,7 @@ from tenfold1d.errors import (
 )
 from tenfold1d.linalg import Frame
 from tenfold1d.symmetry import random_unitary
-from tenfold1d.symplectic import LerayUnitary, _split, is_lagrangian
+from tenfold1d.symplectic import LerayUnitary, _pivots, _split, is_lagrangian
 
 SCHRODINGER_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -112,8 +113,8 @@ class TestCanonicalSplit:
         assert np.array_equal(a.Q, b.Q)
 
     def test_deterministic_uncached(self, rng):
-        # both splits run the pivoted QR outside canonical_split, once more
-        # on J written in another basis of each degenerate block
+        # both splits pick the cluster projectors' pivots outside canonical_split,
+        # once more on J written in another basis of each degenerate block
         V = random_unitary(4, rng)
         J = V @ np.diag([1j, 1j, -1j, -1j]) @ V.conj().T
         a = _split(SymplecticForm(J), TOL)
@@ -126,6 +127,21 @@ class TestCanonicalSplit:
         W = V @ R
         c = _split(SymplecticForm(W @ np.diag([1j, 1j, -1j, -1j]) @ W.conj().T), TOL)
         assert a.same_as(c)
+
+    def test_pivots_are_lapacks(self, rng):
+        # the greedy pivots against LAPACK's pivoted QR (geqp3) on cluster
+        # projectors: rank c < n, the exact ties of an axis-aligned one included
+        for t in range(200):
+            n = int(rng.integers(2, 9))
+            c = int(rng.integers(1, n))
+            X = rng.standard_normal((n, c)) + 1j * rng.standard_normal((n, c))
+            if t % 2:
+                X = X.real
+            if t % 5 == 0:
+                X = np.eye(n)[:, rng.permutation(n)[:c]]
+            B = np.linalg.qr(X)[0]
+            P = B @ B.conj().T
+            assert _pivots(P, c) == sla.qr(P, pivoting=True)[2][:c].tolist()
 
     def test_unbalanced_signature(self):
         with pytest.raises(NoLagrangianPlanes):
