@@ -54,7 +54,7 @@ from .modelfile import (
     parse_model,
     parse_model_text,
 )
-from .models import tb_bulk
+from .models import _raise_first, tb_stack
 from .symmetry import CartanClass
 from .verify import (
     DiscretizationSpec,
@@ -171,8 +171,7 @@ def cmd_junction(args, tol: Tolerances):
     left_mf = parse_model(args.left)
     right_mf = parse_model(args.right)
     energy = _pick_energy(args, left_mf, right_mf)
-    left = build_bulk(left_mf, tol, energy=energy)
-    right = build_bulk(right_mf, tol, energy=energy)
+    left, right = _raise_first(build_stack([left_mf, right_mf], tol, energy=energy))
     predicted = predicted_zero_modes(left, right, tol)
     bound = ""
     index_left = index_right = ""
@@ -313,8 +312,7 @@ def cmd_verify(args, tol: Tolerances):
         energy = _pick_energy(args, left_mf, right_mf)
         left_model = build_tb(left_mf, tol)
         right_model = build_tb(right_mf, tol)
-        left = tb_bulk(left_model, energy, tol)
-        right = tb_bulk(right_model, energy, tol)
+        left, right = _raise_first(tb_stack([left_model, right_model], [energy] * 2, tol))
         bound = 0
         if args.cartan:
             il, ir, bound = _pair_indices(args.cartan, left, right, tol)

@@ -22,7 +22,7 @@ from .errors import AmbiguousKernel, IncompatibleBoundary, KindMismatch
 from .linalg import TOL, Tolerances
 from .symplectic import _crossing_spectrum, crossing_dim
 from .index import IndexValue, topological_index
-from .models import BulkData, PiecewiseDiracProfile, _transport, dirac_bulk
+from .models import BulkData, PiecewiseDiracProfile, _raise_first, _transport, dirac_stack
 from .symmetry import CartanClass
 
 __all__ = [
@@ -117,8 +117,8 @@ def continuous_junction_report(profile: PiecewiseDiracProfile, energy: float,
     are then too inaccurate to tell how many modes there are.
     """
     label = CartanClass.coerce(label)
-    left_bulk = dirac_bulk(profile.masses[0], tol, energy)
-    right_bulk = dirac_bulk(profile.masses[-1], tol, energy)
+    left_bulk, right_bulk = _raise_first(
+        dirac_stack([profile.masses[0], profile.masses[-1]], [energy] * 2, tol))
     bps = profile.breakpoints
     t = min(max(0.0, bps[0]), bps[-1]) if bps else 0.0
     u_plus, defect_plus = _transport(right_bulk.u_plus, profile, energy, "+", t, tol)

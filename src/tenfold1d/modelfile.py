@@ -28,7 +28,7 @@ from .models import (
     BulkData,
     PiecewiseDiracProfile,
     TightBindingModel,
-    _only,
+    _raise_first,
     dirac_stack,
     schrodinger_stack,
     tb_stack,
@@ -258,7 +258,7 @@ def build_bulk(mf: ModelFile, tol: Tolerances = TOL,
     single bulk; callers handle kind dirac_profile themselves. This is
     the one-model case of ``build_stack``.
     """
-    return _only(build_stack([mf], tol, energy))
+    return _raise_first(build_stack([mf], tol, energy))[0]
 
 
 def build_tb(mf: ModelFile, tol: Tolerances = TOL) -> TightBindingModel:

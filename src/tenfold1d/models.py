@@ -14,7 +14,9 @@ Each family has one stacked builder (``dirac_stack``,
 ``schrodinger_stack``, ``tb_stack``) that takes many points, each at its
 own energy, and returns for each its bulk or the error it raises alone;
 points of one shape share the batched factorizations. The one-point
-builders are stacks of one.
+builders are stacks of one. All three finish their points on one path,
+which checks each point's two unitaries and then gates transversality
+with one spectrum of u_plus u_minus* per stack.
 
 Piecewise-constant Dirac profiles extend the Dirac family: the plane
 that decays on a far side is carried across the steps to any point as
@@ -45,7 +47,6 @@ from .symplectic import (
     LerayUnitary,
     SymplecticForm,
     canonical_split,
-    crossing_dim,
     unitary_to_plane,
 )
 
@@ -109,30 +110,30 @@ class BulkData:
                 f"gap={self.gap:.3g})")
 
 
-def _finish_bulk(form, u_plus, u_minus, gap, energy, tol) -> BulkData:
-    split = canonical_split(form, tol)
-    u_plus, u_minus = LerayUnitary(u_plus, split, tol), LerayUnitary(u_minus, split, tol)
-    # in-gap energies force transverse planes
-    if crossing_dim(u_plus, u_minus, tol):
-        raise GapClosed("half-line planes intersect; the energy is not in a gap")
-    return BulkData(form, split, u_plus, u_minus, gap, energy, tol)
-
-
-def _finish_each(out, idx, form, u_plus, u_minus, gaps, energies, tol) -> None:
-    """``_finish_bulk`` of points of one form; each bulk, or its error, goes to out[idx]."""
-    for i, up, um, gap, energy in zip(idx, u_plus, u_minus, gaps, energies):
+def _finish_each(out, points, tol) -> None:
+    """Bulk of each (i, form, u_plus, u_minus, gap, energy), or its error, in out[i]."""
+    live = []
+    for i, form, up, um, gap, energy in points:
         try:
-            out[i] = _finish_bulk(form, up, um, gap, energy, tol)
+            split = canonical_split(form, tol)
+            out[i] = BulkData(form, split, LerayUnitary(up, split, tol),
+                              LerayUnitary(um, split, tol), gap, energy, tol)
+            live.append(i)
         except ValueError as exc:
             out[i] = exc
+    if live:
+        # in-gap energies force transverse planes; one spectrum of u_plus u_minus* per stack
+        lam = np.linalg.eigvals(np.array([out[i].u_plus.U @ _ct(out[i].u_minus.U) for i in live]))
+        for i in np.array(live)[(np.abs(lam - 1.0) <= tol.eig_tol).any(axis=1)].tolist():
+            out[i] = GapClosed("half-line planes intersect; the energy is not in a gap")
 
 
-def _only(results: list):
-    """The one result of a one-point stack, raised when it is an error."""
-    (result,) = results
-    if isinstance(result, Exception):
-        raise result
-    return result
+def _raise_first(results: list) -> list:
+    """The results of a stack, unless one is an error: then the first error is raised."""
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
 
 
 @functools.lru_cache(maxsize=64)
@@ -144,6 +145,14 @@ def dirac_form(N: int) -> SymplecticForm:
     """
     d = np.concatenate([1j * np.ones(N), -1j * np.ones(N)])
     return SymplecticForm(np.diag(d))
+
+
+def _finite_block(x, name: str) -> np.ndarray:
+    """A model's matrix: ``_finite_square``, and DimensionMismatch naming it when empty."""
+    X = _finite_square(x, name)
+    if not X.size:
+        raise DimensionMismatch(f"{name} must be nonempty, got shape {X.shape}")
+    return X
 
 
 def _require_finite(energy: float) -> None:
@@ -186,7 +195,7 @@ def dirac_stack(Ws, energies, tol: Tolerances = TOL) -> list:
     batched SVD.
     """
     out = [None] * len(Ws)
-    for idx, W, E in _stacks(Ws, energies, lambda W: _finite_square(W, "W"), out):
+    for idx, W, E in _stacks(Ws, energies, lambda W: _finite_block(W, "W"), out):
         U, s, Vh = np.linalg.svd(W)
         live, gaps = [], []
         for j, (sv, e) in enumerate(zip(s.tolist(), E.tolist())):
@@ -205,8 +214,8 @@ def dirac_stack(Ws, energies, tol: Tolerances = TOL) -> list:
         r = E[:, None, None] / s[:, None, :]
         k, ir = np.sqrt((1.0 - r) * (1.0 + r)), 1j * r
         V, Uh = _ct(Vh), _ct(U)
-        _finish_each(out, [idx[j] for j in live], form, (V * (k + ir)) @ Uh,
-                     (V * (ir - k)) @ Uh, gaps, E.tolist(), tol)
+        _finish_each(out, zip([idx[j] for j in live], [form] * len(live), (V * (k + ir)) @ Uh,
+                              (V * (ir - k)) @ Uh, gaps, E.tolist()), tol)
     return out
 
 
@@ -224,7 +233,7 @@ def dirac_bulk(W, tol: Tolerances = TOL, energy: float = 0.0) -> BulkData:
     with the first c and u_minus with the second. This is the one-point
     case of ``dirac_stack``.
     """
-    return _only(dirac_stack([W], [energy], tol))
+    return _raise_first(dirac_stack([W], [energy], tol))[0]
 
 
 @functools.lru_cache(maxsize=64)
@@ -247,7 +256,7 @@ def schrodinger_stack(Vs, energies, tol: Tolerances = TOL) -> list:
     one batched hermiticity check and one batched ``eigh``.
     """
     out = [None] * len(Vs)
-    for idx, V, E in _stacks(Vs, energies, lambda V: _finite_square(V, "V"), out):
+    for idx, V, E in _stacks(Vs, energies, lambda V: _finite_block(V, "V"), out):
         M = V.shape[-1]
         skew = np.abs(V - _ct(V)).max(axis=(1, 2)).tolist()
         mu, Vm = np.linalg.eigh(V)
@@ -269,8 +278,8 @@ def schrodinger_stack(Vs, energies, tol: Tolerances = TOL) -> list:
         ikappa = 1j * np.sqrt(mu[:, None, :] - E[:, None, None])
         z = (1.0 - ikappa) / (1.0 + ikappa)
         Vmh = _ct(Vm)
-        _finish_each(out, [idx[j] for j in live], form, (Vm * z) @ Vmh,
-                     (Vm * z.conj()) @ Vmh, gaps, E.tolist(), tol)
+        _finish_each(out, zip([idx[j] for j in live], [form] * len(live), (Vm * z) @ Vmh,
+                              (Vm * z.conj()) @ Vmh, gaps, E.tolist()), tol)
     return out
 
 
@@ -285,7 +294,7 @@ def schrodinger_bulk(V, energy: float, tol: Tolerances = TOL) -> BulkData:
     u_plus is (1 - i kappa)/(1 + i kappa) and u_minus its inverse. This
     is the one-point case of ``schrodinger_stack``.
     """
-    return _only(schrodinger_stack([V], [energy], tol))
+    return _raise_first(schrodinger_stack([V], [energy], tol))[0]
 
 
 class TightBindingModel:
@@ -300,8 +309,8 @@ class TightBindingModel:
     __slots__ = ("a", "b")
 
     def __init__(self, a, b, tol: Tolerances = TOL):
-        a = [_finite_square(x, "bond block a") for x in a]
-        b = [_finite_square(x, "site block b") for x in b]
+        a = [_finite_block(x, "bond block a") for x in a]
+        b = [_finite_block(x, "site block b") for x in b]
         if len(a) != len(b) or not a:
             raise DimensionMismatch(
                 f"need equally many bond and site blocks, got {len(a)} and {len(b)}"
@@ -473,7 +482,10 @@ def tb_stack(models, energies, tol: Tolerances = TOL) -> list:
     ``tb_bulk`` raises for it. Chains of one period and block size share
     the bond checks, the site scattering matrices and the star-product
     tree over a (points, sites) stack; each point then takes one QZ of
-    its period's pencil.
+    its period's pencil and maps its planes to its own seam's split.
+    The points are finished together, like those of the other stacks,
+    each in its own form: one spectrum gates the whole stack's
+    transversality.
     """
     out = [None] * len(models)
     for idx, ab, E in _stacks(models, energies, lambda m: np.array(m.a + m.b), out):
@@ -499,6 +511,7 @@ def tb_stack(models, energies, tol: Tolerances = TOL) -> list:
         T[..., N:, N:] = (E[:, None, None, None] * np.eye(N)
                           - np.concatenate([b[:, 1:], b[:, :1]], axis=1)) @ a_inv
         T = K @ T @ Kh
+        points = []
         for row, (j, S) in enumerate(zip(live, _composed(T, E, N))):
             i = idx[j]
             if isinstance(S, Exception):
@@ -516,9 +529,10 @@ def tb_stack(models, energies, tol: Tolerances = TOL) -> list:
                 # each plane is the graph {(y+, U y+)} there, so U solves U y+ = y-
                 u_plus, u_minus = (np.linalg.solve(Y[:N].T, Y[N:].T).T
                                    for Y in (L @ z_plus, L @ z_minus))
-                out[i] = _finish_bulk(form, u_plus, u_minus, gap, E[row], tol)
+                points.append((i, form, u_plus, u_minus, gap, E[row]))
             except ValueError as exc:
                 out[i] = exc
+        _finish_each(out, points, tol)
     return out
 
 
@@ -538,7 +552,7 @@ def tb_bulk(model: TightBindingModel, energy: float = 0.0,
     10 sqrt(eps) or not half the modes are stable, and NotInGap for a
     non-finite energy. This is the one-point case of ``tb_stack``.
     """
-    return _only(tb_stack([model], [energy], tol))
+    return _raise_first(tb_stack([model], [energy], tol))[0]
 
 
 class PiecewiseDiracProfile:
@@ -551,7 +565,7 @@ class PiecewiseDiracProfile:
     __slots__ = ("masses", "breakpoints")
 
     def __init__(self, masses, breakpoints):
-        masses = [_finite_square(W, "mass") for W in masses]
+        masses = [_finite_block(W, "mass") for W in masses]
         breakpoints = [float(t) for t in breakpoints]
         if len(masses) != len(breakpoints) + 1:
             raise DimensionMismatch(

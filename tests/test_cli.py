@@ -218,6 +218,13 @@ class TestJunction:
         assert out == ""
         assert err == "tenfold1d: BadParity: class DIII needs even dimension, got 1\n"
 
+    def test_left_error_wins_when_both_fail(self, write, capsys):
+        code = main(["junction", "--left", write("l.tf", "kind dirac\nW [[0.5]]\n"),
+                     "--right", write("r.tf", "kind dirac\nW [[0.3]]\n"), "--energy", "0.9"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err == "tenfold1d: GapClosed: energy 0.9 is not inside the gap (m0 = 0.5)\n"
+
     def test_incompatible_seam_exits_3(self, write):
         code = main(["junction", "--left", write("l.tf", SSH_L),
                      "--right", write("r.tf", SSH_R), "--class", "BDI"])
@@ -345,6 +352,16 @@ class TestTable:
 
 
 class TestVerify:
+    def test_left_error_wins_when_both_fail(self, write, capsys):
+        # the left chain has a singular bond, the right one closes its gap at E = 0
+        singular = "kind tight_binding\na0 [[0.0]]\na1 [[1.0]]\nb0 [[0.0]]\nb1 [[0.0]]\n"
+        gapless = "kind tight_binding\na0 [[1.0]]\na1 [[1.0]]\nb0 [[0.0]]\nb1 [[0.0]]\n"
+        code = main(["verify", "--left", write("l.tf", singular), "--right", write("r.tf", gapless),
+                     "--cells", "20", "--energy-window", "1e-3"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.startswith("tenfold1d: NotInvertible: bond block with sigma_min ")
+
     def test_chain_seam_passes(self, write, capsys):
         code = main(["verify", "--left", write("l.tf", SSH_L),
                      "--right", write("r.tf", SSH_R), "--class", "BDI",

@@ -238,6 +238,11 @@ class TestContinuousReport:
         with pytest.raises(NotInClass):
             continuous_junction_report(p, 0.0, "D")
 
+    def test_left_error_wins_when_both_ends_are_gapless(self):
+        p = PiecewiseDiracProfile([0.5 * np.eye(1), 0.3 * np.eye(1)], [0.0])
+        with pytest.raises(GapClosed, match=r"^energy 0.9 is not inside the gap \(m0 = 0.5\)$"):
+            continuous_junction_report(p, 0.9, "A")
+
     def test_gapless_end_mass_rejected(self):
         p = PiecewiseDiracProfile([np.zeros((1, 1)), np.eye(1)], [0.0])
         with pytest.raises(GapClosed):

@@ -86,6 +86,22 @@ def test_non_finite_matrix_rejected(build, name, bad):
         build(bad)
 
 
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (dirac_bulk, "W"),
+        (lambda E: schrodinger_bulk(E, -1.0), "V"),
+        (lambda E: tb_bulk(TightBindingModel([E], [E])), "bond block a"),
+        (lambda E: tb_bulk(TightBindingModel([np.eye(1)], [E])), "site block b"),
+        (lambda E: PiecewiseDiracProfile([E, E], [0.0]), "mass"),
+    ],
+    ids=["dirac", "schrodinger", "bond", "site", "profile"],
+)
+def test_empty_matrix_rejected(build, name):
+    with pytest.raises(DimensionMismatch, match=rf"^{name} must be nonempty, got shape \(0, 0\)$"):
+        build(np.zeros((0, 0)))
+
+
 class TestSharedForms:
     def test_one_dirac_form_per_n(self):
         assert dirac_form(2) is dirac_form(2)
@@ -651,6 +667,29 @@ class TestStacks:
         assert str(got[1]) == "site scattering matrices do not compose at energy 0.2"
         for j in (0, 2):
             assert np.array_equal(got[j], _composed(T[j:j + 1], E[j:j + 1], 1)[0])
+
+    @pytest.mark.parametrize("stack, one, name, good", [
+        (dirac_stack, lambda M, e: dirac_bulk(M, energy=e), "W", np.eye(1)),
+        (schrodinger_stack, schrodinger_bulk, "V", np.ones((1, 1))),
+    ], ids=["dirac", "schrodinger"])
+    def test_an_empty_matrix_fails_alone(self, stack, one, name, good):
+        got = stack([np.zeros((0, 0)), good], [0.0, 0.0])
+        assert type(got[0]) is DimensionMismatch
+        assert str(got[0]) == f"{name} must be nonempty, got shape (0, 0)"
+        assert got[1].u_plus.U.tobytes() == one(good, 0.0).u_plus.U.tobytes()
+
+    def test_the_transversality_gate_fails_only_its_point(self):
+        # at E = 0.999 the eigenvalue of u_plus u_minus* is about 0.09 from 1,
+        # inside this eig_tol; the other two points are far from it
+        W, tol = np.array([[1.0]]), Tolerances(eig_tol=0.5)
+        got = dirac_stack([W] * 3, [0.0, 0.999, 0.5], tol)
+        assert type(got[1]) is GapClosed
+        assert str(got[1]) == "half-line planes intersect; the energy is not in a gap"
+        for j, energy in ((0, 0.0), (2, 0.5)):
+            want = dirac_bulk(W, tol, energy)
+            assert got[j].u_plus.U.tobytes() == want.u_plus.U.tobytes()
+            assert got[j].u_minus.U.tobytes() == want.u_minus.U.tobytes()
+            assert got[j].gap == want.gap and got[j].energy == want.energy
 
     def test_one_point_builders_are_stacks_of_one(self):
         W = np.array([[0.3, 1.0], [-0.5, 0.8]])
