@@ -341,7 +341,8 @@ def cmd_verify(args, tol: Tolerances):
     meta = {
         "source": source,
         "matrix_dim": int(H.shape[0]),
-        "energies": [float(e) for e in oracle.energies],
+        # H was shifted by the energy, so its eigenvalues are offsets from it
+        "energies": [float(e + energy) for e in oracle.energies],
     }
     meta.update(extra_meta)
     return RunReport("verify", columns, rows, meta), 2 if verdict == "FAIL" else 0

@@ -90,7 +90,8 @@ class HermitianBand:
     ``lower`` has shape (p+1, dim): ``lower[d, j]`` is the entry
     H[j+d, j], and the last d entries of row d are padding. ``shape`` is
     that of the matrix; ``np.asarray`` forms the dense matrix, its upper
-    triangle the conjugate mirror of the lower one.
+    triangle the conjugate mirror of the lower one; as the dense matrix
+    is formed anew, ``copy=False`` raises ValueError.
     """
 
     __slots__ = ("lower",)
@@ -104,6 +105,8 @@ class HermitianBand:
         return dim, dim
 
     def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a HermitianBand holds no dense array: forming one copies")
         dim = self.lower.shape[1]
         H = np.zeros((dim, dim), dtype=complex)
         for d, diagonal in enumerate(self.lower):
@@ -288,20 +291,65 @@ def _band_matmul(band: np.ndarray, V: np.ndarray) -> np.ndarray:
     return HV
 
 
+def _block_size(band: np.ndarray) -> int:
+    """Smallest b for which the hermitian H whose lower band is given is
+    block tridiagonal in b x b blocks.
+
+    H is block tridiagonal in b x b blocks when every nonzero H[i, j] below
+    the diagonal has i // b - j // b <= 1; any b >= p qualifies. A scan of
+    the band's zero pattern finds the smallest such b (for a band whose
+    last row holds a nonzero, as the builders and the dense scan give), so
+    a band from a builder and one scanned from a dense input give the same
+    b: for both builders it is N, the channel or site block.
+    """
+    p = band.shape[0] - 1
+    # an entry p below the diagonal spans at most two blocks only when
+    # b > p / 2, so for p <= 2 no b below max(p, 1) is left to scan
+    candidates = range((p + 2) // 2, p)
+    if candidates:
+        nonzero = band != 0
+        # reach[j]: distance below the diagonal of column j's last nonzero
+        reach = np.where(nonzero.any(axis=0), p - nonzero[::-1].argmax(axis=0), 0)
+        j = np.arange(band.shape[1])
+        for b in candidates:
+            if ((j + reach) // b - j // b <= 1).all():
+                return b
+    return max(p, 1)
+
+
+def _hmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X^* Y for broadcast stacks of small matrices.
+
+    One broadcast multiply-add per contraction index: ``@`` on a stack of
+    tiny complex matrices makes one BLAS call per matrix.
+    """
+    Xh = X.conj()
+    out = Xh[..., 0, :, None] * Y[..., 0, None, :]
+    for k in range(1, X.shape[-2]):
+        out += Xh[..., k, :, None] * Y[..., k, None, :]
+    return out
+
+
 def _count_below(band: np.ndarray, shifts, res_tol: float) -> np.ndarray:
     """Number of eigenvalues below each of ``shifts`` of the hermitian H
     whose lower band is given in LAPACK storage, with a real diagonal and
     zero padding.
 
     Sylvester's law of inertia by block cyclic reduction: H - s is viewed
-    as block tridiagonal with b = max(p, 1) square blocks, the last one
-    padded with a diagonal above every shift, which adds no negative
-    eigenvalue. Each level eliminates the even blocks of every shift at
-    once; their negative eigenvalues add to the count (Haynsworth inertia
-    additivity), and the Schur complement on the odd blocks is again
-    block tridiagonal with half as many blocks. One batched eigh per
-    level gives both the inertia of the eliminated blocks and their
-    inverses V diag(1/lambda) V*. The cost is O(dim * p^2) per shift.
+    as block tridiagonal in the smallest square blocks whose pattern holds
+    every nonzero of the band (``_block_size``: N for both builders, at
+    most max(p, 1)), the last one padded with a diagonal above every
+    shift, which adds no negative eigenvalue. Each level eliminates the
+    even blocks of every shift at once; their negative eigenvalues add to
+    the count (Haynsworth inertia additivity), and the Schur complement on
+    the odd blocks is again block tridiagonal with half as many blocks.
+    One batched eigh per level gives both the inertia of the eliminated
+    blocks and their inverses V diag(1/lambda) V*. The first level's even
+    blocks are D - s, with D's eigenvectors and eigenvalues shifted by s,
+    so one eigh of D and the products of V* with the couplings serve
+    every shift. The products of small blocks are broadcast multiply-adds,
+    one numpy call per contraction index. The cost is O(dim * b^2) per
+    shift, most of it in the batched eigh of the later levels.
 
     Raises AmbiguousKernel when a pivot eigenvalue is within ``res_tol``
     of zero, where its sign is not decided. Without pivoting such a pivot
@@ -309,7 +357,7 @@ def _count_below(band: np.ndarray, shifts, res_tol: float) -> np.ndarray:
     matrix whose diagonal blocks are singular.
     """
     p, dim = band.shape[0] - 1, band.shape[1]
-    b = max(p, 1)
+    b = _block_size(band)
     m = -(-dim // b)
     shifts = np.asarray(shifts, dtype=float)
     lower = np.zeros((p + 1, m * b), dtype=complex)
@@ -322,11 +370,14 @@ def _count_below(band: np.ndarray, shifts, res_tol: float) -> np.ndarray:
     D = lower[abs(a - c), start + np.minimum(a, c)]
     D = np.where(a >= c, D, D.conj())
     d = b + a - c
-    L = np.where(d <= p, lower[np.minimum(d, p), start[:-1] + c], 0)[None]
-    D = D - shifts[:, None, None, None] * np.eye(b)
+    L = np.where(d <= p, lower[np.minimum(d, p), start[:-1] + c], 0)
+    # the first level's V and L carry no shift axis; broadcasting against
+    # the shifted eigenvalues gives every later array one
+    lam, V = np.linalg.eigh(D[::2])
+    lam = lam - shifts[:, None, None]
+    odd = D[1::2] - shifts[:, None, None, None] * np.eye(b)
     below = np.zeros(shifts.size, dtype=int)
     while True:
-        lam, V = np.linalg.eigh(D[:, ::2])
         if np.abs(lam).min() <= res_tol:
             s, *rest = np.argwhere(np.abs(lam) <= res_tol)[0]
             raise AmbiguousKernel(
@@ -334,21 +385,21 @@ def _count_below(band: np.ndarray, shifts, res_tol: float) -> np.ndarray:
                 f"{lam[s][tuple(rest)]:.3e} within tolerance {res_tol:.3e}"
             )
         below += np.count_nonzero(lam < 0, axis=(1, 2))
-        n_even, n_odd = lam.shape[1], D.shape[1] - lam.shape[1]
+        n_even, n_odd = lam.shape[1], odd.shape[1]
         if not n_odd:
             return below
         # Schur complement on the odd blocks: even block e couples down to
         # e+1 through L[e] and up to e-1 through L[e-1]^*; with Z = V* C^*
         # each coupling pair contributes Z_1^* diag(1/lambda) Z_2
-        Vh = V.conj().swapaxes(-1, -2)
-        down = Vh[:, :n_odd] @ L[:, 0::2].conj().swapaxes(-1, -2)
-        up = Vh[:, 1:] @ L[:, 1::2]
+        down = _hmul(V[..., :n_odd, :, :], L[..., 0::2, :, :].conj().swapaxes(-1, -2))
+        up = _hmul(V[..., 1:, :, :], L[..., 1::2, :, :])
         down_scaled = down / lam[:, :n_odd, :, None]
         up_scaled = up / lam[:, 1:, :, None]
-        odd = D[:, 1::2] - down.conj().swapaxes(-1, -2) @ down_scaled
-        odd[:, :n_even - 1] -= up.conj().swapaxes(-1, -2) @ up_scaled
-        L = -(down[:, 1:].conj().swapaxes(-1, -2) @ up_scaled[:, :n_odd - 1])
-        D = odd
+        odd = odd - _hmul(down, down_scaled)
+        odd[:, :n_even - 1] -= _hmul(up, up_scaled)
+        L = -_hmul(down[..., 1:, :, :], up_scaled[:, :n_odd - 1])
+        lam, V = np.linalg.eigh(odd[:, ::2])
+        odd = odd[:, 1::2]
 
 
 # vectors beyond a window's count, solves per shift, the residual reduction
@@ -487,9 +538,11 @@ def count_near_zero_localized(H, spec: DiscretizationSpec,
     scan for its bandwidth p. Either way no dim^2 array is formed after
     that and nothing diagonalizes the whole matrix. The window holds
     k = below(w) - below(-w) eigenvalues, counted by Sylvester inertia at
-    both edges at once: block cyclic reduction of H - s in blocks of size
-    max(p, 1), with one batched eigh of the eliminated blocks per level,
-    costs O(dim * p^2) per shift over log2(dim / p) levels. The k
+    both edges at once: block cyclic reduction of H - s in the smallest
+    blocks b whose block-tridiagonal pattern holds the band (N for both
+    builders, at most max(p, 1)), with one batched eigh of the eliminated
+    blocks per level, the first level's shared by both edges, costs
+    O(dim * b^2) per shift over log2(dim / b) levels. The k
     eigenpairs come from block shift-and-invert iteration with banded
     solves and Rayleigh-Ritz; a window it does not resolve in a few solves
     is split and its halves counted by inertia again. The energies are

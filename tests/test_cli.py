@@ -378,6 +378,21 @@ class TestVerify:
         assert row["verdict"] == "PASS"
         assert "# index_left: 1" in err
 
+    def test_energies_on_the_energy_axis(self, write, capsys):
+        # both chains sit at on-site energy 0.3, so the seam pair does too;
+        # the count runs on H - 0.3, and its energies are shifted back
+        onsite = lambda text: text.replace("b0 [[0.0]]\nb1 [[0.0]]", "b0 [[0.3]]\nb1 [[0.3]]")
+        code = main(["verify", "--left", write("l.tf", onsite(SSH_L)),
+                     "--right", write("r.tf", onsite(SSH_R)), "--class", "BDI",
+                     "--cells", "60", "--energy-window", "1e-3", "--energy", "0.3", "--json"])
+        out, _ = capsys.readouterr()
+        assert code == 0
+        report = json.loads(out)
+        assert report["rows"][0][1] == "0.3"
+        energies = report["meta"]["energies"]
+        assert len(energies) == 2
+        assert all(abs(e - 0.3) < 1e-9 for e in energies)
+
     def test_profile_wall_passes(self, write, capsys):
         code = main(["verify", "--profile", write("p.tf", WALL), "--class", "D",
                      "--length", "20", "--step", "0.1", "--energy-window", "0.1"])

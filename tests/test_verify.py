@@ -29,6 +29,8 @@ from tenfold1d.linalg import TOL
 from tenfold1d.verify import (
     HermitianBand,
     OracleReport,
+    _block_band,
+    _block_size,
     _definite_sign,
     _scanned_band,
     _split_mass,
@@ -255,6 +257,16 @@ class TestBuildersAgainstDense:
         assert H.shape == want.shape
         assert np.array_equal(np.asarray(H), want)
         assert H.lower.shape == (bandwidth(want) + 1, want.shape[0])
+
+
+class TestHermitianBand:
+    def test_dense_array_is_always_a_copy(self):
+        H = _block_band(np.array([[[1.0]], [[2.0]]]), np.array([[[3.0 + 1.0j]]]))
+        want = np.array([[1.0, 3.0 - 1.0j], [3.0 + 1.0j, 2.0]])
+        assert np.array_equal(np.asarray(H), want)
+        assert np.array_equal(np.array(H, copy=True), want)
+        with pytest.raises(ValueError, match="forming one copies"):
+            np.asarray(H, copy=False)
 
 
 class TestFiniteChain:
@@ -578,12 +590,16 @@ class TestBandedAgainstDense:
         assert report.near_zero >= copies + zeros
 
 
+def inertia_tol(band):
+    return 1e3 * np.finfo(float).eps * max(1.0, np.abs(band).max()) * np.sqrt(band.shape[1])
+
+
 class TestInertia:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(0, 5), st.booleans(),
            st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=5))
     @settings(max_examples=60, deadline=None)
     def test_counts_eigenvalues_below_each_shift(self, seed, dim, p, chiral, shifts):
-        # dims need not be multiples of the block size max(p, 1)
+        # dims need not be multiples of the block size
         H = random_banded(np.random.default_rng(seed), dim, p, chiral=chiral)
         evals = np.linalg.eigvalsh(H)
         shifts = np.array(shifts)
@@ -596,6 +612,65 @@ class TestInertia:
         res_tol = 1e3 * np.finfo(float).eps * max(1.0, np.abs(band).max()) * np.sqrt(dim)
         got = verify._count_below(band, shifts, res_tol)
         assert got.tolist() == [int(np.count_nonzero(evals < s)) for s in shifts]
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 12), st.booleans(),
+           st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_counts_block_bands_below_each_shift(self, seed, N, K, chiral, shifts):
+        # N x N blocks give p = 2N - 1, but the count reduces in b = N
+        rng = np.random.default_rng(seed)
+        X = complex_normal(rng, (K, N, N))
+        # zero diagonal blocks, as in a chiral matrix, are singular pivots at shift zero
+        diag = np.zeros_like(X) if chiral else X + X.conj().swapaxes(-1, -2)
+        H = _block_band(diag, complex_normal(rng, (K - 1, N, N)))
+        evals = np.linalg.eigvalsh(np.asarray(H))
+        shifts = np.array(shifts)
+        assume(np.abs(np.subtract.outer(shifts, evals)).min() > 1e-6)
+        if chiral:
+            assume(np.abs(shifts).min() > 1e-6)
+        if K > 1:
+            assert _block_size(H.lower) == N
+        got = verify._count_below(H.lower, shifts, inertia_tol(H.lower))
+        assert got.tolist() == [int(np.count_nonzero(evals < s)) for s in shifts]
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_builders_give_their_block(self, rng):
+        spec = DiscretizationSpec(length=8.0, step=0.08, cells=10)
+        H = discretize_dirac_junction(rotated_profile(2, rng), spec)
+        assert bandwidth(H) == 3 and _block_size(H.lower) == 2
+        chain = lambda: TightBindingModel([complex_normal(rng, (2, 2))],
+                                          [np.diag(rng.normal(size=2))])
+        H = finite_chain(chain(), chain(), spec)
+        assert bandwidth(H) == 3 and _block_size(H.lower) == 2
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_entry_outside_the_block_pattern_gives_p(self, rng, N):
+        X = complex_normal(rng, (6, N, N))
+        H = _block_band(X + X.conj().swapaxes(-1, -2), complex_normal(rng, (5, N, N)))
+        p = 2 * N - 1
+        assert _block_size(H.lower) == N
+        # H[p + 1, 1] sits in the far corner of the band, two blocks below
+        # the diagonal in N x N blocks
+        H.lower[p, 1] = 0.5
+        assert _block_size(H.lower) == p
+        evals = np.linalg.eigvalsh(np.asarray(H))
+        shifts = np.array([-1.3, 0.1, 2.2])
+        assert np.abs(np.subtract.outer(shifts, evals)).min() > 1e-6
+        got = verify._count_below(H.lower, shifts, inertia_tol(H.lower))
+        assert got.tolist() == [int(np.count_nonzero(evals < s)) for s in shifts]
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_shifts_in_one_call_match_one_at_a_time(self, rng):
+        spec = DiscretizationSpec(length=8.0, step=0.08)
+        H = discretize_dirac_junction(rotated_profile(2, rng), spec)
+        shifts = np.array([-0.7, -0.16, -0.01, 0.03, 0.16, 1.9])
+        evals = np.linalg.eigvalsh(np.asarray(H))
+        assert np.abs(np.subtract.outer(shifts, evals)).min() > 1e-6
+        res_tol = inertia_tol(H.lower)
+        together = verify._count_below(H.lower, shifts, res_tol)
+        alone = [int(verify._count_below(H.lower, [s], res_tol)[0]) for s in shifts]
+        assert together.tolist() == alone
+        assert alone == [int(np.count_nonzero(evals < s)) for s in shifts]
 
 
 class TestOracleCompare:
