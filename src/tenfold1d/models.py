@@ -601,9 +601,10 @@ class PiecewiseDiracProfile:
 
 
 def _segment_flow(W: np.ndarray, energy: float, length: float):
-    """Sub-step count and flow over one sub-step h of psi' = B psi.
+    """Sub-step count and the four N x N blocks of the flow over one sub-step h.
 
-    B = [[iE, -W], [-W*, -iE]]. With W = U S V*, B acts on each
+    The flow of psi' = B psi with B = [[iE, -W], [-W*, -iE]] is returned
+    as nsub, P11, P12, P21, P22. With W = U S V*, B acts on each
     span{(u_k, 0), (0, v_k)} as M_k = [[iE, -s_k], [-s_k, -iE]], whose
     square is kappa^2 = s_k^2 - E^2, so the flow is cosh(kappa h) +
     sinh(kappa h)/kappa M_k there: kappa is imaginary where the segment
@@ -618,43 +619,32 @@ def _segment_flow(W: np.ndarray, energy: float, length: float):
     c = np.cosh(x)
     d = h * np.divide(np.sinh(x), x, out=np.ones_like(x), where=x != 0)
     V, Uh = Vh.conj().T, U.conj().T
-    P = np.block([[(U * (c + 1j * energy * d)) @ Uh, (U * (-s * d)) @ Vh],
-                  [(V * (-s * d)) @ Uh, (V * (c - 1j * energy * d)) @ Vh]])
-    return nsub, P
+    return (nsub, (U * (c + 1j * energy * d)) @ Uh, (U * (-s * d)) @ Vh,
+            (V * (-s * d)) @ Uh, (V * (c - 1j * energy * d)) @ Vh)
 
 
 def _transport(far: LerayUnitary, profile: PiecewiseDiracProfile, energy: float,
                side: str, t: float, tol: Tolerances):
-    """Carry a far-side Leray unitary through the steps up to t.
+    """Carry a far-side Leray unitary from its end of the profile to t.
 
+    The walk visits the breakpoints strictly past t, counted from the far
+    end, then t. Beyond them the far plane is translation invariant, so a
+    walk that crosses no segment keeps the far unitary with defect 0.0.
     The Dirac form's canonical split is the identity with unit blocks
-    (a_plus = a_minus = 1), so the flow P of a sub-step maps U to
+    (a_plus = a_minus = 1), so the flow of a sub-step maps U to
     (P21 + P22 U)(P11 + P12 U)^-1. That image is unitary up to
     roundoff; it is replaced by its polar factor, and NotLagrangian is
     raised when it departs from unitarity by more than ``tol.frame_tol``.
     Returns the unitary at t and the largest departure seen.
     """
     bps = profile.breakpoints
-    if not bps:
-        raise ValueError("profile has no breakpoints; use dirac_bulk instead")
-    if side == "+":
-        anchor = bps[-1]
-        if t >= anchor:
-            # constant coefficients: the far plane is translation invariant
-            return far, 0.0
-        path = [anchor] + [b for b in reversed(bps) if t < b < anchor] + [t]
-    else:
-        anchor = bps[0]
-        if t <= anchor:
-            return far, 0.0
-        path = [anchor] + [b for b in bps if anchor < b < t] + [t]
-
+    path = ([b for b in reversed(bps) if b > t] if side == "+" else [b for b in bps if b < t]) + [t]
     U = far.U
     N = far.n
     defect = 0.0
     for start, stop in zip(path, path[1:]):
-        nsub, P = _segment_flow(profile.mass_at(0.5 * (start + stop)), energy, stop - start)
-        P11, P12, P21, P22 = P[:N, :N], P[:N, N:], P[N:, :N], P[N:, N:]
+        nsub, P11, P12, P21, P22 = _segment_flow(
+            profile.mass_at(0.5 * (start + stop)), energy, stop - start)
         for _ in range(nsub):
             V = np.linalg.solve((P11 + P12 @ U).T, (P21 + P22 @ U).T).T
             step_defect = float(np.abs(V.conj().T @ V - np.eye(N)).max())
@@ -674,10 +664,13 @@ def propagate_plane(profile: PiecewiseDiracProfile, energy: float, side: str,
     leftwards to t; side '-' transports the growing plane of the
     leftmost segment rightwards. The plane travels as its Leray unitary
     and NotLagrangian is raised when a sub-step moves it off the unitary
-    group by more than ``tol.frame_tol``.
+    group by more than ``tol.frame_tol``. A profile with one mass is a
+    constant bulk, whose plane is the same at every t; t must be finite.
     """
     if side not in ("+", "-"):
         raise ValueError(f"side must be '+' or '-', got {side!r}")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     if side == "+":
         far = dirac_bulk(profile.masses[-1], tol, energy).u_plus
     else:

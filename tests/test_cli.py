@@ -11,6 +11,7 @@ from tenfold1d.cli import _COMMANDS, RunReport, _build_parser, main
 DIRAC_POS = "kind dirac\nW [[1.0]]\n"
 DIRAC_NEG = "kind dirac\nW [[-1.0]]\n"
 WALL = "kind dirac_profile\nW0 [[-1.0]]\nW1 [[1.0]]\nbreakpoints [0.0]\n"
+ONE_MASS = "kind dirac_profile\nW0 [[{}]]\nbreakpoints []\n"
 FAMILY = "kind dirac\nW [[?]]\n"
 SSH_L = ("kind tight_binding\na0 [[1.0]]\na1 [[2.0]]\n"
          "b0 [[0.0]]\nb1 [[0.0]]\n")
@@ -193,6 +194,16 @@ class TestJunction:
         row = dict(zip(header, rows[0]))
         assert row["predicted"] == "1" and row["transport_consistent"] == "true"
         assert "predicted_principal_angles" not in err
+
+    @pytest.mark.parametrize("mass", ["1.0", "-1.0"])
+    def test_one_mass_profile(self, write, capsys, mass):
+        # one mass and no breakpoints is a constant bulk: no junction, no mode
+        code = main(["junction", "--profile", write("p.tf", ONE_MASS.format(mass)), "--class", "D"])
+        out, _ = capsys.readouterr()
+        assert code == 0
+        header, rows = rows_of(out)
+        row = dict(zip(header, rows[0]))
+        assert (row["predicted"], row["bound"], row["transport_consistent"]) == ("0", "0", "true")
 
     def test_profile_needs_class(self, write):
         assert main(["junction", "--profile", write("p.tf", WALL)]) == 3
@@ -401,6 +412,17 @@ class TestVerify:
         _, rows = rows_of(out)
         assert rows[0][-1] == "PASS"
         assert rows[0][2] == "1" and rows[0][5] == "1"
+
+    @pytest.mark.parametrize("mass", ["1.0", "-1.0"])
+    def test_one_mass_profile_passes(self, write, capsys, mass):
+        code = main(["verify", "--profile", write("p.tf", ONE_MASS.format(mass)), "--class", "D",
+                     "--length", "20", "--step", "0.1", "--energy-window", "0.1"])
+        out, _ = capsys.readouterr()
+        assert code == 0
+        header, rows = rows_of(out)
+        row = dict(zip(header, rows[0]))
+        assert (row["predicted"], row["near_zero"], row["localized"]) == ("0", "0", "0")
+        assert row["verdict"] == "PASS"
 
     def test_warnings_are_one_line(self, write, capsys):
         # one channel keeps its sign across the wall: indefinite outer mass

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_models import gapped_mass
@@ -22,6 +22,7 @@ from tenfold1d import (
 )
 from tenfold1d.errors import AmbiguousKernel, GapClosed, IncompatibleBoundary, NotInClass
 from tenfold1d.models import _transport
+from tenfold1d.symplectic import _crossing_spectrum
 from tenfold1d.symmetry import random_unitary
 
 # a stiff three-channel staircase (perfbench transport census, seed 2):
@@ -83,6 +84,7 @@ class TestPredictedZeroModes:
             assert predicted_zero_modes(left, right) == k
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    @example(seed=14185, n=4)
     @settings(max_examples=25, deadline=None)
     def test_matches_plane_intersection(self, seed, n):
         rng = np.random.default_rng(seed)
@@ -91,7 +93,16 @@ class TestPredictedZeroModes:
         direct = subspace_intersection_dim(
             right.plane_plus.frame, left.plane_minus.frame
         )
-        assert predicted_zero_modes(left, right) == direct
+        predicted = predicted_zero_modes(left, right)
+        # a unit eigenvalue of U_+ U_-* is a principal angle 0; the crossing
+        # count takes |lambda - 1| <= eig_tol, the angle count 1 - cos <= eig_tol,
+        # which reaches |lambda - 1| of about sqrt(8 eig_tol)
+        dist = np.abs(_crossing_spectrum(right.u_plus, left.u_minus, TOL) - 1.0)
+        near = int(((dist > TOL.eig_tol) & (dist <= np.sqrt(8 * TOL.eig_tol))).sum())
+        assert direct == predicted + near
+        if (seed, n) == (14185, 4):
+            # |lambda - 1| = 1.8e-4: a near crossing only the angles count
+            assert (predicted, direct, near) == (0, 1, 1)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tenfold1d import (
+    TOL,
     LagrangianPlane,
     PiecewiseDiracProfile,
     TightBindingModel,
@@ -21,6 +22,7 @@ from tenfold1d import (
     subspace_intersection_dim,
     tb_bulk,
     topological_index,
+    unitary_to_plane,
 )
 from tenfold1d.errors import (
     DimensionMismatch,
@@ -35,6 +37,7 @@ from tenfold1d.models import (
     _composed,
     _schrodinger_form,
     _segment_flow,
+    _transport,
     dirac_stack,
     schrodinger_stack,
     tb_form,
@@ -319,10 +322,14 @@ class TestSegmentFlow:
         # every singular value above |E|, one below it, or one equal to it exactly
         assert np.sign(np.linalg.svd(W)[1] - abs(E)).min() == sign
         B = np.block([[1j * E * np.eye(n), -W], [-W.conj().T, -1j * E * np.eye(n)]])
-        nsub, P = _segment_flow(W, E, length)
+        nsub, *blocks = _segment_flow(W, E, length)
         assert nsub == max(1, int(np.ceil(abs(length) * np.linalg.norm(B, 2) / 4.0)))
         want = sla.expm(B * (length / nsub))
-        assert np.abs(P - want).max() <= 1e-13 * np.abs(want).max()
+        # the four N x N blocks P11, P12, P21, P22 of the flow
+        want_blocks = [want[:n, :n], want[:n, n:], want[n:, :n], want[n:, n:]]
+        assert [b.shape for b in blocks] == [(n, n)] * 4
+        for got, block in zip(blocks, want_blocks):
+            assert np.abs(got - block).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestTightBindingModel:
@@ -547,9 +554,39 @@ class TestPiecewiseProfile:
         with pytest.raises(ValueError):
             propagate_plane(p, 0.0, "up")
 
-    def test_needs_breakpoints(self):
-        with pytest.raises(ValueError):
-            propagate_plane(PiecewiseDiracProfile([np.eye(1)], []), 0.0, "+")
+    def test_one_mass_is_the_bulk_plane(self, rng):
+        # a profile with one mass is a constant bulk: the walk crosses no
+        # segment, so every cut gives the bulk's own plane on either side
+        W = gapped_mass(2, rng)
+        p = PiecewiseDiracProfile([W], [])
+        bulk = dirac_bulk(W, energy=0.3)
+        for side, far in (("+", bulk.u_plus), ("-", bulk.u_minus)):
+            want = unitary_to_plane(far).frame.matrix
+            for t in (-2.0, 0.0, 3.5):
+                assert np.array_equal(propagate_plane(p, 0.3, side, t=t).frame.matrix, want)
+
+    @pytest.mark.parametrize("side", ["+", "-"])
+    @pytest.mark.parametrize("t", [np.nan, -np.inf, np.inf])
+    def test_cut_must_be_finite(self, monkeypatch, t, side):
+        # a non-finite cut crosses no segment, so it would hand back the far
+        # plane; it is rejected before any bulk is built
+        p = PiecewiseDiracProfile([-np.eye(1), np.eye(1)], [0.0])
+        monkeypatch.setattr(models, "dirac_bulk", None)
+        with pytest.raises(ValueError, match="^t must be finite, got "):
+            propagate_plane(p, 0.0, side, t=t)
+
+    def test_far_cut_keeps_the_far_unitary(self, rng):
+        # at or beyond the far end's last breakpoint the walk crosses no
+        # segment: the far unitary comes back byte for byte, with defect 0.0
+        masses = [gapped_mass(2, rng) for _ in range(3)]
+        p = PiecewiseDiracProfile(masses, [-1.0, 1.5])
+        right = dirac_bulk(masses[-1], energy=0.2).u_plus
+        left = dirac_bulk(masses[0], energy=0.2).u_minus
+        for far, side, cuts in ((right, "+", (1.5, 4.0)), (left, "-", (-1.0, -3.0))):
+            for t in cuts:
+                U, defect = _transport(far, p, 0.2, side, t, TOL)
+                assert U.U.tobytes() == far.U.tobytes()
+                assert defect == 0.0
 
     def test_translation_invariant_beyond_last_step(self):
         p = PiecewiseDiracProfile([-np.eye(1), np.eye(1)], [0.0])
