@@ -54,7 +54,7 @@ from .modelfile import (
     parse_model,
     parse_model_text,
 )
-from .models import _raise_first, tb_stack
+from .models import _raise_first
 from .symmetry import CartanClass
 from .verify import (
     DiscretizationSpec,
@@ -93,6 +93,8 @@ class RunReport:
 
 
 def _fmt(x) -> str:
+    if x is None:  # the prediction for a pair that does not glue
+        return "NA"
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -140,11 +142,29 @@ def _profile_report(args, tol: Tolerances):
     return profile, energy, continuous_junction_report(profile, energy, args.cartan, tol)
 
 
-def _pair_indices(label, left, right, tol: Tolerances):
-    """Indices of two bulks' decaying unitaries and their protected bound."""
-    il = topological_index(left.u_plus, label, tol)
-    ir = topological_index(right.u_plus, label, tol)
-    return il, ir, protected_bound(label, il, ir)
+def _predicted(left, right, tol: Tolerances):
+    """Glued kernel of two bulks, or None when ``hard_junction`` refuses to glue them."""
+    try:
+        return predicted_zero_modes(left, right, tol)
+    except IncompatibleBoundary:
+        return None
+
+
+def _pair(args, tol: Tolerances):
+    """Parsed files, energy, bulks and class data of a --left/--right pair.
+
+    Both bulks are built as one stack, so the left error wins when both
+    fail. The class data is (index_left, index_right, bound) with
+    --class, else None.
+    """
+    mfs = [parse_model(args.left), parse_model(args.right)]
+    energy = _pick_energy(args, *mfs)
+    left, right = _raise_first(build_stack(mfs, tol, energy=energy))
+    found = None
+    if args.cartan:
+        il, ir = (topological_index(b.u_plus, args.cartan, tol) for b in (left, right))
+        found = il, ir, protected_bound(args.cartan, il, ir)
+    return mfs, energy, left, right, found
 
 
 def cmd_junction(args, tol: Tolerances):
@@ -168,16 +188,9 @@ def cmd_junction(args, tol: Tolerances):
 
     if not (args.left and args.right):
         raise ParseError("junction needs --left and --right, or --profile")
-    left_mf = parse_model(args.left)
-    right_mf = parse_model(args.right)
-    energy = _pick_energy(args, left_mf, right_mf)
-    left, right = _raise_first(build_stack([left_mf, right_mf], tol, energy=energy))
+    _, energy, left, right, found = _pair(args, tol)
     predicted = predicted_zero_modes(left, right, tol)
-    bound = ""
-    index_left = index_right = ""
-    if args.cartan:
-        il, ir, b = _pair_indices(args.cartan, left, right, tol)
-        bound, index_left, index_right = _fmt(b), str(il), str(ir)
+    index_left, index_right, bound = ("", "", "") if found is None else map(_fmt, found)
     columns = ["class", "energy", "predicted", "bound", "index_left",
                "index_right", "gap_left", "gap_right"]
     rows = [[args.cartan or "", _fmt(energy), _fmt(predicted), bound,
@@ -187,12 +200,13 @@ def cmd_junction(args, tol: Tolerances):
 
 
 def _pick_energy(args, *mfs) -> float:
+    """--energy, else the files' energy lines, which must agree, else 0."""
     if args.energy is not None:
         return float(args.energy)
-    for mf in mfs:
-        if mf.energy is not None:
-            return float(mf.energy)
-    return 0.0
+    lines = list(dict.fromkeys(float(mf.energy) for mf in mfs if mf.energy is not None))
+    if len(lines) > 1:
+        raise ParseError(f"energy lines differ: {lines[0]!r} vs {lines[1]!r}; pass --energy")
+    return lines[0] if lines else 0.0
 
 
 def _parse_values(spec: str) -> list:
@@ -268,11 +282,7 @@ def cmd_sweep(args, tol: Tolerances):
         if isinstance(bulk, Exception):
             raise bulk
         idx = topological_index(bulk.u_plus, label, tol)
-        try:
-            predicted = _fmt(predicted_zero_modes(ref_bulk, bulk, tol))
-        except IncompatibleBoundary:
-            predicted = "NA"
-        rows.append([_fmt(v), _fmt(bulk.gap), str(idx), predicted])
+        rows.append([_fmt(v), _fmt(bulk.gap), str(idx), _fmt(_predicted(ref_bulk, bulk, tol))])
     if parse_error is not None:
         raise parse_error
     meta = {"model": args.model, "class": label.value, "reference": ref_value}
@@ -307,23 +317,13 @@ def cmd_verify(args, tol: Tolerances):
         predicted, bound = rep.predicted, rep.bound
         source = args.profile
     elif args.left and args.right:
-        left_mf = parse_model(args.left)
-        right_mf = parse_model(args.right)
-        energy = _pick_energy(args, left_mf, right_mf)
-        left_model = build_tb(left_mf, tol)
-        right_model = build_tb(right_mf, tol)
-        left, right = _raise_first(tb_stack([left_model, right_model], [energy] * 2, tol))
+        mfs, energy, left, right, found = _pair(args, tol)
         bound = 0
-        if args.cartan:
-            il, ir, bound = _pair_indices(args.cartan, left, right, tol)
+        if found is not None:
+            il, ir, bound = found
             extra_meta = {"index_left": str(il), "index_right": str(ir)}
-        try:
-            predicted = predicted_zero_modes(left, right, tol)
-        except IncompatibleBoundary:
-            # seam bonds differ: no common boundary form, so the
-            # transversal count is unavailable; the bound still stands
-            predicted = None
-        H = finite_chain(left_model, right_model, spec)
+        predicted = _predicted(left, right, tol)
+        H = finite_chain(*(build_tb(mf, tol) for mf in mfs), spec)
         source = f"{args.left} | {args.right}"
     else:
         raise ParseError("verify needs --profile, or --left and --right")
@@ -335,8 +335,7 @@ def cmd_verify(args, tol: Tolerances):
     verdict = oracle_compare((compare_predicted, bound), oracle)
     columns = ["class", "energy", "predicted", "bound", "near_zero",
                "localized", "verdict"]
-    rows = [[args.cartan or "", _fmt(energy),
-             "NA" if predicted is None else _fmt(predicted), _fmt(bound),
+    rows = [[args.cartan or "", _fmt(energy), _fmt(predicted), _fmt(bound),
              _fmt(oracle.near_zero), _fmt(oracle.localized), verdict]]
     meta = {
         "source": source,

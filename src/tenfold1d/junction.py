@@ -37,11 +37,14 @@ __all__ = [
 def hard_junction(left: BulkData, right: BulkData, tol: Tolerances = TOL) -> None:
     """Validate that two bulks can be glued at their common boundary.
 
-    Raises IncompatibleBoundary when the boundary forms differ (for
-    chains this happens whenever the seam bond differs) or when the two
+    Raises IncompatibleBoundary when the model families differ (a chain
+    with seam bond -I has the Schrodinger form), when the boundary forms
+    differ (for chains, whenever the seam bond differs) or when the two
     bulks were evaluated at different energies.
     """
-    if left.form.dim != right.form.dim or not left.form.same_as(right.form, tol):
+    if left.family != right.family:
+        raise IncompatibleBoundary(f"cannot glue a {left.family} bulk to a {right.family} bulk")
+    if not left.form.same_as(right.form, tol):
         raise IncompatibleBoundary("left and right boundary forms differ")
     scale = max(1.0, abs(left.energy), abs(right.energy))
     if abs(left.energy - right.energy) > tol.frame_tol * scale:

@@ -69,55 +69,54 @@ __all__ = [
 class BulkData:
     """Boundary data of one gapped bulk at one energy.
 
-    Carries the form, its canonical split, the unitaries of the
-    Lagrangian planes of solutions decaying to the right (plus) and to
-    the left (minus), and a positive gap certificate (distance from the
-    energy to the spectrum, in the model's own units). Each plane is
-    built from its unitary, with the bulk's tolerances, the first time
-    it is read.
+    Carries the unitaries of the Lagrangian planes of solutions
+    decaying to the right (plus) and to the left (minus), a positive
+    gap certificate (distance from the energy to the spectrum, in the
+    model's own units), and the model family ("dirac", "schrodinger"
+    or "tight_binding") that built it. The form and its canonical split
+    are read off ``u_plus``; each plane is built from its unitary, with
+    the bulk's tolerances, whenever it is read.
     """
 
-    __slots__ = ("form", "split", "_planes", "u_plus", "u_minus", "gap",
-                 "energy", "_tol")
+    __slots__ = ("u_plus", "u_minus", "gap", "energy", "family", "_tol")
 
-    def __init__(self, form, split, u_plus, u_minus, gap, energy,
-                 tol: Tolerances = TOL):
-        self.form = form
-        self.split = split
-        self._planes = [None, None]
+    def __init__(self, u_plus, u_minus, gap, energy, family: str, tol: Tolerances = TOL):
         self.u_plus = u_plus
         self.u_minus = u_minus
         self.gap = float(gap)
         self.energy = float(energy)
+        self.family = family
         self._tol = tol
 
-    def _plane(self, side: int) -> LagrangianPlane:
-        if self._planes[side] is None:
-            u = self.u_minus if side else self.u_plus
-            self._planes[side] = unitary_to_plane(u, tol=self._tol)
-        return self._planes[side]
+    @property
+    def split(self):
+        return self.u_plus.split
+
+    @property
+    def form(self) -> SymplecticForm:
+        return self.split.form
 
     @property
     def plane_plus(self) -> LagrangianPlane:
-        return self._plane(0)
+        return unitary_to_plane(self.u_plus, tol=self._tol)
 
     @property
     def plane_minus(self) -> LagrangianPlane:
-        return self._plane(1)
+        return unitary_to_plane(self.u_minus, tol=self._tol)
 
     def __repr__(self):
         return (f"BulkData(n={self.split.n}, energy={self.energy:g}, "
                 f"gap={self.gap:.3g})")
 
 
-def _finish_each(out, points, tol) -> None:
+def _finish_each(out, points, family: str, tol) -> None:
     """Bulk of each (i, form, u_plus, u_minus, gap, energy), or its error, in out[i]."""
     live = []
     for i, form, up, um, gap, energy in points:
         try:
             split = canonical_split(form, tol)
-            out[i] = BulkData(form, split, LerayUnitary(up, split, tol),
-                              LerayUnitary(um, split, tol), gap, energy, tol)
+            out[i] = BulkData(LerayUnitary(up, split, tol), LerayUnitary(um, split, tol),
+                              gap, energy, family, tol)
             live.append(i)
         except ValueError as exc:
             out[i] = exc
@@ -215,7 +214,7 @@ def dirac_stack(Ws, energies, tol: Tolerances = TOL) -> list:
         k, ir = np.sqrt((1.0 - r) * (1.0 + r)), 1j * r
         V, Uh = _ct(Vh), _ct(U)
         _finish_each(out, zip([idx[j] for j in live], [form] * len(live), (V * (k + ir)) @ Uh,
-                              (V * (ir - k)) @ Uh, gaps, E.tolist()), tol)
+                              (V * (ir - k)) @ Uh, gaps, E.tolist()), "dirac", tol)
     return out
 
 
@@ -279,7 +278,7 @@ def schrodinger_stack(Vs, energies, tol: Tolerances = TOL) -> list:
         z = (1.0 - ikappa) / (1.0 + ikappa)
         Vmh = _ct(Vm)
         _finish_each(out, zip([idx[j] for j in live], [form] * len(live), (Vm * z) @ Vmh,
-                              (Vm * z.conj()) @ Vmh, gaps, E.tolist()), tol)
+                              (Vm * z.conj()) @ Vmh, gaps, E.tolist()), "schrodinger", tol)
     return out
 
 
@@ -532,7 +531,7 @@ def tb_stack(models, energies, tol: Tolerances = TOL) -> list:
                 points.append((i, form, u_plus, u_minus, gap, E[row]))
             except ValueError as exc:
                 out[i] = exc
-        _finish_each(out, points, tol)
+        _finish_each(out, points, "tight_binding", tol)
     return out
 
 

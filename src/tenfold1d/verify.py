@@ -243,12 +243,13 @@ def discretize_dirac_junction(profile: PiecewiseDiracProfile,
 
 def finite_chain(left: TightBindingModel, right: TightBindingModel,
                  spec: DiscretizationSpec) -> HermitianBand:
-    """Finite hermitian matrix for two chains glued at site 0.
+    """Finite hermitian matrix for two chains glued at the trace (psi_0, psi_1).
 
-    Sites -q_L*cells .. -1 follow the left model, sites 0 .. q_R*cells-1
-    the right one; the bond (n, n+1) comes from the model owning site n.
-    Both truncations are hard. Raises IncompatibleBoundary when the
-    block sizes differ.
+    Sites -q_L*cells .. 0 follow the left model, sites 1 .. q_R*cells-1
+    the right one; the bond (n, n+1) comes from the model owning site n,
+    so the junction bond (0, 1) is the left model's a0, the seam that
+    ``predicted_zero_modes`` glues at. Both truncations are hard.
+    Raises IncompatibleBoundary when the block sizes differ.
 
     The matrix is returned as a ``HermitianBand`` of bandwidth at most
     2N - 1, assembled from the stacked per-period blocks with array
@@ -263,11 +264,11 @@ def finite_chain(left: TightBindingModel, right: TightBindingModel,
             f"block sizes differ: {left.block_dim} vs {right.block_dim}"
         )
     c = int(spec.cells)
-    left_sites = np.arange(-left.period * c, 0)
-    right_sites = np.arange(right.period * c)
+    left_sites = np.arange(-left.period * c, 1)
+    right_sites = np.arange(1, right.period * c)
     take = lambda blocks, sites: np.array(blocks)[sites % len(blocks)]
     diag = np.concatenate([take(left.b, left_sites), take(right.b, right_sites)])
-    bonds = np.concatenate([take(left.a, left_sites), take(right.a, right_sites[:-1])])
+    bonds = np.concatenate([take(left.a, left_sites), take(right.a, right_sites)])[:-1]
     return _block_band(diag, bonds.conj().transpose(0, 2, 1))
 
 

@@ -17,6 +17,11 @@ SSH_L = ("kind tight_binding\na0 [[1.0]]\na1 [[2.0]]\n"
          "b0 [[0.0]]\nb1 [[0.0]]\n")
 SSH_R = ("kind tight_binding\na0 [[2.0]]\na1 [[1.0]]\n"
          "b0 [[0.0]]\nb1 [[0.0]]\n")
+# two chains with the seam bond 1.414, at the energy of their seam's bound state
+SEAM_L = ("kind tight_binding\na0 [[1.414]]\na1 [[1.906]]\nb0 [[0.992]]\nb1 [[0.0]]\n"
+          "energy 1.0755950828132048\n")
+SEAM_R = ("kind tight_binding\na0 [[1.414]]\na1 [[2.925]]\nb0 [[-0.906]]\nb1 [[0.0]]\n"
+          "energy 1.0755950828132048\n")
 
 
 @pytest.fixture
@@ -236,6 +241,42 @@ class TestJunction:
         assert code == 3 and out == ""
         assert err == "tenfold1d: GapClosed: energy 0.9 is not inside the gap (m0 = 0.5)\n"
 
+    def test_chain_never_glues_to_a_schrodinger_bulk(self, write, capsys):
+        # a seam bond of -1 gives the chain the Schrodinger form entry for entry
+        chain = write("c.tf", SSH_L.replace("a0 [[1.0]]", "a0 [[-1.0]]"))
+        wire = write("s.tf", "kind schrodinger\nV [[1.0]]\nenergy 0\n")
+        code = main(["junction", "--left", chain, "--right", wire, "--class", "A"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err == ("tenfold1d: IncompatibleBoundary: cannot glue a tight_binding "
+                       "bulk to a schrodinger bulk\n")
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_energy_lines_must_agree(self, write, capsys, order):
+        files = [write("a.tf", DIRAC_POS + "energy 0.5\n"),
+                 write("b.tf", DIRAC_NEG + "energy -0.3\n")]
+        left, right = (files[i] for i in order)
+        assert main(["junction", "--left", left, "--right", right]) == 3
+        out, err = capsys.readouterr()
+        values = ["0.5", "-0.3"]
+        assert out == ""
+        assert err == (f"tenfold1d: error: energy lines differ: {values[order[0]]} vs "
+                       f"{values[order[1]]}; pass --energy\n")
+
+    @pytest.mark.parametrize("flags, energy", [
+        (["--energy", "0.1"], "0.1"),
+        ([], "0.5"),
+    ], ids=["flag", "one_line"])
+    def test_energy_that_still_answers(self, write, capsys, flags, energy):
+        # --energy overrides both lines; a file without an energy line conflicts with nothing
+        second = DIRAC_POS + ("energy -0.3\n" if flags else "")
+        code = main(["junction", "--left", write("l.tf", DIRAC_NEG + "energy 0.5\n"),
+                     "--right", write("r.tf", second)] + flags)
+        out, _ = capsys.readouterr()
+        assert code == 0
+        header, rows = rows_of(out)
+        assert dict(zip(header, rows[0]))["energy"] == energy
+
     def test_incompatible_seam_exits_3(self, write):
         code = main(["junction", "--left", write("l.tf", SSH_L),
                      "--right", write("r.tf", SSH_R), "--class", "BDI"])
@@ -388,6 +429,39 @@ class TestVerify:
         assert row["localized"] == "1"
         assert row["verdict"] == "PASS"
         assert "# index_left: 1" in err
+
+    def test_seam_geometry_matches_the_prediction(self, write, capsys):
+        # the finite chain glues at the trace (psi_0, psi_1) like the prediction,
+        # so the seam's bound state is found where it is predicted
+        code = main(["verify", "--left", write("l.tf", SEAM_L), "--right", write("r.tf", SEAM_R),
+                     "--cells", "60", "--energy-window", "1e-6"])
+        out, _ = capsys.readouterr()
+        assert code == 0
+        header, rows = rows_of(out)
+        row = dict(zip(header, rows[0]))
+        assert (row["predicted"], row["near_zero"], row["localized"]) == ("1", "1", "1")
+        assert row["verdict"] == "PASS"
+
+    def test_energy_lines_must_agree(self, write, capsys):
+        code = main(["verify", "--left", write("l.tf", SEAM_L),
+                     "--right", write("r.tf", SEAM_R.replace("energy 1.0755950828132048", "energy 0.9")),
+                     "--cells", "60", "--energy-window", "1e-6"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err == ("tenfold1d: error: energy lines differ: 1.0755950828132048 vs 0.9; "
+                       "pass --energy\n")
+
+    @pytest.mark.parametrize("flags", [["--energy", "1.0755950828132048"], []],
+                             ids=["flag", "one_line"])
+    def test_energy_that_still_answers(self, write, capsys, flags):
+        right = SEAM_R.replace("energy 1.0755950828132048", "energy 0.0" if flags else "")
+        code = main(["verify", "--left", write("l.tf", SEAM_L), "--right", write("r.tf", right),
+                     "--cells", "60", "--energy-window", "1e-6"] + flags)
+        out, _ = capsys.readouterr()
+        assert code == 0
+        header, rows = rows_of(out)
+        row = dict(zip(header, rows[0]))
+        assert (row["energy"], row["predicted"], row["verdict"]) == ("1.0755950828132048", "1", "PASS")
 
     def test_energies_on_the_energy_axis(self, write, capsys):
         # both chains sit at on-site energy 0.3, so the seam pair does too;

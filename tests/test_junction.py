@@ -15,6 +15,7 @@ from tenfold1d import (
     hard_junction,
     predicted_zero_modes,
     protected_bound,
+    schrodinger_bulk,
     subspace_intersection_dim,
     tb_bulk,
     topological_index,
@@ -66,6 +67,19 @@ class TestHardJunction:
         right = tb_bulk(TightBindingModel([np.array([[2.0]]), np.array([[1.0]])], z))
         with pytest.raises(IncompatibleBoundary):
             hard_junction(left, right)
+
+    def test_rejects_a_chain_with_the_schrodinger_form(self):
+        # a seam bond of -1 gives the chain the Schrodinger form entry for
+        # entry, yet the two traces mean different things
+        chain = tb_bulk(TightBindingModel([np.array([[-1.0]]), np.array([[2.0]])],
+                                          [np.zeros((1, 1)), np.zeros((1, 1))]))
+        wire = schrodinger_bulk(np.array([[1.0]]), 0.0)
+        assert chain.form.same_as(wire.form)
+        assert (chain.family, wire.family) == ("tight_binding", "schrodinger")
+        for left, right in ((chain, wire), (wire, chain)):
+            with pytest.raises(IncompatibleBoundary,
+                               match=f"{left.family} bulk to a {right.family} bulk"):
+                predicted_zero_modes(left, right)
 
 
 class TestPredictedZeroModes:

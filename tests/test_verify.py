@@ -25,7 +25,9 @@ from tenfold1d.errors import (
     NotHermitian,
 )
 from tenfold1d import verify
-from tenfold1d.linalg import TOL
+from tenfold1d.junction import predicted_zero_modes
+from tenfold1d.linalg import TOL, Tolerances
+from tenfold1d.models import tb_stack
 from tenfold1d.verify import (
     HermitianBand,
     OracleReport,
@@ -197,7 +199,7 @@ def dense_chain_reference(left, right, spec):
     sites = list(range(-left.period * c, right.period * c))
     H = np.zeros((len(sites) * N, len(sites) * N), dtype=complex)
     block = lambda i: slice(i * N, (i + 1) * N)
-    model_at = lambda s: left if s < 0 else right
+    model_at = lambda s: left if s <= 0 else right
     for i, s in enumerate(sites):
         H[block(i), block(i)] = model_at(s).site(s)
         if i + 1 < len(sites):
@@ -319,6 +321,30 @@ class TestFiniteChain:
         spec = DiscretizationSpec(cells=100, energy_window=1e-3)
         report = count_near_zero_localized(finite_chain(m, m, spec), spec)
         assert report.near_zero == 0 and report.localized == 0
+
+    def test_localized_states_are_predicted(self):
+        # equal-seam period-2 pairs: each eigenvector of the finite chain
+        # that sits in the core is a bound state of the glued operator, so
+        # the prediction at its eigenvalue counts it, where both gaps are wide
+        rng = np.random.default_rng(20)
+        tol = Tolerances(eig_tol=1e-6)
+        spec = DiscretizationSpec(cells=40)
+        checked = 0
+        for _ in range(60):
+            a0 = np.array([[rng.uniform(0.5, 2.0)]])
+            models = [TightBindingModel([a0, np.array([[rng.uniform(0.5, 3.0)]])],
+                                        [np.array([[x]]) for x in rng.uniform(-1.0, 1.0, 2)])
+                      for _ in range(2)]
+            H = np.asarray(finite_chain(*models, spec))
+            energies, vectors = np.linalg.eigh(H)
+            n = H.shape[0]
+            core = (np.abs(vectors[n // 4:n - n // 4]) ** 2).sum(axis=0)
+            for e in energies[core > 0.99].tolist():
+                left, right = tb_stack(models, [e, e], tol)
+                if min(left.gap, right.gap) >= 0.2:
+                    assert predicted_zero_modes(left, right, tol) == 1, e
+                    checked += 1
+        assert checked >= 10
 
     def test_hundred_thousand_site_seam(self):
         # a dense matrix of this chain would take 160 GB: only a band
