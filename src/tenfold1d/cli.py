@@ -412,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=None,
                    help="Dirac grid spacing")
     p.add_argument("--cells", type=int, default=None,
-                   help="unit cells per side of a finite chain")
+                   help="length of each side of a finite chain, in cells of the longer period")
     p.add_argument("--energy-window", type=float, required=True,
                    help="half-width of the near-zero window")
     p.add_argument("--core-fraction", type=float, default=0.5)

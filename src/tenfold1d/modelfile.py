@@ -79,7 +79,9 @@ def _value_to_matrix(value, where: str) -> np.ndarray:
     width = len(value[0])
     if width == 0 or any(len(row) != width for row in value):
         raise ParseError(f"{where}: rows must be non-empty and equally long")
-    return np.array([[_entry_to_complex(e, where) for e in row] for row in value])
+    # the number hook made every JSON number a float; pairs, bools and junk are checked
+    return np.array([[e if type(e) is float else _entry_to_complex(e, where) for e in row]
+                     for row in value], dtype=complex)
 
 
 def _value_to_real(value, where: str) -> float:
@@ -135,6 +137,9 @@ def parse_model_text(text: str, source: str = "<string>") -> ModelFile:
     """Parse a model description from a string. See the module docstring."""
     pairs = {}
     order = []
+    # one decoder per text; its number hook reads ``where``, which names the line being decoded
+    finite = lambda token: _finite(token, where)
+    decode = json.JSONDecoder(parse_float=finite, parse_int=finite, parse_constant=finite).decode
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -146,10 +151,8 @@ def parse_model_text(text: str, source: str = "<string>") -> ModelFile:
         key, rest = parts
         if key in pairs:
             raise ParseError(f"{where}: duplicate key {key!r}")
-        finite = lambda token: _finite(token, where)
         try:
-            value = json.loads(rest, parse_float=finite, parse_int=finite,
-                               parse_constant=finite)
+            value = decode(rest)
         except json.JSONDecodeError as exc:
             if rest.strip().isidentifier():
                 value = rest.strip()

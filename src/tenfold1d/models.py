@@ -154,6 +154,25 @@ def _finite_block(x, name: str) -> np.ndarray:
     return X
 
 
+def _block_stack(blocks, name: str):
+    """A model's blocks as one read-only (q, N, N) stack, or as a list when they differ in size.
+
+    The stack is checked as a whole; only when that check fails is each
+    block checked by ``_finite_block``, so a malformed block raises as it
+    would alone, and blocks that pass alone but differ in size come back
+    as their list for the caller's count and size checks.
+    """
+    blocks = list(blocks)
+    try:
+        X = np.array(blocks, dtype=complex)
+    except (TypeError, ValueError):
+        X = np.empty(0)
+    if X.ndim != 3 or not X.shape[1] == X.shape[2] > 0 or not np.isfinite(X).all():
+        return [_finite_block(x, name) for x in blocks]
+    X.flags.writeable = False
+    return X
+
+
 def _require_finite(energy: float) -> None:
     # a non-finite energy would otherwise reach LAPACK and fail there
     if not math.isfinite(energy):
@@ -301,28 +320,24 @@ class TightBindingModel:
 
     The operator acts as (h psi)_n = a_{n-1}* psi_{n-1} + b_n psi_n
     + a_n psi_{n+1}, with both sequences periodic with the same period.
-    Arrays are indexed by n mod period; a[0] is the bond between the
-    two trace sites 0 and 1.
+    ``a`` and ``b`` are read-only (period, N, N) stacks indexed by n mod
+    period; a[0] is the bond between the two trace sites 0 and 1.
     """
 
     __slots__ = ("a", "b")
 
     def __init__(self, a, b, tol: Tolerances = TOL):
-        a = [_finite_block(x, "bond block a") for x in a]
-        b = [_finite_block(x, "site block b") for x in b]
-        if len(a) != len(b) or not a:
+        a, b = _block_stack(a, "bond block a"), _block_stack(b, "site block b")
+        if len(a) != len(b) or not len(a):
             raise DimensionMismatch(
                 f"need equally many bond and site blocks, got {len(a)} and {len(b)}"
             )
-        N = a[0].shape[0]
-        for x in a + b:
-            if x.shape[0] != N:
-                raise DimensionMismatch("all blocks must share one size")
-        for x in b:
-            if np.abs(x - x.conj().T).max() > tol.frame_tol * max(1.0, np.abs(x).max()):
-                raise ValueError("site blocks must be hermitian")
-        self.a = [x.copy() for x in a]
-        self.b = [x.copy() for x in b]
+        if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.shape == b.shape):
+            raise DimensionMismatch("all blocks must share one size")
+        scale = np.maximum(1.0, np.abs(b).max(axis=(1, 2)))
+        if (np.abs(b - _ct(b)).max(axis=(1, 2)) > tol.frame_tol * scale).any():
+            raise ValueError("site blocks must be hermitian")
+        self.a, self.b = a, b
 
     @property
     def period(self) -> int:
@@ -487,7 +502,7 @@ def tb_stack(models, energies, tol: Tolerances = TOL) -> list:
     transversality.
     """
     out = [None] * len(models)
-    for idx, ab, E in _stacks(models, energies, lambda m: np.array(m.a + m.b), out):
+    for idx, ab, E in _stacks(models, energies, lambda m: np.concatenate((m.a, m.b)), out):
         q, N = ab.shape[1] // 2, ab.shape[-1]
         s = np.linalg.svd(ab[:, :q], compute_uv=False)
         singular = s[..., -1] <= tol.rank_tol * np.maximum(1.0, s[..., 0])
@@ -558,28 +573,27 @@ class PiecewiseDiracProfile:
     """Piecewise-constant Dirac mass profile.
 
     masses[j] applies between breakpoints[j-1] and breakpoints[j], with
-    masses[0] to the left of everything and masses[-1] to the right.
+    masses[0] to the left of everything and masses[-1] to the right;
+    ``masses`` is a read-only (steps + 1, N, N) stack.
     """
 
     __slots__ = ("masses", "breakpoints")
 
     def __init__(self, masses, breakpoints):
-        masses = [_finite_block(W, "mass") for W in masses]
+        masses = _block_stack(masses, "mass")
         breakpoints = [float(t) for t in breakpoints]
         if len(masses) != len(breakpoints) + 1:
             raise DimensionMismatch(
                 f"{len(masses)} masses need {len(masses) - 1} breakpoints, "
                 f"got {len(breakpoints)}"
             )
-        N = masses[0].shape[0]
-        for W in masses:
-            if W.shape[0] != N:
-                raise DimensionMismatch("all masses must share one size")
+        if not isinstance(masses, np.ndarray):
+            raise DimensionMismatch("all masses must share one size")
         if not all(math.isfinite(t) for t in breakpoints):
             raise ValueError(f"breakpoints must be finite, got {breakpoints}")
         if any(b2 <= b1 for b1, b2 in zip(breakpoints, breakpoints[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        self.masses = [W.copy() for W in masses]
+        self.masses = masses
         self.breakpoints = breakpoints
 
     @property

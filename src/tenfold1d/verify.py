@@ -47,8 +47,9 @@ class DiscretizationSpec:
         Half-width of the Dirac domain [-length, length] and the grid
         spacing. Required by ``discretize_dirac_junction``.
     cells : int, optional
-        Unit cells per side of a finite chain. Required by
-        ``finite_chain``.
+        Length of each side of a finite chain, in cells of the longer
+        period: each side holds max(q_L, q_R) * cells sites, rounded up
+        to whole cells of its own period. Required by ``finite_chain``.
     energy_window : float, optional
         Half-width of the near-zero energy window. Required by
         ``count_near_zero_localized``.
@@ -245,14 +246,17 @@ def finite_chain(left: TightBindingModel, right: TightBindingModel,
                  spec: DiscretizationSpec) -> HermitianBand:
     """Finite hermitian matrix for two chains glued at the trace (psi_0, psi_1).
 
-    Sites -q_L*cells .. 0 follow the left model, sites 1 .. q_R*cells-1
-    the right one; the bond (n, n+1) comes from the model owning site n,
+    Each side holds n = max(q_L, q_R) * cells sites, rounded up to whole
+    cells of its own period: sites -n_L .. 0 follow the left model and
+    sites 1 .. n_R - 1 the right one, so the junction sits at the centre
+    of the index range, where the oracle's core is counted, whatever the
+    two periods. The bond (n, n+1) comes from the model owning site n,
     so the junction bond (0, 1) is the left model's a0, the seam that
     ``predicted_zero_modes`` glues at. Both truncations are hard.
     Raises IncompatibleBoundary when the block sizes differ.
 
     The matrix is returned as a ``HermitianBand`` of bandwidth at most
-    2N - 1, assembled from the stacked per-period blocks with array
+    2N - 1, assembled from the models' block stacks with array
     indexing; no dim^2 array is formed, and site blocks enter through
     their lower triangle. ``np.asarray`` of the result gives the dense
     matrix.
@@ -263,12 +267,12 @@ def finite_chain(left: TightBindingModel, right: TightBindingModel,
         raise IncompatibleBoundary(
             f"block sizes differ: {left.block_dim} vs {right.block_dim}"
         )
-    c = int(spec.cells)
-    left_sites = np.arange(-left.period * c, 1)
-    right_sites = np.arange(1, right.period * c)
-    take = lambda blocks, sites: np.array(blocks)[sites % len(blocks)]
-    diag = np.concatenate([take(left.b, left_sites), take(right.b, right_sites)])
-    bonds = np.concatenate([take(left.a, left_sites), take(right.a, right_sites)])[:-1]
+    n = max(left.period, right.period) * int(spec.cells)
+    whole = lambda q: -(-n // q) * q
+    left_sites = np.arange(-whole(left.period), 1) % left.period
+    right_sites = np.arange(1, whole(right.period)) % right.period
+    diag = np.concatenate([left.b[left_sites], right.b[right_sites]])
+    bonds = np.concatenate([left.a[left_sites], right.a[right_sites]])[:-1]
     return _block_band(diag, bonds.conj().transpose(0, 2, 1))
 
 

@@ -430,6 +430,21 @@ class TestVerify:
         assert row["verdict"] == "PASS"
         assert "# index_left: 1" in err
 
+    def test_supercell_wall_keeps_its_core_on_the_junction(self, write, capsys):
+        # the right chain as its period-8 supercell: each side holds 8 * cells sites,
+        # so the wall state sits in the central core as it does at period 2
+        ssh_r8 = "kind tight_binding\n" + "".join(
+            f"a{i} [[{2.0 if i % 2 == 0 else 1.0}]]\nb{i} [[0.0]]\n" for i in range(8))
+        code = main(["verify", "--left", write("l.tf", SSH_L), "--right", write("r8.tf", ssh_r8),
+                     "--class", "BDI", "--cells", "40", "--energy-window", "1e-3"])
+        out, err = capsys.readouterr()
+        assert code == 0
+        header, rows = rows_of(out)
+        row = dict(zip(header, rows[0]))
+        assert (row["bound"], row["near_zero"], row["localized"], row["verdict"]) == (
+            "1", "2", "1", "PASS")
+        assert "# matrix_dim: 640" in err
+
     def test_seam_geometry_matches_the_prediction(self, write, capsys):
         # the finite chain glues at the trace (psi_0, psi_1) like the prediction,
         # so the seam's bound state is found where it is predicted

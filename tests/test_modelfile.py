@@ -1,3 +1,6 @@
+import json
+
+import numpy as np
 import pytest
 
 from tenfold1d.errors import ParseError
@@ -157,6 +160,48 @@ class TestParsing:
         path.write_text("kind dirac\nW oops(\n")
         with pytest.raises(ParseError, match="broken.tf:2"):
             parse_model(str(path))
+
+
+def _entry(e):
+    return complex(e[0], e[1]) if isinstance(e, list) else complex(e)
+
+
+def _chain_text(q):
+    """A period-q two-channel chain whose entries mix floats, integer literals and pairs."""
+    lines = ["kind tight_binding"]
+    for i in range(q):
+        lines.append(f"a{i} [[{1 + i}, [0.5, -{i}.25]], [-0.0, 1e-3]]")
+    for i in range(q):
+        lines.append(f"b{i} [[{i}.5, [1, 2e{i % 5}]], [[1.0, -2e{i % 5}], -7]]")
+    return "\n".join(lines) + "\n"
+
+
+class TestChainIngestion:
+    """A period-40 chain file: line 37 holds a35."""
+
+    def test_matrices_equal_the_per_entry_conversion(self):
+        text = _chain_text(40)
+        mf = parse_model_text(text)
+        for line in text.splitlines()[1:]:
+            key, rest = line.split(None, 1)
+            want = np.array([[_entry(e) for e in row] for row in json.loads(rest)])
+            got = mf.matrices[key]
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("value, message", [
+        ("[[true, 1.0], [1.0, 1.0]]", "matrix entries are numbers or [re, im] pairs, got True"),
+        ("[[1.0, [NaN, 0.0]], [1.0, 1.0]]", "NaN is not a finite number"),
+        ("[[1.0, 1e999], [1.0, 1.0]]", "1e999 is not a finite number"),
+        ("[[1.0, 2.0], [3.0]]", "rows must be non-empty and equally long"),
+    ], ids=["bool", "nan", "overflow", "ragged"])
+    def test_refusal_names_its_line(self, value, message):
+        lines = _chain_text(40).splitlines()
+        assert lines[36].startswith("a35 ")
+        lines[36] = f"a35 {value}"
+        with pytest.raises(ParseError) as info:
+            parse_model_text("\n".join(lines), source="chain.tf")
+        assert str(info.value) == f"chain.tf:37: {message}"
 
 
 class TestBuilders:

@@ -105,6 +105,97 @@ def test_empty_matrix_rejected(build, name):
         build(np.zeros((0, 0)))
 
 
+I1, Z1, I2, Z2 = np.eye(1), np.zeros((1, 1)), np.eye(2), np.zeros((2, 2))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: TightBindingModel([I1], [Z1, Z1]), DimensionMismatch,
+     "need equally many bond and site blocks, got 1 and 2"),
+    (lambda: TightBindingModel([], []), DimensionMismatch,
+     "need equally many bond and site blocks, got 0 and 0"),
+    (lambda: TightBindingModel([I1, I2], [Z1, Z1]), DimensionMismatch,
+     "all blocks must share one size"),
+    (lambda: TightBindingModel([I1, I1], [Z1, Z2]), DimensionMismatch,
+     "all blocks must share one size"),
+    (lambda: TightBindingModel([np.ones((1, 2))], [Z1]), DimensionMismatch,
+     "bond block a must be square, got shape (1, 2)"),
+    (lambda: TightBindingModel([I1], [np.ones((2, 1))]), DimensionMismatch,
+     "site block b must be square, got shape (2, 1)"),
+    (lambda: TightBindingModel([I1, np.ones(1)], [Z1, Z1]), DimensionMismatch,
+     "bond block a must be 2-d, got shape (1,)"),
+    (lambda: TightBindingModel([I1, np.zeros((0, 0))], [Z1, Z1]), DimensionMismatch,
+     "bond block a must be nonempty, got shape (0, 0)"),
+    (lambda: TightBindingModel([I1, [[np.nan]]], [Z1, Z1]), ValueError,
+     "bond block a must have finite entries"),
+    (lambda: TightBindingModel([I1, I1], [Z1, [[np.inf]]]), ValueError,
+     "site block b must have finite entries"),
+    (lambda: TightBindingModel([I1, I1], [Z1, [[1j]]]), ValueError,
+     "site blocks must be hermitian"),
+    (lambda: TightBindingModel([I2], [[[0.0, 1.0], [0.0, 0.0]]]), ValueError,
+     "site blocks must be hermitian"),
+    # precedence: every bond block, then every site block, then the counts, then the sizes
+    (lambda: TightBindingModel([[[np.nan]]], [np.zeros((0, 0))]), ValueError,
+     "bond block a must have finite entries"),
+    (lambda: TightBindingModel([I1], [Z1, np.ones((1, 2))]), DimensionMismatch,
+     "site block b must be square, got shape (1, 2)"),
+    (lambda: TightBindingModel([I1, I2], [Z1]), DimensionMismatch,
+     "need equally many bond and site blocks, got 2 and 1"),
+    (lambda: TightBindingModel([I1, I1], [Z2, [[1j, 0.0], [0.0, 0.0]]]), DimensionMismatch,
+     "all blocks must share one size"),
+    (lambda: PiecewiseDiracProfile([I1], [0.0]), DimensionMismatch,
+     "1 masses need 0 breakpoints, got 1"),
+    (lambda: PiecewiseDiracProfile([], []), DimensionMismatch,
+     "0 masses need -1 breakpoints, got 0"),
+    (lambda: PiecewiseDiracProfile([I1, I2], [0.0]), DimensionMismatch,
+     "all masses must share one size"),
+    (lambda: PiecewiseDiracProfile([I1, np.ones((1, 2))], [0.0]), DimensionMismatch,
+     "mass must be square, got shape (1, 2)"),
+    (lambda: PiecewiseDiracProfile([I1, np.zeros((0, 0))], [0.0]), DimensionMismatch,
+     "mass must be nonempty, got shape (0, 0)"),
+    # precedence: the masses, then the counts, then the sizes, then the breakpoints
+    (lambda: PiecewiseDiracProfile([[[np.nan]]], [0.0]), ValueError,
+     "mass must have finite entries"),
+    (lambda: PiecewiseDiracProfile([I1, I2], [0.0, 1.0]), DimensionMismatch,
+     "2 masses need 1 breakpoints, got 2"),
+    (lambda: PiecewiseDiracProfile([I1, I2], [np.nan]), DimensionMismatch,
+     "all masses must share one size"),
+], ids=["tb-counts", "tb-empty", "tb-mixed-bonds", "tb-mixed-sites", "tb-non-square-bond",
+        "tb-non-square-site", "tb-1d-bond", "tb-empty-bond", "tb-nan-bond", "tb-inf-site",
+        "tb-complex-site", "tb-non-hermitian-site", "tb-bond-first", "tb-site-before-counts",
+        "tb-counts-before-sizes", "tb-sizes-before-hermiticity", "profile-counts",
+        "profile-empty", "profile-mixed", "profile-non-square", "profile-empty-mass",
+        "profile-mass-before-counts", "profile-counts-before-sizes",
+        "profile-sizes-before-breakpoints"])
+def test_model_ingestion_refusals(build, error, message):
+    # each stack is checked whole; a refused one raises what its first bad block raises alone
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message
+
+
+class TestStoredStacks:
+    def test_chain_blocks_are_read_only_copies(self):
+        a, b = [np.eye(2), 2.0 * np.eye(2)], [np.zeros((2, 2)), np.eye(2)]
+        m = TightBindingModel(a, b)
+        a[0][0, 0] = b[1][0, 0] = 7.0
+        for stack, want in ((m.a, [np.eye(2), 2.0 * np.eye(2)]),
+                            (m.b, [np.zeros((2, 2)), np.eye(2)])):
+            assert stack.shape == (2, 2, 2) and stack.dtype == complex
+            assert np.array_equal(stack, want)
+            with pytest.raises(ValueError, match="read-only"):
+                stack[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            m.site(1)[0, 0] = 1.0
+
+    def test_profile_masses_are_read_only_copies(self):
+        masses = np.array([[[-1.0]], [[2.0]]])
+        p = PiecewiseDiracProfile(masses, [0.0])
+        masses[0, 0, 0] = 5.0
+        assert p.masses.shape == (2, 1, 1) and p.masses[0, 0, 0] == -1.0
+        with pytest.raises(ValueError, match="read-only"):
+            p.mass_at(1.0)[0, 0] = 1.0
+
+
 class TestSharedForms:
     def test_one_dirac_form_per_n(self):
         assert dirac_form(2) is dirac_form(2)

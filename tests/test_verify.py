@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 import warnings
@@ -193,10 +194,14 @@ def dense_dirac_reference(profile, spec):
 
 
 def dense_chain_reference(left, right, spec):
-    """Dense reference for finite_chain: the per-site loop."""
+    """Dense reference for finite_chain: the per-site loop.
+
+    Each side holds at least max(q_L, q_R) * cells sites, in whole cells of its own period.
+    """
     N = left.block_dim
-    c = int(spec.cells)
-    sites = list(range(-left.period * c, right.period * c))
+    n = max(left.period, right.period) * int(spec.cells)
+    cells_left, cells_right = math.ceil(n / left.period), math.ceil(n / right.period)
+    sites = list(range(-left.period * cells_left, right.period * cells_right))
     H = np.zeros((len(sites) * N, len(sites) * N), dtype=complex)
     block = lambda i: slice(i * N, (i + 1) * N)
     model_at = lambda s: left if s <= 0 else right
