@@ -94,34 +94,39 @@ class SymplecticForm:
         return f"SymplecticForm(dim={self.dim})"
 
 
-def _fix_phases(F: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest entry is real positive."""
-    F = F.copy()
-    for j in range(F.shape[1]):
-        k = int(np.abs(F[:, j]).argmax())
-        pivot = F[k, j]
-        if pivot != 0.0:
-            F[:, j] *= np.conj(pivot) / abs(pivot)
-    return F
+def _fix_phases(F: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Rotate each column so its pivot entry is real positive.
+
+    The pivot is the first entry whose modulus is within ``tol.frame_tol``
+    (relative) of the column's largest, so roundoff never breaks a tie.
+    """
+    m = np.abs(F)
+    k = np.argmax(m >= (1.0 - tol.frame_tol) * m.max(axis=0), axis=0)
+    pivot = F[k, np.arange(F.shape[1])]
+    # the columns are unit vectors, so no pivot is zero
+    return F * (pivot.conj() / np.abs(pivot))
 
 
 def _cluster_basis(evecs: np.ndarray, counts: list[int]) -> np.ndarray:
-    """Deterministic orthonormal basis of each eigenvalue cluster.
+    """Deterministic orthonormal basis of each eigenvalue cluster, up to phases.
 
     eigh returns an arbitrary basis inside degenerate clusters; a QR of
     c columns of the cluster projector, picked greedily as pivoted QR
     picks them, replaces it with one that depends only on the subspace,
-    so equal forms always get equal splitting bases.
+    so equal forms always get equal splitting bases. A cluster of one
+    vector has no basis to choose, only a phase, so it is kept as eigh
+    returned it: the projector and its QR run only for clusters of two
+    or more, and ``_fix_phases`` fixes every column's phase afterwards.
+    evecs is overwritten and returned.
     """
-    cols = []
     start = 0
     for c in counts:
-        block = evecs[:, start : start + c]
+        if c > 1:
+            block = evecs[:, start : start + c]
+            P = block @ block.conj().T
+            evecs[:, start : start + c] = np.linalg.qr(P[:, _pivots(P, c)])[0]
         start += c
-        P = block @ block.conj().T
-        Q = np.linalg.qr(P[:, _pivots(P, c)])[0]
-        cols.append(_fix_phases(Q))
-    return np.hstack(cols)
+    return evecs
 
 
 def _pivots(P: np.ndarray, c: int) -> list[int]:
@@ -225,12 +230,10 @@ def _split(form: SymplecticForm, tol: Tolerances) -> CanonicalSplit:
 
     # both blocks ordered by eigenvalue magnitude, ascending
     a_plus = evals[pos]
-    v_plus = V[:, pos]
     a_minus = -evals[~pos][::-1]
-    v_minus = V[:, ~pos][:, ::-1]
-
-    Q = np.hstack([_cluster_basis(v_plus, _clusters(a_plus, gap)),
-                   _cluster_basis(v_minus, _clusters(a_minus, gap))])
+    V = np.hstack([V[:, pos], V[:, ~pos][:, ::-1]])
+    counts = _clusters(a_plus, gap) + _clusters(a_minus, gap)
+    Q = _fix_phases(_cluster_basis(V, counts), tol)
 
     # defensive: the basis must actually block-diagonalize J
     D = Q.conj().T @ form.J @ Q

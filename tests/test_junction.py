@@ -21,7 +21,13 @@ from tenfold1d import (
     topological_index,
     unitary_to_plane,
 )
-from tenfold1d.errors import AmbiguousKernel, GapClosed, IncompatibleBoundary, NotInClass
+from tenfold1d.errors import (
+    AmbiguousKernel,
+    BadParity,
+    GapClosed,
+    IncompatibleBoundary,
+    NotInClass,
+)
 from tenfold1d.models import _transport
 from tenfold1d.symplectic import _crossing_spectrum
 from tenfold1d.symmetry import random_unitary
@@ -141,6 +147,30 @@ class TestPredictedZeroModes:
         bound = protected_bound("BDI", il, ir)
         assert bound == 1
         assert predicted_zero_modes(left, right) >= bound
+
+    def test_an_ulp_in_a_complex_seam_changes_no_answer(self, rng):
+        # every entry of the eigenvectors of an N = 1 seam form has modulus
+        # 1/sqrt(2); a phase chosen by roundoff changes the class rows of
+        # about a sixth of these chains when the seam moves by one ulp, and
+        # makes the two chains' splits differ, so gluing them raises
+        z = [np.zeros((1, 1)), np.zeros((1, 1))]
+
+        def row(u):
+            out = []
+            for label in ("AIII", "BDI", "D"):
+                try:
+                    out.append(str(topological_index(u, label)))
+                except (NotInClass, BadParity):
+                    out.append("")
+            return out
+
+        for _ in range(300):
+            a0 = rng.uniform(0.5, 2.0) + 1j * rng.uniform(-1.0, 1.0)
+            a1 = np.array([[rng.uniform(2.5, 4.0)]])
+            left, right = (tb_bulk(TightBindingModel([np.array([[s]]), a1], z))
+                           for s in (a0, a0 * (1.0 + 2.0**-52)))
+            assert row(left.u_plus) == row(right.u_plus)
+            assert predicted_zero_modes(left, right) == predicted_zero_modes(left, left)
 
 
 class TestContinuousReport:

@@ -33,9 +33,34 @@ from tenfold1d.errors import (
 )
 from tenfold1d.linalg import Frame
 from tenfold1d.symmetry import random_unitary
-from tenfold1d.symplectic import LerayUnitary, _pivots, _split, is_lagrangian
+from tenfold1d.models import _schrodinger_form
+from tenfold1d.symplectic import LerayUnitary, _clusters, _pivots, _split, is_lagrangian
 
 SCHRODINGER_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def _reference_basis(form, tol):
+    """The splitting basis built cluster by cluster, one column at a time.
+
+    Every cluster, one vector or more, takes the QR of its projector's
+    pivoted columns; each column is then rotated so that its first entry
+    within frame_tol (relative) of its largest modulus is real positive.
+    """
+    evals, V = np.linalg.eigh(-1j * form.J)
+    pos = evals > 0.0
+    gap = tol.eig_tol * max(1.0, float(np.abs(evals).max()))
+    cols = []
+    for a, B in ((evals[pos], V[:, pos]), (-evals[~pos][::-1], V[:, ~pos][:, ::-1])):
+        start = 0
+        for c in _clusters(a, gap):
+            block = B[:, start : start + c]
+            start += c
+            P = block @ block.conj().T
+            for q in np.linalg.qr(P[:, _pivots(P, c)])[0].T:
+                m = np.abs(q)
+                k = next(i for i in range(q.size) if m[i] >= (1.0 - tol.frame_tol) * m.max())
+                cols.append(q * np.conj(q[k]) / abs(q[k]))
+    return np.column_stack(cols)
 
 
 class TestSymplecticForm:
@@ -75,10 +100,12 @@ class TestSymplecticForm:
 
 class TestCanonicalSplit:
     def test_dirac_form_is_already_split(self):
-        for N in (1, 2, 3):
+        # models._transport writes each segment's flow in this basis and
+        # reads the crossing angles off unit blocks, so Q is exactly I
+        for N in range(1, 7):
             split = canonical_split(dirac_form(N))
             assert split.n == N
-            assert np.allclose(split.Q, np.eye(2 * N), atol=1e-12)
+            assert np.array_equal(split.Q, np.eye(2 * N))
             assert np.allclose(split.a_plus, 1.0)
             assert np.allclose(split.a_minus, 1.0)
 
@@ -89,6 +116,39 @@ class TestCanonicalSplit:
         assert np.allclose(split.Q, want, atol=1e-12)
         assert np.allclose(split.a_plus, 1.0)
         assert np.allclose(split.a_minus, 1.0)
+
+    def test_schrodinger_form_split_basis(self):
+        # one degenerate cluster per block; the tie between the entries
+        # 1 and +-i of each column goes to the first
+        for M in range(1, 7):
+            I = np.eye(M)
+            want = np.block([[I, I], [1j * I, -1j * I]]) / np.sqrt(2.0)
+            assert np.abs(canonical_split(_schrodinger_form(M)).Q - want).max() <= 1e-15
+
+    def test_roundoff_does_not_pick_the_phase(self, rng):
+        # every eigenvector entry of a 2x2 chain seam form has modulus
+        # 1/sqrt(2); a seam one ulp away must get the same basis
+        for _ in range(100):
+            a = rng.uniform(0.5, 2.0) + 1j * rng.uniform(-1.0, 1.0)
+            Q = [_split(SymplecticForm([[0.0, -b], [np.conj(b), 0.0]]), TOL).Q
+                 for b in (a, a * (1.0 + 2.0**-52))]
+            assert np.abs(Q[0] - Q[1]).max() <= 1e-15
+            assert np.all(Q[0][0] > 0.0)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_projector_qr_reference(self, seed, n, planted):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(0.5, 2.0, size=2 * n)
+        if planted:
+            # a degenerate cluster in each block, of random size and place
+            for lo in (0, n):
+                c = int(rng.integers(1, n + 1))
+                i = lo + int(rng.integers(0, n - c + 1))
+                a[i : i + c] = a[i]
+        V = random_unitary(2 * n, rng)
+        form = SymplecticForm(V @ np.diag(np.concatenate([1j * a[:n], -1j * a[n:]])) @ V.conj().T)
+        assert np.abs(_split(form, TOL).Q - _reference_basis(form, TOL)).max() <= 1e-14
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
     @settings(max_examples=30, deadline=None)
