@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AmbiguousKernel, KindMismatch, NotInClass
 from .linalg import TOL, Tolerances, pfaffian
-from .symmetry import CartanClass, _unpack_unitary, membership
+from .symmetry import CartanClass, _members, _unpack_unitary
 
 __all__ = [
     "IndexValue",
@@ -91,24 +91,51 @@ def topological_index(U, label, tol: Tolerances = TOL) -> IndexValue:
     AmbiguousKernel when a kernel eigenvalue falls inside the guard
     band where counting would depend on the tolerance. As in
     ``membership``, unitarity and finite entries are the caller's
-    responsibility.
+    responsibility. This is the one-point case of ``_index_each``.
     """
     label = CartanClass.coerce(label)
-    M = _unpack_unitary(U)
-    if not membership(M, label, tol):
-        raise NotInClass(f"matrix fails the {label.value} membership test")
+    [index] = _index_each(_unpack_unitary(U)[None], label, tol)
+    if isinstance(index, Exception):
+        raise index
+    return index
+
+
+def _index_each(M: np.ndarray, label, tol: Tolerances) -> list:
+    """``topological_index`` of each matrix of a (k, n, n) stack, or the error it raises alone.
+
+    The stack takes one membership test (``_members``), and its members
+    one ``eigvalsh`` (kernel-dim classes) or one ``det`` (class D); the
+    Pfaffian (DIII) is taken per matrix. BadParity, which every matrix
+    of the stack would raise, is raised.
+    """
+    label = CartanClass.coerce(label)
+    out = [None if member else NotInClass(f"matrix fails the {label.value} membership test")
+           for member in _members(M, label, tol).tolist()]
     kind = label.index_kind
     if kind == "zero":
-        return IndexValue.zero()
+        return [error or IndexValue.zero() for error in out]
+    live = [i for i, error in enumerate(out) if error is None]
+    if not live:
+        return out
+    M = M if len(live) == len(M) else M[live]
     if kind == "kernel_dim":
         # hermitian unitary: spectrum sits at +1 and -1
         evals = np.linalg.eigvalsh(M)
-        return IndexValue.kernel_dim(_count_kernel(evals, tol))
-    if label == CartanClass.D:
-        det = np.linalg.det(M)
-        return IndexValue.sign(_snap_sign(float(det.real), "det(U)"))
-    # membership passed U at eig_tol; pfaffian gates at the tighter frame_tol
-    return IndexValue.sign(_snap_sign(pfaffian(0.5 * (M.real - M.real.T), tol), "Pf(U)"))
+    elif label == CartanClass.D:
+        dets = np.linalg.det(M).real.tolist()
+    for j, i in enumerate(live):
+        try:
+            if kind == "kernel_dim":
+                out[i] = IndexValue.kernel_dim(_count_kernel(evals[j], tol))
+            elif label == CartanClass.D:
+                out[i] = IndexValue.sign(_snap_sign(dets[j], "det(U)"))
+            else:
+                # membership passed U at eig_tol; pfaffian gates at the tighter frame_tol
+                X = M[j].real
+                out[i] = IndexValue.sign(_snap_sign(pfaffian(0.5 * (X - X.T), tol), "Pf(U)"))
+        except ValueError as exc:
+            out[i] = exc
+    return out
 
 
 def bulk_consistency_check(label, index_plus: IndexValue, index_minus: IndexValue,

@@ -18,10 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import AmbiguousKernel, IncompatibleBoundary, KindMismatch
 from .linalg import TOL, Tolerances
 from .symplectic import _crossing_spectrum, crossing_dim
-from .index import IndexValue, topological_index
+from .index import IndexValue, _index_each
 from .models import BulkData, PiecewiseDiracProfile, _raise_first, _transport, dirac_stack
 from .symmetry import CartanClass
 
@@ -118,14 +120,20 @@ def continuous_junction_report(profile: PiecewiseDiracProfile, energy: float,
     the same planes; both are read off the eigenvalues of U_+ U_-*.
     Raises AmbiguousKernel when the two disagree: the transported planes
     are then too inaccurate to tell how many modes there are.
+
+    The report runs in stacks: both far bulks are one ``dirac_stack``,
+    both walks one lockstep ``_transport`` (whose '+' walk's error is
+    raised first), and the five indices one ``_index_each`` call, whose
+    first error in the order left, right, far minus, transported plus,
+    transported minus is raised.
     """
     label = CartanClass.coerce(label)
     left_bulk, right_bulk = _raise_first(
         dirac_stack([profile.masses[0], profile.masses[-1]], [energy] * 2, tol))
     bps = profile.breakpoints
     t = min(max(0.0, bps[0]), bps[-1]) if bps else 0.0
-    u_plus, defect_plus = _transport(right_bulk.u_plus, profile, energy, "+", t, tol)
-    u_minus, defect_minus = _transport(left_bulk.u_minus, profile, energy, "-", t, tol)
+    (u_plus, defect_plus), (u_minus, defect_minus) = _transport(
+        [right_bulk.u_plus, left_bulk.u_minus], profile, energy, ("+", "-"), t, tol)
 
     # the Dirac split has unit blocks: frames are [I; U]/sqrt(2), angle cosines |1 + lambda|/2
     lam = _crossing_spectrum(u_plus, u_minus, tol)
@@ -137,11 +145,9 @@ def continuous_junction_report(profile: PiecewiseDiracProfile, energy: float,
             f"disagree at the cut t = {t:g}"
         )
 
-    index_left = topological_index(left_bulk.u_plus, label, tol)
-    index_right = topological_index(right_bulk.u_plus, label, tol)
-    index_minus_far = topological_index(left_bulk.u_minus, label, tol)
-    index_plus_tr = topological_index(u_plus, label, tol)
-    index_minus_tr = topological_index(u_minus, label, tol)
+    index_left, index_right, index_minus_far, index_plus_tr, index_minus_tr = _raise_first(
+        _index_each(np.array([u.U for u in (left_bulk.u_plus, right_bulk.u_plus,
+                                            left_bulk.u_minus, u_plus, u_minus)]), label, tol))
     consistent = (index_plus_tr == index_right) and (index_minus_tr == index_minus_far)
 
     return JunctionReport(

@@ -41,11 +41,11 @@ from .errors import (
     NotInvertible,
     NotLagrangian,
 )
-from .linalg import TOL, Tolerances, _finite_square
+from .linalg import TOL, Tolerances, _finite_square, _identity
 from .symplectic import (
     LagrangianPlane,
-    LerayUnitary,
     SymplecticForm,
+    _leray_each,
     canonical_split,
     unitary_to_plane,
 )
@@ -110,19 +110,43 @@ class BulkData:
 
 
 def _finish_each(out, points, family: str, tol) -> None:
-    """Bulk of each (i, form, u_plus, u_minus, gap, energy), or its error, in out[i]."""
-    live = []
-    for i, form, up, um, gap, energy in points:
+    """Bulk of each (i, form, u_plus, u_minus, gap, energy), or its error, in out[i].
+
+    The points of one form share its split and one stacked unitarity
+    check of all their u_plus and u_minus (``_leray_each``); a point
+    whose u_plus fails gets u_plus's error, as if checked alone, before
+    its u_minus is looked at.
+    """
+    groups = {}
+    for point in points:
+        groups.setdefault(point[1], []).append(point)
+    live, products = [], []
+    for form, members in groups.items():
+        idx, _, ups, ums, gaps, energies = zip(*members)
         try:
             split = canonical_split(form, tol)
-            out[i] = BulkData(LerayUnitary(up, split, tol), LerayUnitary(um, split, tol),
-                              gap, energy, family, tol)
-            live.append(i)
         except ValueError as exc:
-            out[i] = exc
+            for i in idx:
+                out[i] = exc
+            continue
+        n = len(idx)
+        U = np.array(ups + ums)
+        us = _leray_each(U, split, tol)
+        passed = []
+        for j, (i, up, um, gap, energy) in enumerate(zip(idx, us, us[n:], gaps, energies)):
+            error = next((u for u in (up, um) if isinstance(u, Exception)), None)
+            if error is None:
+                out[i] = BulkData(up, um, gap, energy, family, tol)
+                passed.append(j)
+                live.append(i)
+            else:
+                out[i] = error
+        if passed:
+            Up, Um = (U[:n], U[n:]) if len(passed) == n else (U[:n][passed], U[n:][passed])
+            products.append(Up @ _ct(Um))
     if live:
         # in-gap energies force transverse planes; one spectrum of u_plus u_minus* per stack
-        lam = np.linalg.eigvals(np.array([out[i].u_plus.U @ _ct(out[i].u_minus.U) for i in live]))
+        lam = np.linalg.eigvals(products[0] if len(products) == 1 else np.concatenate(products))
         for i in np.array(live)[(np.abs(lam - 1.0) <= tol.eig_tol).any(axis=1)].tolist():
             out[i] = GapClosed("half-line planes intersect; the energy is not in a gap")
 
@@ -226,7 +250,8 @@ def dirac_stack(Ws, energies, tol: Tolerances = TOL) -> list:
             else:
                 live.append(j)
                 gaps.append(gap)
-        U, s, Vh, E = U[live], s[live], Vh[live], E[live]
+        if len(live) < len(s):
+            U, s, Vh, E = U[live], s[live], Vh[live], E[live]
         form = dirac_form(W.shape[-1])
         # the gap gate leaves |E| < m0 <= s, so |r| < 1 and c is unimodular; kappa/s is 1 at E = 0
         r = E[:, None, None] / s[:, None, :]
@@ -291,7 +316,8 @@ def schrodinger_stack(Vs, energies, tol: Tolerances = TOL) -> list:
             else:
                 live.append(j)
                 gaps.append(gap)
-        mu, Vm, E = mu[live], Vm[live], E[live]
+        if len(live) < len(mu):
+            mu, Vm, E = mu[live], Vm[live], E[live]
         form = _schrodinger_form(M)
         ikappa = 1j * np.sqrt(mu[:, None, :] - E[:, None, None])
         z = (1.0 - ikappa) / (1.0 + ikappa)
@@ -613,60 +639,134 @@ class PiecewiseDiracProfile:
                 f"steps={self.steps})")
 
 
-def _segment_flow(W: np.ndarray, energy: float, length: float):
-    """Sub-step count and the four N x N blocks of the flow over one sub-step h.
+def _segment_flow(W: np.ndarray, energy: float, lengths: np.ndarray):
+    """Sub-step counts and the four N x N blocks of each segment's flow over one sub-step.
 
-    The flow of psi' = B psi with B = [[iE, -W], [-W*, -iE]] is returned
-    as nsub, P11, P12, P21, P22. With W = U S V*, B acts on each
-    span{(u_k, 0), (0, v_k)} as M_k = [[iE, -s_k], [-s_k, -iE]], whose
-    square is kappa^2 = s_k^2 - E^2, so the flow is cosh(kappa h) +
-    sinh(kappa h)/kappa M_k there: kappa is imaginary where the segment
-    is gapless at E, and the factor is its limit h at kappa = 0.
+    W is a (k, N, N) stack of segment masses and ``lengths`` their k
+    signed lengths. The flow of psi' = B psi with B = [[iE, -W], [-W*,
+    -iE]] is returned as nsub, P11, P12, P21, P22: k sub-step counts and
+    four (k, N, N) stacks, from one batched SVD and one elementwise pass.
+    With W = U S V*, B acts on each span{(u_k, 0), (0, v_k)} as M_k =
+    [[iE, -s_k], [-s_k, -iE]], whose square is kappa^2 = s_k^2 - E^2, so
+    the flow is cosh(kappa h) + sinh(kappa h)/kappa M_k there: kappa is
+    imaginary where the segment is gapless at E, and the factor is its
+    limit h at kappa = 0.
     """
     U, s, Vh = np.linalg.svd(W)
     # growth of at most e^4 per sub-step keeps P11 + P12 U well conditioned;
     # ||B||_2 = s_max + |E|
-    nsub = max(1, int(np.ceil(abs(length) * (float(s[0]) + abs(energy)) / 4.0)))
-    h = length / nsub
+    nsub = np.maximum(1, np.ceil(np.abs(lengths) * (s[:, 0] + abs(energy)) / 4.0)).astype(int)
+    h = (lengths / nsub)[:, None]
     x = h * np.sqrt(((s - abs(energy)) * (s + abs(energy))).astype(complex))
     c = np.cosh(x)
     d = h * np.divide(np.sinh(x), x, out=np.ones_like(x), where=x != 0)
-    V, Uh = Vh.conj().T, U.conj().T
-    return (nsub, (U * (c + 1j * energy * d)) @ Uh, (U * (-s * d)) @ Vh,
-            (V * (-s * d)) @ Uh, (V * (c - 1j * energy * d)) @ Vh)
+    V, Uh = _ct(Vh), _ct(U)
+    ied, sd = 1j * energy * d, (-s * d)[:, None, :]
+    return (nsub, _scale_columns(U, c + ied) @ Uh, (U * sd) @ Vh,
+            (V * sd) @ Uh, _scale_columns(V, c - ied) @ Vh)
 
 
-def _transport(far: LerayUnitary, profile: PiecewiseDiracProfile, energy: float,
-               side: str, t: float, tol: Tolerances):
-    """Carry a far-side Leray unitary from its end of the profile to t.
+def _scale_columns(X: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Each (N, N) matrix of a stack with its columns scaled by its row of f.
 
-    The walk visits the breakpoints strictly past t, counted from the far
-    end, then t. Beyond them the far plane is translation invariant, so a
-    walk that crosses no segment keeps the far unitary with defect 0.0.
-    The Dirac form's canonical split is the identity with unit blocks
-    (a_plus = a_minus = 1), so the flow of a sub-step maps U to
-    (P21 + P22 U)(P11 + P12 U)^-1. That image is unitary up to
-    roundoff; it is replaced by its polar factor, and NotLagrangian is
-    raised when it departs from unitarity by more than ``tol.frame_tol``.
-    Returns the unitary at t and the largest departure seen.
+    numpy multiplies complex arrays in a vector loop, but a product with
+    a single element, such as one 1 x 1 matrix times its factor, in a
+    scalar loop that rounds differently (no fused multiply-adds). So a
+    1 x 1 stack is multiplied here as the scalar loop does, and each
+    segment's flow has the same bits however many segments share the
+    stack, and the same as one segment alone.
+    """
+    f = f[:, None, :]
+    if X.shape[-1] > 1:
+        return X * f
+    out = np.empty(X.shape, dtype=complex)
+    out.real = X.real * f.real - X.imag * f.imag
+    out.imag = X.real * f.imag + X.imag * f.real
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _identity_flow(N: int) -> np.ndarray:
+    """The blocks I, 0, 0, I of the identity flow, as a read-only (4, N, N) stack."""
+    F = np.zeros((4, N, N))
+    F[0] = F[3] = np.eye(N)
+    F.flags.writeable = False
+    return F
+
+
+def _transport(fars, profile: PiecewiseDiracProfile, energy: float, sides, t: float,
+               tol: Tolerances) -> list:
+    """Carry far-side Leray unitaries from their ends of the profile to t, in lockstep.
+
+    fars[w] is the far unitary of walk w and sides[w] its side: '+'
+    starts at the right end and '-' at the left. Each walk visits the
+    breakpoints strictly past t, counted from its far end, then t. Beyond
+    them the far plane is translation invariant, so a walk that crosses
+    no segment keeps its far unitary with defect 0.0. The Dirac form's
+    canonical split is the identity with unit blocks (a_plus = a_minus =
+    1), so the flow of a sub-step maps U to (P21 + P22 U)(P11 + P12 U)^-1.
+    That image is unitary up to roundoff; it is replaced by its polar
+    factor, and a walk fails with NotLagrangian, naming its side and
+    segment, when it departs from unitarity by more than ``tol.frame_tol``.
+
+    Every segment of every walk takes its flow from one ``_segment_flow``
+    call, and the walks advance as one (walks, N, N) stack: each sub-step
+    is one batched solve, one batched defect and one batched polar
+    factor. A walk that has finished or failed idles on an appended
+    identity flow, and masked updates (``where=``) keep its unitary and
+    defect, so each walk's arithmetic is the same as alone, bit for bit.
+    The walks share the split of fars[0] (the Dirac form's). Returns
+    (unitary at t, largest departure seen) per walk, the unitaries from
+    one unitarity check; when walks fail, the error of the first failed
+    walk in the order of ``sides`` is raised.
     """
     bps = profile.breakpoints
-    path = ([b for b in reversed(bps) if b > t] if side == "+" else [b for b in bps if b < t]) + [t]
-    U = far.U
-    N = far.n
-    defect = 0.0
-    for start, stop in zip(path, path[1:]):
-        nsub, P11, P12, P21, P22 = _segment_flow(
-            profile.mass_at(0.5 * (start + stop)), energy, stop - start)
-        for _ in range(nsub):
-            V = np.linalg.solve((P11 + P12 @ U).T, (P21 + P22 @ U).T).T
-            step_defect = float(np.abs(V.conj().T @ V - np.eye(N)).max())
-            if not step_defect <= tol.frame_tol:
-                raise NotLagrangian(f"transported graph map has unitarity defect {step_defect:.3e}")
-            defect = max(defect, step_defect)
-            W, _, Vh = np.linalg.svd(V)
-            U = W @ Vh
-    return LerayUnitary(U, far.split, tol), defect
+    N = profile.block_dim
+    segments, walks = [], []
+    for side in sides:
+        path = ([b for b in reversed(bps) if b > t] if side == "+" else [b for b in bps if b < t]) + [t]
+        walks.append(range(len(segments), len(segments) + len(path) - 1))
+        segments.extend(zip(path, path[1:]))
+    k = len(segments)
+    masses = profile.masses[[bisect.bisect_right(bps, 0.5 * (a + b)) for a, b in segments]]
+    nsub, *flow = _segment_flow(masses, energy, np.array([b - a for a, b in segments], dtype=float))
+    # segment k is the identity flow on which a finished walk idles
+    blocks = np.empty((k + 1, 4, N, N), dtype=complex)
+    for b, P in enumerate(flow):
+        blocks[:k, b] = P
+    blocks[k] = _identity_flow(N)
+    nsub = nsub.tolist()
+    schedule = [[j for j in ids for _ in range(nsub[j])] for ids in walks]
+    steps = max(map(len, schedule))
+    lengths = np.array([len(ids) for ids in schedule])
+    # each walk's four flow blocks at each of its sub-steps, as one (walks, steps, 4, N, N) stack
+    flow = blocks[np.array([ids + [k] * (steps - len(ids)) for ids in schedule], dtype=int)]
+
+    U = np.array([far.U for far in fars])
+    defect = np.zeros(len(fars))
+    errors = [None] * len(fars)
+    for step in range(steps):
+        moving = lengths > step
+        # P11 + P12 U and P21 + P22 U of every walk from one product
+        P = flow[:, step]
+        X = (P[:, ::2] + P[:, 1::2] @ U[:, None]).swapaxes(2, 3)
+        V = np.linalg.solve(X[:, 0], X[:, 1]).swapaxes(1, 2)
+        step_defect = np.abs(_ct(V) @ V - _identity(N)).max(axis=(1, 2))
+        for w in np.flatnonzero(moving & ~(step_defect <= tol.frame_tol)).tolist():
+            start, stop = segments[schedule[w][step]]
+            errors[w] = NotLagrangian(
+                f"transported graph map has unitarity defect {step_defect[w]:.3e} "
+                f"on the {sides[w]} walk over the segment [{start:g}, {stop:g}]")
+            # the failed walk idles from here on, and this sub-step's image is discarded
+            moving[w], lengths[w] = False, step
+            flow[w, step + 1:] = _identity_flow(N)
+            V[w] = U[w]
+        np.maximum(defect, step_defect, out=defect, where=moving)
+        W, _, Vh = np.linalg.svd(V)
+        np.copyto(U, W @ Vh, where=moving[:, None, None])
+    unitaries = _raise_first([error or u for error, u in
+                              zip(errors, _leray_each(U, fars[0].split, tol))])
+    return list(zip(unitaries, defect.tolist()))
 
 
 def propagate_plane(profile: PiecewiseDiracProfile, energy: float, side: str,
@@ -688,4 +788,5 @@ def propagate_plane(profile: PiecewiseDiracProfile, energy: float, side: str,
         far = dirac_bulk(profile.masses[-1], tol, energy).u_plus
     else:
         far = dirac_bulk(profile.masses[0], tol, energy).u_minus
-    return unitary_to_plane(_transport(far, profile, energy, side, t, tol)[0], tol=tol)
+    [(u, _)] = _transport([far], profile, energy, (side,), t, tol)
+    return unitary_to_plane(u, tol=tol)

@@ -11,6 +11,7 @@ for those manifolds live here.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -256,37 +257,56 @@ def membership(U, label, tol: Tolerances = TOL) -> bool:
     Tests only the structural relation (reality, symmetry, symplectic
     intertwining); unitarity and finite entries are the caller's
     responsibility, so the matrix is not checked for either. Raises
-    BadParity when the class requires an even dimension.
+    BadParity when the class requires an even dimension. This is the
+    one-point case of ``_members``.
     """
     label = CartanClass.coerce(label)
-    M = _unpack_unitary(U)
-    n = M.shape[0]
+    return bool(_members(_unpack_unitary(U), label, tol))
+
+
+def _members(M: np.ndarray, label: CartanClass, tol: Tolerances) -> np.ndarray:
+    """``membership`` of each matrix of a (..., n, n) stack, as a (...) boolean array.
+
+    Each relation is one reduction over the last two axes, so one
+    matrix, with no stack axis, gives a 0-d answer; a second relation is
+    tested only when some matrix passed the first.
+    """
+    n = M.shape[-1]
     if label.needs_even_dim and n % 2:
         raise BadParity(f"class {label.value} needs even dimension, got {n}")
-    t = tol.eig_tol
-    close = lambda X, Y: bool(np.abs(X - Y).max() <= t)
-    real = lambda X: bool(np.abs(X.imag).max() <= t)
     if label == CartanClass.A:
-        return True
+        return np.ones(M.shape[:-2], dtype=bool)
+    t = tol.eig_tol
+    MT = M.swapaxes(-1, -2)
     if label == CartanClass.AIII:
-        return close(M, M.conj().T)
+        return _within(M - MT.conj(), t)
     if label == CartanClass.AI:
-        return close(M, M.T)
-    if label == CartanClass.BDI:
-        return real(M) and close(M, M.T)
-    if label == CartanClass.D:
-        return real(M)
-    if label == CartanClass.DIII:
-        return real(M) and close(M, -M.T)
+        return _within(M - MT, t)
     if label == CartanClass.AII:
-        return close(M, -M.T)
-    Om = standard_omega(n // 2)
-    symplectic = close(Om @ M, np.conj(M) @ Om)
-    if label == CartanClass.C:
-        return symplectic
-    if label == CartanClass.CII:
-        return symplectic and close(M, M.conj().T)
-    return symplectic and close(M, M.T)  # CI
+        return _within(M + MT, t)
+    if label in (CartanClass.BDI, CartanClass.D, CartanClass.DIII):
+        ok = _within(M.imag, t)  # real
+        if label == CartanClass.D or not np.count_nonzero(ok):
+            return ok
+        return ok & _within(M - MT if label == CartanClass.BDI else M + MT, t)
+    Om = _omega(n // 2)
+    ok = _within(Om @ M - np.conj(M) @ Om, t)  # symplectic
+    if label == CartanClass.C or not np.count_nonzero(ok):
+        return ok
+    return ok & _within(M - (MT.conj() if label == CartanClass.CII else MT), t)
+
+
+def _within(X: np.ndarray, t: float) -> np.ndarray:
+    """Whether every entry of each matrix of a stack is at most t in modulus."""
+    return np.abs(X).max(axis=(-2, -1)) <= t
+
+
+@functools.lru_cache(maxsize=16)
+def _omega(n: int) -> np.ndarray:
+    """``standard_omega(n)``, built once per n as a read-only complex array."""
+    O = standard_omega(n).astype(complex)
+    O.flags.writeable = False
+    return O
 
 
 def canonical_symmetry_basis(label, N: int, tol: Tolerances = TOL):

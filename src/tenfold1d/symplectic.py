@@ -295,24 +295,31 @@ class LagrangianPlane:
 
 
 class LerayUnitary:
-    """Unitary coordinate of a Lagrangian plane in a canonical split."""
+    """Unitary coordinate of a Lagrangian plane in a canonical split.
+
+    The constructor runs ``_unitarity_errors``, the package's one
+    unitarity check, on a stack of one; ``_leray_each`` runs it once on a
+    whole stack.
+    """
 
     __slots__ = ("U", "split")
 
     def __init__(self, U, split: CanonicalSplit, tol: Tolerances = TOL):
-        U = _finite_square(U, "U")
-        if U.shape[0] != split.n:
-            raise DimensionMismatch(
-                f"U is {U.shape[0]}-dimensional, split block is {split.n}"
-            )
-        with np.errstate(over="ignore", invalid="ignore"):
-            defect = np.abs(U.conj().T @ U - _identity(split.n)).max()
-        if not defect <= tol.frame_tol:
-            raise NotUnitary(f"unitarity defect {defect:.3e}")
-        U = U.copy()
+        U = _as_square(U, "U").copy()
+        error = _unitarity_errors(U[None], split, tol)[0]
+        if error is not None:
+            raise error
         U.flags.writeable = False
         self.U = U
         self.split = split
+
+    @classmethod
+    def _checked(cls, U: np.ndarray, split: CanonicalSplit) -> "LerayUnitary":
+        """A read-only U that ``_unitarity_errors`` passed, wrapped without a second check."""
+        self = object.__new__(cls)
+        self.U = U
+        self.split = split
+        return self
 
     @property
     def n(self) -> int:
@@ -320,6 +327,37 @@ class LerayUnitary:
 
     def __repr__(self):
         return f"LerayUnitary(n={self.n})"
+
+
+def _unitarity_errors(U: np.ndarray, split: CanonicalSplit, tol: Tolerances) -> list:
+    """The error ``LerayUnitary`` raises for each matrix of a (k, m, m) stack, or None.
+
+    One batched defect max|U*U - I| serves the whole stack. Per matrix, a
+    non-finite entry is reported first, then a size that is not the
+    split's, then a defect past ``tol.frame_tol``; a non-finite entry
+    always fails the defect, so only the failures are tested for it.
+    """
+    n = split.n
+    if U.shape[-1] != n:
+        return [DimensionMismatch(f"U is {U.shape[-1]}-dimensional, split block is {n}")
+                if np.isfinite(u).all() else ValueError("U must have finite entries") for u in U]
+    # an overflowed product gives an inf or NaN defect, which fails the check
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.abs(U.conj().swapaxes(1, 2) @ U - _identity(n)).max(axis=(1, 2)).tolist()
+    return [None if d <= tol.frame_tol else
+            NotUnitary(f"unitarity defect {d:.3e}") if np.isfinite(u).all() else
+            ValueError("U must have finite entries") for u, d in zip(U, defect)]
+
+
+def _leray_each(U: np.ndarray, split: CanonicalSplit, tol: Tolerances) -> list:
+    """``LerayUnitary`` of each matrix of a (k, n, n) stack, or the error it raises for it.
+
+    The stack is taken over, not copied: it is made read-only, and each
+    unitary is a view of it.
+    """
+    U.flags.writeable = False
+    return [LerayUnitary._checked(u, split) if error is None else error
+            for u, error in zip(U, _unitarity_errors(U, split, tol))]
 
 
 def plane_to_unitary(

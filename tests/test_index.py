@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tenfold1d import (
+    TOL,
     Tolerances,
     bulk_consistency_check,
     protected_bound,
@@ -11,9 +12,9 @@ from tenfold1d import (
     realizable_indices,
     topological_index,
 )
-from tenfold1d.errors import AmbiguousKernel, KindMismatch, NotInClass
-from tenfold1d.index import IndexValue
-from tenfold1d.symmetry import membership, random_unitary
+from tenfold1d.errors import AmbiguousKernel, BadParity, KindMismatch, NotInClass
+from tenfold1d.index import IndexValue, _index_each
+from tenfold1d.symmetry import CartanClass, _members, membership, random_unitary
 
 
 class TestIndexValue:
@@ -86,6 +87,32 @@ class TestTopologicalIndex:
         M = (V * lam[None, :]) @ V.conj().T
         with pytest.raises(AmbiguousKernel):
             topological_index(M, "AIII")
+
+
+class TestStackedIndex:
+    @pytest.mark.parametrize("label", ["A", "AIII", "AI", "BDI", "D", "DIII", "AII", "CII", "C", "CI"])
+    def test_stack_matches_one_point_calls(self, rng, label):
+        # members with every realizable index, a non-member, and a kernel
+        # eigenvalue in the guard band: each entry of one stacked call is the
+        # index, or the error type and message, of topological_index alone
+        n = 4
+        V = random_unitary(n, rng)
+        stack = [random_member(label, n, rng, index=want) for want in realizable_indices(label, n)]
+        stack += [random_unitary(n, rng), (V * np.array([1.0 - 5e-8, -1.0, 1.0, -1.0])) @ V.conj().T]
+        got = _index_each(np.array(stack, dtype=complex), label, TOL)
+        for M, result in zip(stack, got):
+            try:
+                want = topological_index(M, label)
+            except ValueError as exc:
+                assert (type(result), str(result)) == (type(exc), str(exc))
+            else:
+                assert result == want
+            assert membership(M, label) == (_members(np.array([M], dtype=complex),
+                                                     CartanClass(label), TOL)[0])
+
+    def test_odd_dimension_raises_for_the_stack(self):
+        with pytest.raises(BadParity):
+            _index_each(np.eye(3, dtype=complex)[None], "DIII", TOL)
 
 
 class TestRelativeIndex:

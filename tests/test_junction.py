@@ -28,6 +28,7 @@ from tenfold1d.errors import (
     IncompatibleBoundary,
     NotInClass,
 )
+from tenfold1d import models
 from tenfold1d.models import _transport
 from tenfold1d.symplectic import _crossing_spectrum
 from tenfold1d.symmetry import random_unitary
@@ -260,8 +261,8 @@ class TestContinuousReport:
         bps = list(-3.0 + np.cumsum(rng.uniform(0.05, 10.0, steps)))
         p = PiecewiseDiracProfile(masses, bps)
         t = min(max(0.0, bps[0]), bps[-1])
-        u_plus = _transport(dirac_bulk(masses[-1], energy=energy).u_plus, p, energy, "+", t, TOL)[0]
-        u_minus = _transport(dirac_bulk(masses[0], energy=energy).u_minus, p, energy, "-", t, TOL)[0]
+        fars = [dirac_bulk(masses[-1], energy=energy).u_plus, dirac_bulk(masses[0], energy=energy).u_minus]
+        (u_plus, _), (u_minus, _) = _transport(fars, p, energy, ("+", "-"), t, TOL)
         crossing = crossing_dim(u_plus, u_minus)
         angles = subspace_intersection_dim(unitary_to_plane(u_plus).frame,
                                            unitary_to_plane(u_minus).frame)
@@ -271,6 +272,17 @@ class TestContinuousReport:
                 continuous_junction_report(p, energy, "A")
         else:
             assert continuous_junction_report(p, energy, "A").predicted == crossing
+
+    def test_one_flow_factorization_per_report(self, monkeypatch):
+        # every segment of both walks takes its flow from one call
+        calls = []
+        flow = models._segment_flow
+        monkeypatch.setattr(models, "_segment_flow", lambda *args: calls.append(args) or flow(*args))
+        p = PiecewiseDiracProfile([np.array(W) for W in CENSUS_MASSES], [-1.5, 0.75])
+        continuous_junction_report(p, 0.1, "A")
+        assert len(calls) == 1
+        # the '+' walk crosses [0.75, 0] and the '-' walk [-1.5, 0]
+        assert calls[0][2].tolist() == [-0.75, 1.5]
 
     def test_disagreeing_counts_raise(self):
         p = PiecewiseDiracProfile([np.array(W) for W in CENSUS_MASSES], CENSUS_BREAKPOINTS)

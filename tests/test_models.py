@@ -29,6 +29,7 @@ from tenfold1d.errors import (
     GapClosed,
     NotInGap,
     NotInvertible,
+    NotLagrangian,
 )
 from tenfold1d import models
 from tenfold1d.modelfile import ModelFile, build_bulk, build_stack
@@ -413,7 +414,8 @@ class TestSegmentFlow:
         # every singular value above |E|, one below it, or one equal to it exactly
         assert np.sign(np.linalg.svd(W)[1] - abs(E)).min() == sign
         B = np.block([[1j * E * np.eye(n), -W], [-W.conj().T, -1j * E * np.eye(n)]])
-        nsub, *blocks = _segment_flow(W, E, length)
+        [nsub], *stacks = _segment_flow(W[None], E, np.array([length]))
+        blocks = [stack[0] for stack in stacks]
         assert nsub == max(1, int(np.ceil(abs(length) * np.linalg.norm(B, 2) / 4.0)))
         want = sla.expm(B * (length / nsub))
         # the four N x N blocks P11, P12, P21, P22 of the flow
@@ -675,9 +677,54 @@ class TestPiecewiseProfile:
         left = dirac_bulk(masses[0], energy=0.2).u_minus
         for far, side, cuts in ((right, "+", (1.5, 4.0)), (left, "-", (-1.0, -3.0))):
             for t in cuts:
-                U, defect = _transport(far, p, 0.2, side, t, TOL)
+                [(U, defect)] = _transport([far], p, 0.2, (side,), t, TOL)
                 assert U.U.tobytes() == far.U.tobytes()
                 assert defect == 0.0
+
+    def test_plus_walk_error_wins_when_both_walks_fail(self, monkeypatch):
+        # the '-' walk's image is NaN from its first sub-step on, and the '+'
+        # walk is broken only on its last segment, so in lockstep the '-' walk
+        # fails first and then idles; the '+' walk's error is raised all the
+        # same, as when the walks ran one after the other
+        flow = models._segment_flow
+
+        def broken(W, energy, lengths):
+            nsub, P11, P12, P21, P22 = flow(W, energy, lengths)
+            plus = np.flatnonzero(lengths < 0)
+            last = np.arange(len(lengths)) == (plus[-1] if plus.size else -1)
+            scale = np.where(lengths > 0, np.nan, np.where(last, 2.0, 1.0))
+            return nsub, P11, P12, P21, P22 * scale[:, None, None]
+
+        masses = [np.eye(1), -np.eye(1), 2.0 * np.eye(1), -np.eye(1)]
+        p = PiecewiseDiracProfile(masses, [-1.0, 0.5, 2.0])
+        fars = [dirac_bulk(masses[-1]).u_plus, dirac_bulk(masses[0]).u_minus]
+        monkeypatch.setattr(models, "_segment_flow", broken)
+        with pytest.raises(NotLagrangian, match=r"^transported graph map has unitarity defect "
+                                                r"\S+ on the \+ walk over the segment \[0.5, 0\]$"):
+            _transport(fars, p, 0.0, ("+", "-"), 0.0, TOL)
+        with pytest.raises(NotLagrangian, match=r"defect nan on the - walk over the segment \[-1, 0\]$"):
+            _transport(fars[1:], p, 0.0, ("-",), 0.0, TOL)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_walks_match_one_walk_loop(self, data):
+        # one walk and two walks in lockstep are bitwise the walk run alone,
+        # segment by segment, at every breakpoint as the cut
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        N, steps = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 5))
+        masses = [gapped_mass(N, rng) for _ in range(steps + 1)]
+        floor = min(np.linalg.svd(W, compute_uv=False)[-1] for W in masses)
+        energy = data.draw(st.sampled_from([0.0, float(rng.uniform(-0.9, 0.9)) * floor]))
+        p = PiecewiseDiracProfile(masses, list(np.cumsum(rng.uniform(0.05, 3.0, steps)) - 2.0))
+        fars = [dirac_bulk(masses[-1], energy=energy).u_plus,
+                dirac_bulk(masses[0], energy=energy).u_minus]
+        for t in p.breakpoints:
+            want = [_one_walk(far.U, p, energy, side, t) for far, side in zip(fars, "+-")]
+            pair = _transport(fars, p, energy, ("+", "-"), t, TOL)
+            alone = [_transport([far], p, energy, (side,), t, TOL)[0]
+                     for far, side in zip(fars, "+-")]
+            for got in (pair, alone):
+                assert [(u.U.tobytes(), defect) for u, defect in got] == want
 
     def test_translation_invariant_beyond_last_step(self):
         p = PiecewiseDiracProfile([-np.eye(1), np.eye(1)], [0.0])
@@ -826,3 +873,28 @@ class TestStacks:
         V = np.array([[2.0, 0.5], [0.5, 1.0]])
         assert schrodinger_stack([V], [0.0])[0].gap == schrodinger_bulk(V, 0.0).gap
         assert tb_stack([SSH, SSH], [0.0, 0.5])[1].gap == tb_bulk(SSH, 0.5).gap
+
+
+def _one_walk(U, profile, energy, side, t):
+    """One walk, segment by segment and sub-step by sub-step: the reference for ``_transport``."""
+    bps = profile.breakpoints
+    path = ([b for b in reversed(bps) if b > t] if side == "+" else [b for b in bps if b < t]) + [t]
+    N = U.shape[0]
+    defect = 0.0
+    for start, stop in zip(path, path[1:]):
+        W, length = profile.mass_at(0.5 * (start + stop)), stop - start
+        Uw, s, Vh = np.linalg.svd(W)
+        nsub = max(1, int(np.ceil(abs(length) * (float(s[0]) + abs(energy)) / 4.0)))
+        h = length / nsub
+        x = h * np.sqrt(((s - abs(energy)) * (s + abs(energy))).astype(complex))
+        c = np.cosh(x)
+        d = h * np.divide(np.sinh(x), x, out=np.ones_like(x), where=x != 0)
+        V, Uh = Vh.conj().T, Uw.conj().T
+        P11, P12 = (Uw * (c + 1j * energy * d)) @ Uh, (Uw * (-s * d)) @ Vh
+        P21, P22 = (V * (-s * d)) @ Uh, (V * (c - 1j * energy * d)) @ Vh
+        for _ in range(nsub):
+            X = np.linalg.solve((P11 + P12 @ U).T, (P21 + P22 @ U).T).T
+            defect = max(defect, float(np.abs(X.conj().T @ X - np.eye(N)).max()))
+            L, _, Rh = np.linalg.svd(X)
+            U = L @ Rh
+    return U.tobytes(), defect

@@ -34,7 +34,14 @@ from tenfold1d.errors import (
 from tenfold1d.linalg import Frame
 from tenfold1d.symmetry import random_unitary
 from tenfold1d.models import _schrodinger_form
-from tenfold1d.symplectic import LerayUnitary, _clusters, _pivots, _split, is_lagrangian
+from tenfold1d.symplectic import (
+    LerayUnitary,
+    _clusters,
+    _leray_each,
+    _pivots,
+    _split,
+    is_lagrangian,
+)
 
 SCHRODINGER_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -331,6 +338,25 @@ class TestLerayUnitary:
         u = LerayUnitary(np.array([[1j]]), split)
         with pytest.raises(ValueError):
             u.U[0, 0] = 0.0
+
+    def test_stacked_check_matches_one_at_a_time(self, rng):
+        # one batched check gives each matrix the error type and message that
+        # LerayUnitary raises for it alone, or the same read-only unitary
+        split = canonical_split(random_form(2, rng))
+        U = random_unitary(2, rng)
+        off = U * np.sqrt([1.0 + 1e-6, 1.0])  # U*U - I = diag(1e-6, 0)
+        stack = np.array([U, off, np.full((2, 2), np.nan), U])
+        got = _leray_each(stack.copy(), split, TOL)
+        for X, result in zip(stack, got):
+            try:
+                want = LerayUnitary(X, split)
+            except ValueError as exc:
+                assert (type(result), str(result)) == (type(exc), str(exc))
+            else:
+                assert isinstance(result, LerayUnitary) and result.split is split
+                assert result.U.tobytes() == want.U.tobytes() and not result.U.flags.writeable
+        assert [type(r) for r in got] == [LerayUnitary, NotUnitary, ValueError, LerayUnitary]
+        assert str(got[1]) == "unitarity defect 1.000e-06"
 
 
 class TestRoundTrip:
