@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -39,20 +40,21 @@ from .errors import (
     NotInGap,
     ParseError,
 )
-from .index import topological_index
+from .index import _index_each, topological_index
 from .junction import (
+    _zero_modes_each,
     continuous_junction_report,
     predicted_zero_modes,
     protected_bound,
 )
 from .linalg import TOL, Tolerances
 from .modelfile import (
+    _parse_family,
     build_bulk,
     build_profile,
     build_stack,
     build_tb,
     parse_model,
-    parse_model_text,
 )
 from .models import _raise_first
 from .symmetry import CartanClass
@@ -143,11 +145,17 @@ def _profile_report(args, tol: Tolerances):
 
 
 def _predicted(left, right, tol: Tolerances):
-    """Glued kernel of two bulks, or None when ``hard_junction`` refuses to glue them."""
-    try:
-        return predicted_zero_modes(left, right, tol)
-    except IncompatibleBoundary:
-        return None
+    """Glued kernel of two bulks, or None when ``hard_junction`` refuses to glue them.
+
+    This is the one-pair case of ``_predicted_each``.
+    """
+    return _raise_first(_predicted_each([(left, right)], tol))[0]
+
+
+def _predicted_each(pairs, tol: Tolerances) -> list:
+    """``_predicted`` of each (left, right) pair of bulks, or the error it raises alone."""
+    return [None if isinstance(count, IncompatibleBoundary) else count
+            for count in _zero_modes_each(pairs, tol)]
 
 
 def _pair(args, tol: Tolerances):
@@ -234,11 +242,17 @@ def _parse_values(spec: str) -> list:
 def cmd_sweep(args, tol: Tolerances):
     """Index and gap at each grid point of a one-parameter family.
 
-    Each grid point's text is parsed as its own model; the reference
-    point and the whole grid are then built as one stacked computation
-    (``build_stack``), and the rows follow the grid in order. So the
-    first point that fails decides the error, as if the points were
-    built one at a time, and a closed gap gives a GAP_CLOSED row.
+    Each grid point means the template with its '?' replaced by
+    ``repr(float(v))``. The reference point's text is parsed in full,
+    and its decoded lines serve every grid point, which decodes only the
+    '?' line again (``_parse_family``). The reference point and the
+    whole grid are built as one stacked computation (``build_stack``);
+    the rows' indices are one ``_index_each`` call and their predicted
+    counts one crossing spectrum (``_predicted_each``). Errors are
+    raised in grid order, and within a point in the order bulk, index,
+    crossing, so the first point that fails decides the error, as if
+    the points were computed one at a time. A closed gap gives a
+    GAP_CLOSED row.
     """
     with open(args.model, encoding="utf-8") as fh:
         template = fh.read()
@@ -252,20 +266,9 @@ def cmd_sweep(args, tol: Tolerances):
     if args.ref is not None and not math.isfinite(args.ref):
         raise ParseError(f"bad --ref {args.ref!r}: must be finite")
 
-    def parse_at(v: float):
-        text = template.replace("?", repr(float(v)))
-        return parse_model_text(text, source=f"{args.model}[?={v:g}]")
-
     ref_value = values[0] if args.ref is None else float(args.ref)
-    mfs = [parse_at(ref_value)]
     # a point that does not parse ends the grid, but only once the rows before it are made
-    parse_error = None
-    for v in values:
-        try:
-            mfs.append(parse_at(v))
-        except ValueError as exc:
-            parse_error = exc
-            break
+    mfs, parse_error = _parse_family(template, args.model, [ref_value, *values])
     ref_bulk, *bulks = build_stack(mfs, tol, energy=args.energy)
     if isinstance(ref_bulk, (GapClosed, NotInGap)):
         raise ParseError(
@@ -274,6 +277,13 @@ def cmd_sweep(args, tol: Tolerances):
     if isinstance(ref_bulk, Exception):
         raise ref_bulk
 
+    live = [bulk for bulk in bulks if not isinstance(bulk, Exception)]
+    try:
+        indices = _index_each(np.array([bulk.u_plus.U for bulk in live]), label, tol) if live else []
+    except BadParity as exc:
+        # the grid has one dimension, so each live point raises it alone
+        indices = [exc] * len(live)
+    found = iter(zip(indices, _predicted_each([(ref_bulk, bulk) for bulk in live], tol)))
     rows = []
     for v, bulk in zip(values, bulks):
         if isinstance(bulk, (GapClosed, NotInGap)):
@@ -281,8 +291,8 @@ def cmd_sweep(args, tol: Tolerances):
             continue
         if isinstance(bulk, Exception):
             raise bulk
-        idx = topological_index(bulk.u_plus, label, tol)
-        rows.append([_fmt(v), _fmt(bulk.gap), str(idx), _fmt(_predicted(ref_bulk, bulk, tol))])
+        idx, predicted = _raise_first(next(found))
+        rows.append([_fmt(v), _fmt(bulk.gap), str(idx), _fmt(predicted)])
     if parse_error is not None:
         raise parse_error
     meta = {"model": args.model, "class": label.value, "reference": ref_value}
@@ -356,6 +366,8 @@ _COMMANDS = {
 }
 
 
+# built once per process: parse_args keeps its answers in a new namespace, not in the parser
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--tol-eig", type=float,

@@ -90,8 +90,9 @@ def topological_index(U, label, tol: Tolerances = TOL) -> IndexValue:
     Raises NotInClass when the membership test fails, and
     AmbiguousKernel when a kernel eigenvalue falls inside the guard
     band where counting would depend on the tolerance. As in
-    ``membership``, unitarity and finite entries are the caller's
-    responsibility. This is the one-point case of ``_index_each``.
+    ``membership``, unitarity is the caller's responsibility, and a
+    plain matrix with a NaN or inf entry raises ValueError before the
+    parity check. This is the one-point case of ``_index_each``.
     """
     label = CartanClass.coerce(label)
     [index] = _index_each(_unpack_unitary(U)[None], label, tol)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import AmbiguousKernel, IncompatibleBoundary, KindMismatch
 from .linalg import TOL, Tolerances
-from .symplectic import _crossing_spectrum, crossing_dim
+from .symplectic import _crossing_count, _crossing_dims, _crossing_spectrum, crossing_dim
 from .index import IndexValue, _index_each
 from .models import BulkData, PiecewiseDiracProfile, _raise_first, _transport, dirac_stack
 from .symmetry import CartanClass
@@ -59,10 +59,32 @@ def predicted_zero_modes(left: BulkData, right: BulkData, tol: Tolerances = TOL)
     """Kernel dimension of the glued operator at the junction energy.
 
     Equal to the crossing of the right bulk's decaying unitary with the
-    left bulk's growing unitary.
+    left bulk's growing unitary. This is the one-pair case of
+    ``_zero_modes_each``, taken without a stack.
     """
     hard_junction(left, right, tol)
     return crossing_dim(right.u_plus, left.u_minus, tol)
+
+
+def _zero_modes_each(pairs, tol: Tolerances) -> list:
+    """``predicted_zero_modes`` of each (left, right) pair, or the error it raises alone.
+
+    The pairs that ``hard_junction`` accepts take one stacked crossing
+    count (``_crossing_dims``).
+    """
+    out = [None] * len(pairs)
+    glued = []
+    for i, (left, right) in enumerate(pairs):
+        try:
+            hard_junction(left, right, tol)
+        except ValueError as exc:
+            out[i] = exc
+            continue
+        glued.append(i)
+    crossings = [(pairs[i][1].u_plus, pairs[i][0].u_minus) for i in glued]
+    for i, count in zip(glued, _crossing_dims(crossings, tol)):
+        out[i] = count
+    return out
 
 
 def protected_bound(label, left: IndexValue, right: IndexValue) -> int:
@@ -137,7 +159,7 @@ def continuous_junction_report(profile: PiecewiseDiracProfile, energy: float,
 
     # the Dirac split has unit blocks: frames are [I; U]/sqrt(2), angle cosines |1 + lambda|/2
     lam = _crossing_spectrum(u_plus, u_minus, tol)
-    predicted = int((abs(lam - 1.0) <= tol.eig_tol).sum())
+    predicted = _crossing_count(lam, tol)
     angles = int((abs(0.5 * abs(1.0 + lam) - 1.0) <= tol.eig_tol).sum())
     if predicted != angles:
         raise AmbiguousKernel(

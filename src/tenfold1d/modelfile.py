@@ -133,35 +133,59 @@ class ModelFile:
         return f"ModelFile(kind={self.kind!r}, keys={sorted(self.matrices)})"
 
 
-def parse_model_text(text: str, source: str = "<string>") -> ModelFile:
-    """Parse a model description from a string. See the module docstring."""
-    pairs = {}
-    order = []
-    # one decoder per text; its number hook reads ``where``, which names the line being decoded
+def _line_decoder():
+    """Decoder of ``key value`` lines, with one JSON decoder for all its calls.
+
+    The decoder's number hook reads ``where``, which names the line
+    being decoded.
+    """
+    where = None
     finite = lambda token: _finite(token, where)
     decode = json.JSONDecoder(parse_float=finite, parse_int=finite, parse_constant=finite).decode
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        where = f"{source}:{lineno}"
-        parts = line.split(None, 1)
-        if len(parts) != 2:
-            raise ParseError(f"{where}: expected 'key value'")
-        key, rest = parts
-        if key in pairs:
-            raise ParseError(f"{where}: duplicate key {key!r}")
-        try:
-            value = decode(rest)
-        except json.JSONDecodeError as exc:
-            if rest.strip().isidentifier():
-                value = rest.strip()
-            else:
-                raise ParseError(f"{where}: bad value for {key!r}: {exc}") from None
-        pairs[key] = value
-        order.append((key, where))
-    locs = dict(order)
 
+    def decode_lines(numbered, source: str) -> tuple[dict, dict]:
+        """(key -> value, key -> 'source:line') of (line number, line) pairs, in file order."""
+        nonlocal where
+        pairs, locs = {}, {}
+        for lineno, raw in numbered:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            where = f"{source}:{lineno}"
+            parts = line.split(None, 1)
+            if len(parts) != 2:
+                raise ParseError(f"{where}: expected 'key value'")
+            key, rest = parts
+            if key in pairs:
+                raise ParseError(f"{where}: duplicate key {key!r}")
+            try:
+                value = decode(rest)
+            except json.JSONDecodeError as exc:
+                if rest.strip().isidentifier():
+                    value = rest.strip()
+                else:
+                    raise ParseError(f"{where}: bad value for {key!r}: {exc}") from None
+            pairs[key] = value
+            locs[key] = where
+        return pairs, locs
+
+    return decode_lines
+
+
+def parse_model_text(text: str, source: str = "<string>") -> ModelFile:
+    """Parse a model description from a string. See the module docstring.
+
+    The two steps are line decoding (``_line_decoder``) and ``_assemble``.
+    """
+    return _assemble(*_line_decoder()(enumerate(text.splitlines(), start=1), source), source)
+
+
+def _assemble(pairs: dict, locs: dict, source: str) -> ModelFile:
+    """Model of decoded lines: the kind and key checks and the matrix conversions.
+
+    Takes ``key -> value`` and ``key -> 'source:line'`` as decoded, and
+    empties ``pairs``. A refusal names its line, or ``source``.
+    """
     if "kind" not in pairs:
         raise ParseError(f"{source}: missing 'kind' line")
     kind = pairs.pop("kind")
@@ -212,6 +236,44 @@ def parse_model_text(text: str, source: str = "<string>") -> ModelFile:
         raise ParseError(f"{locs[stray]}: key {stray!r} not allowed for "
                          f"kind {kind!r}")
     return ModelFile(kind, energy, matrices, lists)
+
+
+def _parse_family(template: str, name: str, values) -> tuple[list, ValueError | None]:
+    """Models of a template with one '?' at each value, until a value's text does not parse.
+
+    Each model is ``parse_model_text`` of the template with the '?'
+    replaced by ``repr(float(v))``, under the source ``name[?=v]``. Only
+    the first value's text is decoded in full; every later value decodes
+    the '?' line alone and takes the other lines from the first. That is
+    exact once the first value parses: a line without the '?' decodes,
+    and is assembled, the same at every value, so only the '?' line can
+    be refused at a later value, and that refusal names the value's
+    source. A '?' in a key or in the kind line fails at every value. The
+    first value's error is raised; a later value's error is returned
+    with the models of the values before it, else None.
+    """
+    decode = _line_decoder()
+    lines = template.splitlines()
+    hole = next(n for n, raw in enumerate(lines, start=1) if "?" in raw)
+    models, first_pairs, first_locs = [], None, None
+    for v in values:
+        source = f"{name}[?={v:g}]"
+        text = repr(float(v))
+        try:
+            if first_pairs is None:
+                first_pairs, first_locs = decode(
+                    ((n, raw.replace("?", text)) for n, raw in enumerate(lines, start=1)), source)
+                pairs, locs = dict(first_pairs), first_locs
+            else:
+                # the '?' line keeps its key, so it keeps its place among the first's lines
+                hole_pairs, hole_locs = decode([(hole, lines[hole - 1].replace("?", text))], source)
+                pairs, locs = {**first_pairs, **hole_pairs}, {**first_locs, **hole_locs}
+            models.append(_assemble(pairs, locs, source))
+        except ValueError as exc:
+            if not models:
+                raise
+            return models, exc
+    return models, None
 
 
 def parse_model(path: str) -> ModelFile:

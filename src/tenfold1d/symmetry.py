@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BadParity, DimensionMismatch, NotUnitary
-from .linalg import TOL, Tolerances, _as_square, _finite_square
+from .linalg import TOL, Tolerances, _finite_square
 from .models import dirac_form
 from .symplectic import LagrangianPlane, LerayUnitary
 
@@ -88,8 +88,8 @@ class CartanClass(str, Enum):
         if isinstance(label, CartanClass):
             return label
         try:
-            return cls(str(label))
-        except ValueError:
+            return _CLASSES[str(label)]
+        except KeyError:
             raise ValueError(
                 f"unknown class {label!r}; expected one of {[c.value for c in cls]}"
             ) from None
@@ -121,6 +121,10 @@ class CartanClass(str, Enum):
     @property
     def index_range(self) -> str:
         return _INDEX_RANGES[self.index_kind]
+
+
+# value -> class, the lookup of ``coerce``; calling the enum takes twenty times as long
+_CLASSES = {label.value: label for label in CartanClass}
 
 
 class AntiUnitary:
@@ -246,17 +250,18 @@ def standard_omega(n: int) -> np.ndarray:
 
 
 def _unpack_unitary(U):
+    """The matrix of a LerayUnitary, which was checked when made, or a checked plain matrix."""
     if isinstance(U, LerayUnitary):
         return U.U
-    return _as_square(U, "U")
+    return _finite_square(U, "U")
 
 
 def membership(U, label, tol: Tolerances = TOL) -> bool:
     """Whether a unitary lies in the matrix manifold of a class.
 
     Tests only the structural relation (reality, symmetry, symplectic
-    intertwining); unitarity and finite entries are the caller's
-    responsibility, so the matrix is not checked for either. Raises
+    intertwining); unitarity is the caller's responsibility. Raises
+    ValueError when a plain matrix has a NaN or inf entry, then
     BadParity when the class requires an even dimension. This is the
     one-point case of ``_members``.
     """

@@ -410,11 +410,53 @@ def crossing_dim(u_a, u_b, tol: Tolerances = TOL) -> int:
     arguments must refer to the same canonical split (or both be plain
     matrices of equal size).
     """
-    return int(np.count_nonzero(np.abs(_crossing_spectrum(u_a, u_b, tol) - 1.0) <= tol.eig_tol))
+    return _crossing_count(_crossing_spectrum(u_a, u_b, tol), tol)
+
+
+def _crossing_count(lam: np.ndarray, tol: Tolerances):
+    """``crossing_dim`` read off the eigenvalues of U_A U_B*: an int, or a list of ints for
+    a (k, n) stack of spectra."""
+    near = np.abs(lam - 1.0) <= tol.eig_tol
+    if near.ndim == 1:
+        return int(np.count_nonzero(near))
+    return np.count_nonzero(near, axis=-1).tolist()
 
 
 def _crossing_spectrum(u_a, u_b, tol: Tolerances) -> np.ndarray:
     """Eigenvalues of U_A U_B*, after ``crossing_dim``'s checks on its arguments."""
+    A, B = _crossing_operands(u_a, u_b, tol)
+    # numpy raises LinAlgError on a bare matrix with a NaN or inf
+    return np.linalg.eigvals(A @ B.conj().T)
+
+
+def _crossing_dims(pairs, tol: Tolerances) -> list:
+    """``crossing_dim`` of each (u_a, u_b) pair, or the error its checks raise alone.
+
+    The pairs that pass the checks share one shape; their spectra are
+    ``_crossing_spectrum``'s product, taken as one batched product and
+    one ``eigvals``. numpy raises LinAlgError for the whole stack on a
+    bare matrix with a NaN or inf.
+    """
+    out = [None] * len(pairs)
+    live, As, Bs = [], [], []
+    for i, (u_a, u_b) in enumerate(pairs):
+        try:
+            A, B = _crossing_operands(u_a, u_b, tol)
+        except ValueError as exc:
+            out[i] = exc
+            continue
+        live.append(i)
+        As.append(A)
+        Bs.append(B)
+    if live:
+        lam = np.linalg.eigvals(np.array(As) @ np.array(Bs).conj().swapaxes(-1, -2))
+        for i, count in zip(live, _crossing_count(lam, tol)):
+            out[i] = count
+    return out
+
+
+def _crossing_operands(u_a, u_b, tol: Tolerances) -> tuple:
+    """The matrices of two unitaries, checked to refer to one split and to share a shape."""
     split_a = u_a.split if isinstance(u_a, LerayUnitary) else None
     split_b = u_b.split if isinstance(u_b, LerayUnitary) else None
     A = u_a.U if isinstance(u_a, LerayUnitary) else _as_square(u_a, "u_a")
@@ -425,5 +467,4 @@ def _crossing_spectrum(u_a, u_b, tol: Tolerances) -> np.ndarray:
         raise SplitMismatch("unitaries refer to different canonical splits")
     if A.shape != B.shape:
         raise DimensionMismatch(f"shapes differ: {A.shape} vs {B.shape}")
-    # numpy raises LinAlgError on a bare matrix with a NaN or inf
-    return np.linalg.eigvals(A @ B.conj().T)
+    return A, B

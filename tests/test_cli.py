@@ -1,12 +1,26 @@
+import contextlib
+import io
 import json
+import math
 from dataclasses import asdict
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from test_junction import CENSUS_BREAKPOINTS, CENSUS_MASSES
 
-from tenfold1d import TOL, LagrangianPlane
-from tenfold1d.cli import _COMMANDS, RunReport, _build_parser, main
+from tenfold1d import TOL, LagrangianPlane, predicted_zero_modes, topological_index
+from tenfold1d.cli import _COMMANDS, RunReport, _build_parser, _fmt, _parse_values, main
+from tenfold1d.errors import (
+    BadTemplate,
+    GapClosed,
+    IncompatibleBoundary,
+    NotInGap,
+    ParseError,
+)
+from tenfold1d.modelfile import build_stack, parse_model_text
+from tenfold1d.symmetry import CartanClass
 
 DIRAC_POS = "kind dirac\nW [[1.0]]\n"
 DIRAC_NEG = "kind dirac\nW [[-1.0]]\n"
@@ -391,6 +405,139 @@ class TestSweep:
         assert err == "tenfold1d: NotInClass: matrix fails the D membership test\n"
 
 
+def reference_sweep(args, tol):
+    """``cmd_sweep`` point by point: every point's text parsed in full, and
+    its index and predicted count taken one at a time."""
+    with open(args.model, encoding="utf-8") as fh:
+        template = fh.read()
+    holes = template.count("?")
+    if holes != 1:
+        raise BadTemplate(f"{args.model}: template needs exactly one '?', found {holes}")
+    label = CartanClass.coerce(args.cartan)
+    values = _parse_values(args.values)
+    if args.ref is not None and not math.isfinite(args.ref):
+        raise ParseError(f"bad --ref {args.ref!r}: must be finite")
+
+    def parse_at(v):
+        return parse_model_text(template.replace("?", repr(float(v))),
+                                source=f"{args.model}[?={v:g}]")
+
+    ref_value = values[0] if args.ref is None else float(args.ref)
+    mfs = [parse_at(ref_value)]
+    parse_error = None
+    for v in values:
+        try:
+            mfs.append(parse_at(v))
+        except ValueError as exc:
+            parse_error = exc
+            break
+    ref_bulk, *bulks = build_stack(mfs, tol, energy=args.energy)
+    if isinstance(ref_bulk, (GapClosed, NotInGap)):
+        raise ParseError(f"reference point {ref_value:g} is not gapped: {ref_bulk}")
+    if isinstance(ref_bulk, Exception):
+        raise ref_bulk
+    rows = []
+    for v, bulk in zip(values, bulks):
+        if isinstance(bulk, (GapClosed, NotInGap)):
+            rows.append([_fmt(v), "GAP_CLOSED", "", ""])
+            continue
+        if isinstance(bulk, Exception):
+            raise bulk
+        idx = topological_index(bulk.u_plus, label, tol)
+        try:
+            predicted = predicted_zero_modes(ref_bulk, bulk, tol)
+        except IncompatibleBoundary:
+            predicted = None
+        rows.append([_fmt(v), _fmt(bulk.gap), str(idx), _fmt(predicted)])
+    if parse_error is not None:
+        raise parse_error
+    meta = {"model": args.model, "class": label.value, "reference": ref_value}
+    return RunReport("sweep", ["parameter", "gap", "index", "predicted"], rows, meta), 0
+
+
+def run_main(argv, sweep=None):
+    """(exit code, stdout, stderr) of one main call, with sweep in place of cmd_sweep."""
+    saved = _COMMANDS["sweep"]
+    _COMMANDS["sweep"] = sweep or saved
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        _COMMANDS["sweep"] = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def _entry(x):
+    return repr(float(x))
+
+
+@st.composite
+def sweep_templates(draw):
+    """A one-'?' template: Dirac (N = 1, 2), Schrodinger or a chain of period 2 or 3,
+    with the '?' in a matrix entry, as '-?', or on the energy line."""
+    family = draw(st.sampled_from(["dirac1", "dirac2", "schrodinger", "chain2", "chain3"]))
+    hole = draw(st.sampled_from(["?", "-?", "energy"]))
+    coef = st.integers(-20, 20).map(lambda k: k / 10)
+    h = "0.0" if hole == "energy" else hole
+    energy = "" if hole != "energy" else "energy ?\n"
+    if family == "dirac1":
+        body = f"W [[{h if hole != 'energy' else _entry(draw(coef))}]]\n"
+        return "kind dirac\n" + body + energy
+    if family == "dirac2":
+        c, d, e = (_entry(draw(coef)) for _ in range(3))
+        first = h if hole != "energy" else _entry(draw(coef))
+        return f"kind dirac\nW [[{first}, {c}], [{d}, {e}]]\n" + energy
+    if family == "schrodinger":
+        c, dd = _entry(draw(coef)), _entry(draw(st.integers(5, 20)) / 10)
+        first = h if hole != "energy" else _entry(draw(coef))
+        return (f"kind schrodinger\nV [[{first}, {c}], [{c}, {dd}]]\n"
+                + (energy or "energy 0.0\n"))
+    q = int(family[-1])
+    bonds = [_entry(draw(st.integers(5, 20)) / 10) for _ in range(q)]
+    sites = [_entry(draw(st.sampled_from([0.0, 0.0, 0.3, -0.5]))) for _ in range(q)]
+    if hole != "energy":
+        # a bond takes the hole, so the value 0 gives a singular bond; in the
+        # seam bond a0 every other value has its own form and glues as NA
+        bonds[draw(st.integers(0, q - 1))] = hole
+    lines = [f"a{i} [[{a}]]" for i, a in enumerate(bonds)] + [f"b{i} [[{b}]]" for i, b in enumerate(sites)]
+    return "kind tight_binding\n" + "\n".join(lines) + "\n" + energy
+
+
+class TestSweepMatchesPointByPoint:
+    # values at tenths reach the gap closings, 0 (a singular bond), and
+    # negative values, which make '-?' the unparsable '--1.0'
+    values = st.lists(st.integers(-25, 25).map(lambda k: k / 10), min_size=1, max_size=6)
+
+    @given(template=sweep_templates(), values=values,
+           ref=st.none() | st.integers(-25, 25).map(lambda k: k / 10),
+           label=st.sampled_from(["A", "AI", "D", "BDI"]) | st.sampled_from(list(CartanClass)))
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_exit_stdout_and_stderr(self, write, template, values, ref, label):
+        argv = ["sweep", "--model", write("t.tf", template), "--class", str(CartanClass(label).value),
+                "--values=" + ",".join(map(repr, values))]
+        if ref is not None:
+            argv += ["--ref", repr(ref)]
+        for flags in ([], ["--json"]):
+            got = run_main(argv + flags)
+            assert got == run_main(argv + flags, sweep=reference_sweep), template
+
+    def test_bulk_error_wins_over_a_later_points_bad_parity(self, write, capsys):
+        # the first point's bond is singular; the second builds, but DIII needs
+        # an even dimension, which the grid's one index call raises for every point
+        tmpl = "kind tight_binding\na0 [[1.0]]\na1 [[?]]\nb0 [[0.0]]\nb1 [[0.0]]\n"
+        path = write("t.tf", tmpl)
+        code = main(["sweep", "--model", path, "--class", "DIII", "--values=0,1.5", "--ref", "2.0"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err == "tenfold1d: NotInvertible: bond block with sigma_min 0.000e+00\n"
+        code = main(["sweep", "--model", path, "--class", "DIII", "--values=1.5,0", "--ref", "2.0"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "tenfold1d: BadParity: class DIII needs even dimension, got 1\n"
+
+
 class TestTable:
     def test_ten_classes(self, capsys):
         assert main(["table"]) == 0
@@ -588,3 +735,43 @@ class TestGlobalFlags:
         assert main(["table", "--out", "/nonexistent/x.csv"]) == 3
         _, err = capsys.readouterr()
         assert err.startswith("tenfold1d: error: ")
+
+
+class TestParserPerProcess:
+    def test_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_json_does_not_stick(self, capsys):
+        assert main(["table", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["kind"] == "table"
+        assert main(["table"]) == 0
+        assert capsys.readouterr().out.startswith("class,T^2,C^2,chiral,manifold,index\n")
+
+    def test_flags_do_not_reach_the_next_call(self, write, tmp_path, capsys, monkeypatch):
+        seen = []
+
+        def spy(args, tol):
+            seen.append((args.tol_eig, args.out, args.energy, tol))
+            return _COMMANDS_BEFORE["classify"](args, tol)
+
+        _COMMANDS_BEFORE = dict(_COMMANDS)
+        monkeypatch.setitem(_COMMANDS, "classify", spy)
+        model = write("m.tf", DIRAC_POS)
+        out_file = tmp_path / "out.csv"
+        assert main(["classify", "--model", model, "--tol-eig", "1e-6",
+                     "--out", str(out_file), "--energy", "0.5"]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["classify", "--model", model]) == 0
+        assert capsys.readouterr().out.startswith("class,member,index\n")
+        (eig, out, energy, tol), again = seen
+        assert (eig, out, energy) == (1e-6, str(out_file), 0.5) and tol.eig_tol == 1e-6
+        assert again == (None, None, None, TOL)
+
+    def test_usage_error_leaves_the_next_call_working(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--no-such-flag"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["table"]) == 0
+        _, rows = rows_of(capsys.readouterr().out)
+        assert len(rows) == 10

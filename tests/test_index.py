@@ -89,8 +89,27 @@ class TestTopologicalIndex:
             topological_index(M, "AIII")
 
 
+ALL_CLASSES = ["A", "AIII", "AI", "BDI", "D", "DIII", "AII", "CII", "C", "CI"]
+
+
+class TestNonFiniteInput:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("label", ALL_CLASSES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_plain_matrix_is_refused_before_the_parity_check(self, label, bad, n):
+        # a real matrix with one non-finite entry: no numpy warning, no index,
+        # and the finite check wins over an odd dimension's BadParity
+        M = np.eye(n)
+        M[0, -1] = bad
+        for call in (topological_index, membership):
+            with pytest.raises(ValueError, match="^U must have finite entries$") as exc:
+                call(M, label)
+            assert type(exc.value) is ValueError
+
+
 class TestStackedIndex:
-    @pytest.mark.parametrize("label", ["A", "AIII", "AI", "BDI", "D", "DIII", "AII", "CII", "C", "CI"])
+    @pytest.mark.parametrize("label", ALL_CLASSES)
     def test_stack_matches_one_point_calls(self, rng, label):
         # members with every realizable index, a non-member, and a kernel
         # eigenvalue in the guard band: each entry of one stacked call is the
