@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import AmbiguousKernel, IncompatibleBoundary, KindMismatch
 from .linalg import TOL, Tolerances
-from .symplectic import _crossing_count, _crossing_dims, _crossing_spectrum, crossing_dim
+from .symplectic import _crossing_count, _crossing_dims, _crossing_spectrum
 from .index import IndexValue, _index_each
 from .models import BulkData, PiecewiseDiracProfile, _raise_first, _transport, dirac_stack
 from .symmetry import CartanClass
@@ -60,10 +60,9 @@ def predicted_zero_modes(left: BulkData, right: BulkData, tol: Tolerances = TOL)
 
     Equal to the crossing of the right bulk's decaying unitary with the
     left bulk's growing unitary. This is the one-pair case of
-    ``_zero_modes_each``, taken without a stack.
+    ``_zero_modes_each``.
     """
-    hard_junction(left, right, tol)
-    return crossing_dim(right.u_plus, left.u_minus, tol)
+    return _raise_first(_zero_modes_each([(left, right)], tol))[0]
 
 
 def _zero_modes_each(pairs, tol: Tolerances) -> list:
@@ -159,7 +158,7 @@ def continuous_junction_report(profile: PiecewiseDiracProfile, energy: float,
 
     # the Dirac split has unit blocks: frames are [I; U]/sqrt(2), angle cosines |1 + lambda|/2
     lam = _crossing_spectrum(u_plus, u_minus, tol)
-    predicted = _crossing_count(lam, tol)
+    (predicted,) = _crossing_count(lam[None], tol)
     angles = int((abs(0.5 * abs(1.0 + lam) - 1.0) <= tol.eig_tol).sum())
     if predicted != angles:
         raise AmbiguousKernel(

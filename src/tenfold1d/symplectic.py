@@ -408,34 +408,20 @@ def crossing_dim(u_a, u_b, tol: Tolerances = TOL) -> int:
 
     Counts eigenvalues of U_A U_B* within ``tol.eig_tol`` of 1. Both
     arguments must refer to the same canonical split (or both be plain
-    matrices of equal size).
+    matrices of equal size). This is the one-pair case of ``_crossing_dims``.
     """
-    return _crossing_count(_crossing_spectrum(u_a, u_b, tol), tol)
-
-
-def _crossing_count(lam: np.ndarray, tol: Tolerances):
-    """``crossing_dim`` read off the eigenvalues of U_A U_B*: an int, or a list of ints for
-    a (k, n) stack of spectra."""
-    near = np.abs(lam - 1.0) <= tol.eig_tol
-    if near.ndim == 1:
-        return int(np.count_nonzero(near))
-    return np.count_nonzero(near, axis=-1).tolist()
-
-
-def _crossing_spectrum(u_a, u_b, tol: Tolerances) -> np.ndarray:
-    """Eigenvalues of U_A U_B*, after ``crossing_dim``'s checks on its arguments."""
-    A, B = _crossing_operands(u_a, u_b, tol)
-    # numpy raises LinAlgError on a bare matrix with a NaN or inf
-    return np.linalg.eigvals(A @ B.conj().T)
+    (count,) = _crossing_dims([(u_a, u_b)], tol)
+    if isinstance(count, Exception):
+        raise count
+    return count
 
 
 def _crossing_dims(pairs, tol: Tolerances) -> list:
     """``crossing_dim`` of each (u_a, u_b) pair, or the error its checks raise alone.
 
-    The pairs that pass the checks share one shape; their spectra are
-    ``_crossing_spectrum``'s product, taken as one batched product and
-    one ``eigvals``. numpy raises LinAlgError for the whole stack on a
-    bare matrix with a NaN or inf.
+    The pairs that pass the checks share one shape and take one batched
+    product and one ``eigvals``. numpy raises LinAlgError for the whole
+    stack on a bare matrix with a NaN or inf.
     """
     out = [None] * len(pairs)
     live, As, Bs = [], [], []
@@ -453,6 +439,22 @@ def _crossing_dims(pairs, tol: Tolerances) -> list:
         for i, count in zip(live, _crossing_count(lam, tol)):
             out[i] = count
     return out
+
+
+def _crossing_count(lam: np.ndarray, tol: Tolerances) -> list:
+    """``crossing_dim`` of each row of a (k, n) stack of U_A U_B* spectra."""
+    return np.count_nonzero(np.abs(lam - 1.0) <= tol.eig_tol, axis=-1).tolist()
+
+
+def _crossing_spectrum(u_a, u_b, tol: Tolerances) -> np.ndarray:
+    """Eigenvalues of U_A U_B*, after ``crossing_dim``'s checks on its arguments.
+
+    Only ``continuous_junction_report`` needs the spectrum itself: it
+    checks the crossing count against the principal angles.
+    """
+    A, B = _crossing_operands(u_a, u_b, tol)
+    # numpy raises LinAlgError on a bare matrix with a NaN or inf
+    return np.linalg.eigvals(A @ B.conj().T)
 
 
 def _crossing_operands(u_a, u_b, tol: Tolerances) -> tuple:

@@ -10,8 +10,10 @@ odd pairs and second on even ones, so a drift of the machine's speed
 favours neither side. For each metric of the runs (the end-to-end ones,
 or the per-layer ones with ``--trace 1``) the tool prints both sides'
 medians and quartiles and the number of pairs the working tree won,
-with the better direction read from ``BENCHMARK.json``; ``--out`` also
-writes every run's metrics as JSON.
+with the better direction read from ``BENCHMARK.json``, and how many
+runs of each side answered wrongly or failed. It exits 1 when the
+working tree has more such runs than the base: a gain from wrong
+answers is no gain.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ def unpack(rev: str, into: Path) -> Path:
     return into
 
 
-def run(root: Path, args) -> dict:
-    """Metric name -> value of one run.py run from the checkout at root."""
+def run(root: Path, args) -> tuple:
+    """Metric name -> value of one run.py run from the checkout at root, and whether
+    the run answered correctly."""
     out = subprocess.run(
         [sys.executable, str(root / "perfbench" / "run.py"), "--workload", args.workload,
          "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", str(args.trace)],
@@ -48,7 +51,7 @@ def run(root: Path, args) -> dict:
     last = json.loads(out.stdout.strip().splitlines()[-1])
     if not last["correct"]:
         print(f"ab: a run from {root} answered wrongly or failed", file=sys.stderr)
-    return {name: m["value"] for name, m in last["metrics"].items()}
+    return {name: m["value"] for name, m in last["metrics"].items()}, bool(last["correct"])
 
 
 def quartiles(xs: list) -> tuple:
@@ -66,7 +69,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=8)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--base", default="HEAD", help="git revision to compare against")
-    parser.add_argument("--out", help="write every run's metrics to this JSON file")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -74,12 +76,15 @@ def main(argv=None) -> int:
     # a terminated run unwinds like an interrupted one, so the base checkout is removed
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     runs = {"base": [], "change": []}
+    wrong = {"base": 0, "change": 0}
     with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
         base_root = unpack(args.base, Path(tmp))
         for k in range(1, args.pairs + 1):
             order = ("base", "change") if k % 2 else ("change", "base")
             for side in order:
-                runs[side].append(run(base_root if side == "base" else ROOT, args))
+                metrics, correct = run(base_root if side == "base" else ROOT, args)
+                runs[side].append(metrics)
+                wrong[side] += not correct
             print(f"pair {k}/{args.pairs}: " + ", ".join(
                 f"{side} {runs[side][-1].get('items_per_s', float('nan')):.4g} items/s"
                 for side in order), file=sys.stderr)
@@ -94,9 +99,9 @@ def main(argv=None) -> int:
         wins = f"{sum(sign * (y - x) > 0 for x, y in zip(b, c))}/{len(b)}" if sign else "-"
         (bq1, bm, bq3), (cq1, cm, cq3) = quartiles(b), quartiles(c)
         print(f"{name:48} {bm:>12.4g} [{bq1:.4g}-{bq3:.4g}] {cm:>12.4g} [{cq1:.4g}-{cq3:.4g}]  {wins}")
-    if args.out:
-        Path(args.out).write_text(json.dumps({"args": vars(args), "runs": runs}, indent=1) + "\n")
-    return 0
+    print(f"runs that answered wrongly or failed: base {wrong['base']}/{args.pairs}, "
+          f"change {wrong['change']}/{args.pairs}")
+    return 1 if wrong["change"] > wrong["base"] else 0
 
 
 if __name__ == "__main__":
