@@ -243,16 +243,17 @@ def cmd_sweep(args, tol: Tolerances):
     """Index and gap at each grid point of a one-parameter family.
 
     Each grid point means the template with its '?' replaced by
-    ``repr(float(v))``. The reference point's text is parsed in full,
-    and its decoded lines serve every grid point, which decodes only the
-    '?' line again (``_parse_family``). The reference point and the
-    whole grid are built as one stacked computation (``build_stack``);
-    the rows' indices are one ``_index_each`` call and their predicted
-    counts one crossing spectrum (``_predicted_each``). Errors are
-    raised in grid order, and within a point in the order bulk, index,
-    crossing, so the first point that fails decides the error, as if
-    the points were computed one at a time. A closed gap gives a
-    GAP_CLOSED row.
+    ``repr(float(v))``; a '?' in a comment line is refused, since every
+    point would be the same model. The reference point's text is parsed
+    in full, and its values serve every grid point, which decodes and
+    converts only the '?' line's value again (``_parse_family``). The
+    reference point and the whole grid are built as one stacked
+    computation (``build_stack``); the rows' indices are one
+    ``_index_each`` call and their predicted counts one crossing
+    spectrum (``_predicted_each``). Errors are raised in grid order, and
+    within a point in the order bulk, index, crossing, so the first
+    point that fails decides the error, as if the points were computed
+    one at a time. A closed gap gives a GAP_CLOSED row.
     """
     with open(args.model, encoding="utf-8") as fh:
         template = fh.read()
@@ -261,6 +262,11 @@ def cmd_sweep(args, tol: Tolerances):
         raise BadTemplate(
             f"{args.model}: template needs exactly one '?', found {holes}"
         )
+    lines = template.splitlines()
+    hole = next(n for n, line in enumerate(lines, start=1) if "?" in line)
+    if lines[hole - 1].lstrip().startswith("#"):
+        raise BadTemplate(f"{args.model}:{hole}: the '?' sits in a comment line, "
+                          "so every grid point would be the same model")
     label = CartanClass.coerce(args.cartan)
     values = _parse_values(args.values)
     if args.ref is not None and not math.isfinite(args.ref):

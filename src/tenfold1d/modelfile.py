@@ -28,10 +28,10 @@ from .models import (
     BulkData,
     PiecewiseDiracProfile,
     TightBindingModel,
+    _chain_stack,
     _raise_first,
     dirac_stack,
     schrodinger_stack,
-    tb_stack,
 )
 
 __all__ = [
@@ -47,7 +47,7 @@ __all__ = [
 _KINDS = ("dirac", "schrodinger", "tight_binding", "dirac_profile")
 # the stacked builder of each bulk kind and the key of its matrix (chains have several)
 _STACKS = {"dirac": (dirac_stack, "W"), "schrodinger": (schrodinger_stack, "V"),
-           "tight_binding": (tb_stack, None)}
+           "tight_binding": (_chain_stack, None)}
 
 
 def _is_number(x) -> bool:
@@ -242,12 +242,15 @@ def _parse_family(template: str, name: str, values) -> tuple[list, ValueError | 
     """Models of a template with one '?' at each value, until a value's text does not parse.
 
     Each model is ``parse_model_text`` of the template with the '?'
-    replaced by ``repr(float(v))``, under the source ``name[?=v]``. Only
-    the first value's text is decoded in full; every later value decodes
-    the '?' line alone and takes the other lines from the first. That is
-    exact once the first value parses: a line without the '?' decodes,
-    and is assembled, the same at every value, so only the '?' line can
-    be refused at a later value, and that refusal names the value's
+    replaced by ``repr(float(v))``, under the source ``name[?=v]``; the
+    '?' sits on a ``key value`` line. Only the first value's text is
+    decoded and assembled in full; every later value decodes the '?'
+    line alone and converts only its value, taking every other value
+    from the first model. That is exact once the first value parses: a
+    line without the '?' decodes, and is assembled, the same at every
+    value, and a number in place of the '?' keeps the key set and the
+    shape of the value, so only the '?' line's decoding and conversion
+    can be refused at a later value, and that refusal names the value's
     source. A '?' in a key or in the kind line fails at every value. The
     first value's error is raised; a later value's error is returned
     with the models of the values before it, else None.
@@ -255,25 +258,36 @@ def _parse_family(template: str, name: str, values) -> tuple[list, ValueError | 
     decode = _line_decoder()
     lines = template.splitlines()
     hole = next(n for n, raw in enumerate(lines, start=1) if "?" in raw)
-    models, first_pairs, first_locs = [], None, None
+    models, first = [], None
     for v in values:
         source = f"{name}[?={v:g}]"
         text = repr(float(v))
         try:
-            if first_pairs is None:
-                first_pairs, first_locs = decode(
-                    ((n, raw.replace("?", text)) for n, raw in enumerate(lines, start=1)), source)
-                pairs, locs = dict(first_pairs), first_locs
-            else:
-                # the '?' line keeps its key, so it keeps its place among the first's lines
-                hole_pairs, hole_locs = decode([(hole, lines[hole - 1].replace("?", text))], source)
-                pairs, locs = {**first_pairs, **hole_pairs}, {**first_locs, **hole_locs}
-            models.append(_assemble(pairs, locs, source))
+            if first is None:
+                first = _assemble(*decode(
+                    ((n, raw.replace("?", text)) for n, raw in enumerate(lines, start=1)), source),
+                    source)
+                models.append(first)
+                continue
+            pairs, locs = decode([(hole, lines[hole - 1].replace("?", text))], source)
+            [(key, value)] = pairs.items()
+            models.append(_with_value(first, key, value, locs[key]))
         except ValueError as exc:
             if not models:
                 raise
             return models, exc
     return models, None
+
+
+def _with_value(mf: ModelFile, key: str, value, where: str) -> ModelFile:
+    """mf with the decoded value of one of its keys converted and put in place."""
+    if key == "energy":
+        return ModelFile(mf.kind, _value_to_real(value, where), mf.matrices, mf.lists)
+    if key == "breakpoints":
+        return ModelFile(mf.kind, mf.energy, mf.matrices,
+                         {**mf.lists, key: _value_to_real_list(value, where)})
+    return ModelFile(mf.kind, mf.energy, {**mf.matrices, key: _value_to_matrix(value, where)},
+                     mf.lists)
 
 
 def parse_model(path: str) -> ModelFile:
@@ -295,18 +309,15 @@ def build_stack(mfs, tol: Tolerances = TOL, energy: float | None = None) -> list
     points = {kind: [] for kind in _STACKS}
     for i, mf in enumerate(mfs):
         e = mf.energy if override is None else override
-        try:
-            if mf.kind == "dirac_profile":
-                raise ParseError("dirac_profile describes a junction, not a bulk; "
-                                 "use the junction or verify commands")
-            if mf.kind == "schrodinger" and e is None:
-                raise ParseError("schrodinger models need an energy")
+        if mf.kind == "dirac_profile":
+            out[i] = ParseError("dirac_profile describes a junction, not a bulk; "
+                                "use the junction or verify commands")
+        elif mf.kind == "schrodinger" and e is None:
+            out[i] = ParseError("schrodinger models need an energy")
+        else:
             key = _STACKS[mf.kind][1]
-            x = build_tb(mf, tol) if key is None else mf.matrices[key]
-        except ValueError as exc:
-            out[i] = exc
-            continue
-        points[mf.kind].append((i, x, 0.0 if e is None else e))
+            x = _chain_blocks(mf) if key is None else mf.matrices[key]
+            points[mf.kind].append((i, x, 0.0 if e is None else e))
     for kind, members in points.items():
         if members:
             idx, xs, es = zip(*members)
@@ -330,10 +341,13 @@ def build_tb(mf: ModelFile, tol: Tolerances = TOL) -> TightBindingModel:
     """Tight-binding model object for a parsed tight_binding file."""
     if mf.kind != "tight_binding":
         raise ParseError(f"expected a tight_binding model, got {mf.kind!r}")
+    return TightBindingModel(*_chain_blocks(mf), tol=tol)
+
+
+def _chain_blocks(mf: ModelFile) -> tuple:
+    """(bonds, sites) of a parsed tight_binding file, each a list in the order of the chain."""
     q = sum(1 for k in mf.matrices if k.startswith("a"))
-    a = [mf.matrices[f"a{i}"] for i in range(q)]
-    b = [mf.matrices[f"b{i}"] for i in range(q)]
-    return TightBindingModel(a, b, tol=tol)
+    return ([mf.matrices[f"a{i}"] for i in range(q)], [mf.matrices[f"b{i}"] for i in range(q)])
 
 
 def build_profile(mf: ModelFile) -> PiecewiseDiracProfile:

@@ -109,20 +109,17 @@ class BulkData:
                 f"gap={self.gap:.3g})")
 
 
-def _finish_each(out, points, family: str, tol) -> None:
-    """Bulk of each (i, form, u_plus, u_minus, gap, energy), or its error, in out[i].
+def _finish_each(out, groups, family: str, tol) -> None:
+    """Bulk of each point of each group, or its error, in out.
 
-    The points of one form share its split and one stacked unitarity
-    check of all their u_plus and u_minus (``_leray_each``); a point
-    whose u_plus fails gets u_plus's error, as if checked alone, before
-    its u_minus is looked at.
+    A group is (form, indices, U, gaps, energies): U stacks the u_plus of
+    its points, then their u_minus, in the order of the indices. The
+    points of a group share its form's split and one stacked unitarity
+    check (``_leray_each``); a point whose u_plus fails gets u_plus's
+    error, as if checked alone, before its u_minus is looked at.
     """
-    groups = {}
-    for point in points:
-        groups.setdefault(point[1], []).append(point)
     live, products = [], []
-    for form, members in groups.items():
-        idx, _, ups, ums, gaps, energies = zip(*members)
+    for form, idx, U, gaps, energies in groups:
         try:
             split = canonical_split(form, tol)
         except ValueError as exc:
@@ -130,7 +127,6 @@ def _finish_each(out, points, family: str, tol) -> None:
                 out[i] = exc
             continue
         n = len(idx)
-        U = np.array(ups + ums)
         us = _leray_each(U, split, tol)
         passed = []
         for j, (i, up, um, gap, energy) in enumerate(zip(idx, us, us[n:], gaps, energies)):
@@ -206,22 +202,43 @@ def _require_finite(energy: float) -> None:
 def _stacks(points, energies, check, out) -> list:
     """The points that pass their checks, stacked by shape.
 
-    ``check`` takes a point to an array and raises when the point is
-    malformed; a point with a non-finite energy or a failed check gets
-    its error in ``out``. Returns (indices, stack, energies) for each
-    shape in order of first appearance.
+    ``check`` takes a point and its energy to the point's array, and
+    raises, in the family's order, when either is malformed. The first
+    point is checked alone, and the others are taken with it as one
+    array: when every point has the first one's shape, finite entries
+    and a finite energy, every point passes, and they form one stack.
+    Otherwise each point is checked alone; a point that fails gets its
+    error in ``out``. Returns (indices, stack, energies) for each shape
+    in order of first appearance.
     """
+    try:
+        first = check(points[0], energies[0])
+        X = np.array(points, dtype=complex) if len(points) > 1 else first[None]
+        whole = (X.shape[1:] == first.shape and len(X) == len(energies)
+                 and all(map(math.isfinite, energies))
+                 and np.count_nonzero(np.isfinite(X[1:])) == X[1:].size)
+    except (ValueError, TypeError, OverflowError, IndexError):
+        whole = False
+    if whole:
+        return [(range(len(X)), X, np.array(energies, dtype=float))]
     groups = {}
     for i, (x, energy) in enumerate(zip(points, energies, strict=True)):
         try:
-            _require_finite(energy)
-            x = check(x)
+            x = check(x, energy)
         except ValueError as exc:
             out[i] = exc
             continue
         groups.setdefault(x.shape, []).append((i, x, energy))
     return [(idx, np.array(xs), np.array(es, dtype=float))
             for idx, xs, es in (zip(*members) for members in groups.values())]
+
+
+def _matrix_check(name: str):
+    """``_stacks``' check of a matrix point: its energy, then ``_finite_block``."""
+    def check(x, energy):
+        _require_finite(energy)
+        return _finite_block(x, name)
+    return check
 
 
 def _ct(X: np.ndarray) -> np.ndarray:
@@ -237,7 +254,7 @@ def dirac_stack(Ws, energies, tol: Tolerances = TOL) -> list:
     batched SVD.
     """
     out = [None] * len(Ws)
-    for idx, W, E in _stacks(Ws, energies, lambda W: _finite_block(W, "W"), out):
+    for idx, W, E in _stacks(Ws, energies, _matrix_check("W"), out):
         U, s, Vh = np.linalg.svd(W)
         live, gaps = [], []
         for j, (sv, e) in enumerate(zip(s.tolist(), E.tolist())):
@@ -257,8 +274,8 @@ def dirac_stack(Ws, energies, tol: Tolerances = TOL) -> list:
         r = E[:, None, None] / s[:, None, :]
         k, ir = np.sqrt((1.0 - r) * (1.0 + r)), 1j * r
         V, Uh = _ct(Vh), _ct(U)
-        _finish_each(out, zip([idx[j] for j in live], [form] * len(live), (V * (k + ir)) @ Uh,
-                              (V * (ir - k)) @ Uh, gaps, E.tolist()), "dirac", tol)
+        U = np.concatenate(((V * (k + ir)) @ Uh, (V * (ir - k)) @ Uh))
+        _finish_each(out, [(form, [idx[j] for j in live], U, gaps, E.tolist())], "dirac", tol)
     return out
 
 
@@ -299,7 +316,7 @@ def schrodinger_stack(Vs, energies, tol: Tolerances = TOL) -> list:
     one batched hermiticity check and one batched ``eigh``.
     """
     out = [None] * len(Vs)
-    for idx, V, E in _stacks(Vs, energies, lambda V: _finite_block(V, "V"), out):
+    for idx, V, E in _stacks(Vs, energies, _matrix_check("V"), out):
         M = V.shape[-1]
         skew = np.abs(V - _ct(V)).max(axis=(1, 2)).tolist()
         mu, Vm = np.linalg.eigh(V)
@@ -322,8 +339,8 @@ def schrodinger_stack(Vs, energies, tol: Tolerances = TOL) -> list:
         ikappa = 1j * np.sqrt(mu[:, None, :] - E[:, None, None])
         z = (1.0 - ikappa) / (1.0 + ikappa)
         Vmh = _ct(Vm)
-        _finish_each(out, zip([idx[j] for j in live], [form] * len(live), (Vm * z) @ Vmh,
-                              (Vm * z.conj()) @ Vmh, gaps, E.tolist()), "schrodinger", tol)
+        U = np.concatenate(((Vm * z) @ Vmh, (Vm * z.conj()) @ Vmh))
+        _finish_each(out, [(form, [idx[j] for j in live], U, gaps, E.tolist())], "schrodinger", tol)
     return out
 
 
@@ -360,9 +377,9 @@ class TightBindingModel:
             )
         if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.shape == b.shape):
             raise DimensionMismatch("all blocks must share one size")
-        scale = np.maximum(1.0, np.abs(b).max(axis=(1, 2)))
-        if (np.abs(b - _ct(b)).max(axis=(1, 2)) > tol.frame_tol * scale).any():
-            raise ValueError("site blocks must be hermitian")
+        error, = _site_errors(b[None], tol)
+        if error is not None:
+            raise error
         self.a, self.b = a, b
 
     @property
@@ -381,6 +398,13 @@ class TightBindingModel:
 
     def __repr__(self):
         return f"TightBindingModel(period={self.period}, block_dim={self.block_dim})"
+
+
+def _site_errors(b: np.ndarray, tol: Tolerances) -> list:
+    """The hermiticity error of each chain of a (chains, q, N, N) stack of site blocks, or None."""
+    scale = np.maximum(1.0, np.abs(b).max(axis=(2, 3)))
+    skew = (np.abs(b - _ct(b)).max(axis=(2, 3)) > tol.frame_tol * scale).any(axis=1)
+    return [ValueError("site blocks must be hermitian") if bad else None for bad in skew.tolist()]
 
 
 @functools.lru_cache(maxsize=64)
@@ -446,18 +470,22 @@ def _compose(T: np.ndarray, N: int) -> np.ndarray:
     return S[:, 0]
 
 
-def _composed(T: np.ndarray, E: np.ndarray, N: int) -> list:
-    """Each point's period scattering matrix, or GapClosed where its sites do not compose."""
+def _composed(T: np.ndarray, E: np.ndarray, N: int) -> tuple:
+    """Each point's period scattering matrix, and its GapClosed where its sites do not compose.
+
+    Returns the (points, 2N, 2N) stack and, per point, the error or None.
+    """
     try:
         S = _compose(T, N)
     except np.linalg.LinAlgError:
         if len(T) > 1:
             # one singular solve fails the whole stack; compose its points one by one
-            return [r for j in range(len(T)) for r in _composed(T[j:j + 1], E[j:j + 1], N)]
+            parts = [_composed(T[j:j + 1], E[j:j + 1], N) for j in range(len(T))]
+            return np.concatenate([S for S, _ in parts]), [error for _, (error,) in parts]
         S = np.full_like(T[:, 0], np.nan)
-    return [S[j] if finite else
-            GapClosed(f"site scattering matrices do not compose at energy {E[j]:g}")
-            for j, finite in enumerate(np.isfinite(S).all(axis=(1, 2)).tolist())]
+    return S, [None if finite else
+               GapClosed(f"site scattering matrices do not compose at energy {E[j]:g}")
+               for j, finite in enumerate(np.isfinite(S).all(axis=(1, 2)).tolist())]
 
 
 @functools.cache
@@ -485,95 +513,197 @@ def _reordered(select, qz: tuple, energy: float):
     return alpha, beta, z
 
 
-def _transfer_planes(S: np.ndarray, N: int, energy: float):
-    """Gap and the planes decaying to the right and to the left of one period.
+# the smallest gap the QZ certifies: a defective band-edge pair splits by O(sqrt(eps))
+_QZ_GAP = 10.0 * np.sqrt(np.finfo(float).eps)
+
+
+def _pending(errors: list) -> list:
+    """Indices of the points without an error yet."""
+    return [j for j, error in enumerate(errors) if error is None]
+
+
+def _transfer_planes(S: np.ndarray, E: np.ndarray, N: int, errors: list):
+    """Gaps and the planes decaying to the right and to the left of each period.
 
     With S = [[t, r'], [r, t']], the pencil [[t, 0], [r, -I]] - lambda
-    [[I, -r'], [0, -t']] has the transfer spectrum. One QZ (``gges``)
-    and two reorderings (``tgsen``) give its deflating subspaces inside
-    and outside the unit circle, as the first N right Schur vectors of
-    each; a nonzero LAPACK info raises GapClosed naming it.
+    [[I, -r'], [0, -t']] has the transfer spectrum. The pencils of the
+    whole stack are set up at once; then each point takes one QZ
+    (``gges``) and two reorderings (``tgsen``), which give its deflating
+    subspaces inside and outside the unit circle as the first N right
+    Schur vectors of each. A point whose entry in ``errors`` is set is
+    skipped; a point that fails gets GapClosed there, naming a nonzero
+    LAPACK info. Returns each point's gap and a (2, points, N, 2N) stack
+    of the transposed bases, inside then outside.
     """
+    k = len(S)
     A, B, E2 = S.copy(), -S, np.eye(2 * N)
-    A[:, N:], B[:, :N] = -E2[:, N:], E2[:, :N]
+    A[..., N:], B[..., :N] = -E2[:, N:], E2[:, :N]
     gges, _ = _qz()
-    AA, BB, _, alpha, beta, Q, Z, _, info = gges(_unsorted, A, B, sort_t=0)
-    if info:
-        raise GapClosed(f"QZ of the transfer pencil failed at energy {energy:g} (gges info {info})")
-    qz = (AA, BB, Q, Z)
+    # alpha and beta of each QZ, then of its first reordering; a failed point keeps ones
+    alpha, beta, alpha_in, beta_in = np.ones((4, k, 2 * N), dtype=complex)
+    Zt = np.empty((2, k, N, 2 * N), dtype=complex)
+    qzs = [None] * k
+    for j in _pending(errors):
+        AA, BB, _, a, b, Q, Z, _, info = gges(_unsorted, A[j], B[j], sort_t=0)
+        if info:
+            errors[j] = GapClosed(f"QZ of the transfer pencil failed at energy {E[j]:g} "
+                                  f"(gges info {info})")
+        else:
+            qzs[j], alpha[j], beta[j] = (AA, BB, Q, Z), a, b
     with np.errstate(divide="ignore", invalid="ignore"):
         modulus = np.abs(alpha / beta)
-        alpha, beta, z_plus = _reordered(modulus < 1.0, qz, energy)
-        gap = float(np.min(np.abs(np.abs(alpha) / np.abs(beta) - 1.0)))
-    stable = int(np.count_nonzero(np.abs(alpha) < np.abs(beta)))
-    # a defective band-edge pair splits by O(sqrt(eps)), so that close to the
-    # circle is on it; a NaN modulus fails the comparison and counts as closed
-    if not gap > 10.0 * np.sqrt(np.finfo(float).eps) or stable != N:
-        raise GapClosed(f"transfer spectrum within {gap:.3e} of the unit circle "
-                        f"({stable} of {2 * N} modes stable)")
-    z_minus = _reordered(modulus > 1.0, qz, energy)[2]
-    return gap, z_plus[:, :N], z_minus[:, :N]
+        for j in _pending(errors):
+            try:
+                alpha_in[j], beta_in[j], z = _reordered(modulus[j] < 1.0, qzs[j], E[j])
+            except GapClosed as exc:
+                errors[j] = exc
+                continue
+            Zt[0, j] = z[:, :N].T
+        gap = np.abs(np.abs(alpha_in) / np.abs(beta_in) - 1.0).min(axis=1).tolist()
+    stable = np.count_nonzero(np.abs(alpha_in) < np.abs(beta_in), axis=1).tolist()
+    for j in _pending(errors):
+        # a band-edge pair within _QZ_GAP of the circle is on it; a NaN
+        # modulus fails the comparison and counts as closed
+        if not gap[j] > _QZ_GAP or stable[j] != N:
+            errors[j] = GapClosed(f"transfer spectrum within {gap[j]:.3e} of the unit circle "
+                                  f"({stable[j]} of {2 * N} modes stable)")
+            continue
+        try:
+            Zt[1, j] = _reordered(modulus[j] > 1.0, qzs[j], E[j])[2][:, :N].T
+        except GapClosed as exc:
+            errors[j] = exc
+    return gap, Zt
+
+
+def _graph_maps(Y: np.ndarray, N: int) -> np.ndarray:
+    """The U with U y+ = y- of each (2N, N) basis of a stack, as a C-ordered (k, N, N) stack."""
+    return np.ascontiguousarray(
+        np.linalg.solve(Y[:, :N].swapaxes(1, 2), Y[:, N:].swapaxes(1, 2)).swapaxes(1, 2))
 
 
 def tb_stack(models, energies, tol: Tolerances = TOL) -> list:
     """Boundary data of periodic chains, each at its own energy.
 
     Returns one entry per point: its BulkData, or the exception that
-    ``tb_bulk`` raises for it. Chains of one period and block size share
-    the bond checks, the site scattering matrices and the star-product
-    tree over a (points, sites) stack; each point then takes one QZ of
-    its period's pencil and maps its planes to its own seam's split.
-    The points are finished together, like those of the other stacks,
-    each in its own form: one spectrum gates the whole stack's
-    transversality.
+    ``tb_bulk`` raises for it. Chains of one period and block size form
+    one (points, 2, period, N, N) stack of bonds and sites (``_chains``).
     """
     out = [None] * len(models)
-    for idx, ab, E in _stacks(models, energies, lambda m: np.concatenate((m.a, m.b)), out):
-        q, N = ab.shape[1] // 2, ab.shape[-1]
-        s = np.linalg.svd(ab[:, :q], compute_uv=False)
-        singular = s[..., -1] <= tol.rank_tol * np.maximum(1.0, s[..., 0])
-        live = []
-        for j, bad in enumerate(singular.any(axis=1).tolist()):
-            if bad:
-                out[idx[j]] = NotInvertible(
-                    f"bond block with sigma_min {s[j][singular[j]][0, -1]:.3e}")
-            else:
-                live.append(j)
-        ab, E = ab[live], E[live]
-        a, b = ab[:, :q], ab[:, q:]
-        K = _cayley(N)
-        Kh = K.conj().T
-        a_inv = np.linalg.inv(a)
-        # site n in the traces (u, w): [[0, a_{n-1}^-1], [-a_{n-1}*, (E - b_n) a_{n-1}^-1]]
-        T = np.zeros(a.shape[:2] + (2 * N, 2 * N), dtype=complex)
-        T[..., :N, N:] = a_inv
-        T[..., N:, :N] = -_ct(a)
-        T[..., N:, N:] = (E[:, None, None, None] * np.eye(N)
-                          - np.concatenate([b[:, 1:], b[:, :1]], axis=1)) @ a_inv
-        T = K @ T @ Kh
-        points = []
-        for row, (j, S) in enumerate(zip(live, _composed(T, E, N))):
-            i = idx[j]
-            if isinstance(S, Exception):
-                out[i] = S
-                continue
-            try:
-                gap, z_plus, z_minus = _transfer_planes(S, N, E[row])
-                form = tb_form(models[i], tol)
-                split = canonical_split(form, tol)
-                # from y to the canonical split of tb_form: psi_1 = a0^-1 w, then D^1/2 Q*
-                L = Kh.copy()
-                L[N:] = a_inv[row, 0] @ L[N:]
-                L = (np.sqrt(np.concatenate([split.a_plus, split.a_minus]))[:, None]
-                     * (split.Q.conj().T @ L))
-                # each plane is the graph {(y+, U y+)} there, so U solves U y+ = y-
-                u_plus, u_minus = (np.linalg.solve(Y[:N].T, Y[N:].T).T
-                                   for Y in (L @ z_plus, L @ z_minus))
-                points.append((i, form, u_plus, u_minus, gap, E[row]))
-            except ValueError as exc:
-                out[i] = exc
-        _finish_each(out, points, "tight_binding", tol)
+    for idx, ab, E in _stacks([(m.a, m.b) for m in models], energies, _energy_check, out):
+        _chains(out, idx, ab, E, tol)
     return out
+
+
+def _energy_check(chain, energy) -> np.ndarray:
+    """``_stacks``' check of a built chain's (bonds, sites): its energy alone."""
+    _require_finite(energy)
+    return np.array(chain)
+
+
+def _chain_stack(chains, energies, tol: Tolerances = TOL) -> list:
+    """``tb_stack`` of chains given as (bonds, sites) pairs of block lists.
+
+    Each chain is checked as ``TightBindingModel`` checks it, and then
+    its energy. Only the first chain is built as a model (``_stacks``'
+    check); the others are checked with it as one stack, whose sites
+    take one batched hermiticity test. A chain that fails gets the
+    constructor's error.
+    """
+    out = [None] * len(chains)
+
+    def check(chain, energy):
+        model = TightBindingModel(*chain, tol=tol)
+        _require_finite(energy)
+        return np.array((model.a, model.b))
+
+    for idx, ab, E in _stacks(chains, energies, check, out):
+        live = []
+        for j, error in enumerate(_site_errors(ab[:, 1], tol)):
+            if error is None:
+                live.append(j)
+            else:
+                out[idx[j]] = error
+        if len(live) < len(ab):
+            idx, ab, E = [idx[j] for j in live], ab[live], E[live]
+        _chains(out, idx, ab, E, tol)
+    return out
+
+
+def _chains(out, idx, ab, E, tol: Tolerances) -> None:
+    """Bulk of each checked chain of one shape, or its error, in out[idx[j]].
+
+    ``ab`` is the (points, 2, q, N, N) stack of the chains' bonds and
+    sites. The bond checks, the site scattering matrices, the star-product
+    tree over a (points, sites) stack and the pencils are built for the
+    whole stack; each point then takes its QZ (``_transfer_planes``).
+    Points whose seam bonds a0 are equal entry for entry share one form,
+    one map L from y to its split, one product of L with all their bases
+    and one solve for all their unitaries. The points are finished
+    together, like those of the other stacks: one spectrum gates the
+    whole stack's transversality.
+    """
+    N = ab.shape[-1]
+    s = np.linalg.svd(ab[:, 0], compute_uv=False)
+    singular = s[..., -1] <= tol.rank_tol * np.maximum(1.0, s[..., 0])
+    live = []
+    for j, bad in enumerate(singular.any(axis=1).tolist()):
+        if bad:
+            out[idx[j]] = NotInvertible(
+                f"bond block with sigma_min {s[j][singular[j]][0, -1]:.3e}")
+        else:
+            live.append(j)
+    if len(live) < len(ab):
+        idx, ab, E = [idx[j] for j in live], ab[live], E[live]
+    a, b = ab[:, 0], ab[:, 1]
+    K = _cayley(N)
+    Kh = K.conj().T
+    a_inv = np.linalg.inv(a)
+    # site n in the traces (u, w): [[0, a_{n-1}^-1], [-a_{n-1}*, (E - b_n) a_{n-1}^-1]]
+    T = np.zeros(a.shape[:2] + (2 * N, 2 * N), dtype=complex)
+    T[..., :N, N:] = a_inv
+    T[..., N:, :N] = -_ct(a)
+    T[..., N:, N:] = (E[:, None, None, None] * np.eye(N)
+                      - np.concatenate([b[:, 1:], b[:, :1]], axis=1)) @ a_inv
+    T = K @ T @ Kh
+    S, errors = _composed(T, E, N)
+    gap, Zt = _transfer_planes(S, E, N, errors)
+    energies = E.tolist()
+    seams = {}
+    for j, error in enumerate(errors):
+        if error is None:
+            seams.setdefault(a[j, 0].tobytes(), []).append(j)
+        else:
+            out[idx[j]] = error
+    groups = []
+    for seam, js in seams.items():
+        try:
+            form = _seam_form((N, N), seam, tol)
+            split = canonical_split(form, tol)
+        except ValueError as exc:
+            for j in js:
+                out[idx[j]] = exc
+            continue
+        # from y to the canonical split of tb_form: psi_1 = a0^-1 w, then D^1/2 Q*
+        L = Kh.copy()
+        L[N:] = a_inv[js[0], 0] @ L[N:]
+        L = np.sqrt(np.concatenate([split.a_plus, split.a_minus]))[:, None] * (split.Q.conj().T @ L)
+        # each plane is the graph {(y+, U y+)} there, so U solves U y+ = y-;
+        # Y holds the group's planes decaying to the right, then those to the left
+        m = len(js)
+        Y = L @ (Zt if m == len(E) else Zt[:, js]).reshape(2 * m, N, 2 * N).swapaxes(1, 2)
+        try:
+            solved = [(js, _graph_maps(Y, N))]
+        except np.linalg.LinAlgError:
+            # one singular solve fails the whole group; solve its points one by one
+            solved = []
+            for t, j in enumerate(js):
+                try:
+                    solved.append(([j], _graph_maps(Y[[t, m + t]], N)))
+                except np.linalg.LinAlgError as exc:
+                    out[idx[j]] = exc
+        groups += [(form, [idx[j] for j in part], U, [gap[j] for j in part],
+                    [energies[j] for j in part]) for part, U in solved]
+    _finish_each(out, groups, "tight_binding", tol)
 
 
 def tb_bulk(model: TightBindingModel, energy: float = 0.0,

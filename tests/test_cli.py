@@ -5,7 +5,7 @@ import math
 from dataclasses import asdict
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from test_junction import CENSUS_BREAKPOINTS, CENSUS_MASSES
@@ -326,6 +326,15 @@ class TestSweep:
         assert main(["sweep", "--model", write("f.tf", "kind dirac\nW [[?, ?]]\n"),
                      "--class", "D", "--values", "1.0"]) == 3
 
+    def test_hole_in_a_comment_line_exits_3(self, write, capsys):
+        # the '?' would change no model line, so the sweep would print one row many times
+        path = write("f.tf", "kind dirac\n# mass?\nW [[1.0]]\n")
+        assert main(["sweep", "--model", path, "--class", "D", "--values=0,0.5"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"tenfold1d: error: {path}:2: the '?' sits in a comment line, "
+                       "so every grid point would be the same model\n")
+
     def test_gapless_reference_exits_3(self, write):
         assert main(["sweep", "--model", write("f.tf", FAMILY), "--class", "D",
                      "--values", "0.0,1.0"]) == 3
@@ -407,7 +416,7 @@ class TestSweep:
 
 def reference_sweep(args, tol):
     """``cmd_sweep`` point by point: every point's text parsed in full, and
-    its index and predicted count taken one at a time."""
+    its bulk, index and predicted count taken one at a time."""
     with open(args.model, encoding="utf-8") as fh:
         template = fh.read()
     holes = template.count("?")
@@ -431,7 +440,7 @@ def reference_sweep(args, tol):
         except ValueError as exc:
             parse_error = exc
             break
-    ref_bulk, *bulks = build_stack(mfs, tol, energy=args.energy)
+    ref_bulk, *bulks = [build_stack([mf], tol, energy=args.energy)[0] for mf in mfs]
     if isinstance(ref_bulk, (GapClosed, NotInGap)):
         raise ParseError(f"reference point {ref_value:g} is not gapped: {ref_bulk}")
     if isinstance(ref_bulk, Exception):
@@ -472,12 +481,22 @@ def _entry(x):
     return repr(float(x))
 
 
+def _matrix(entries, N):
+    """A model file's N x N matrix of N * N entry strings, row by row."""
+    return "[" + ", ".join("[" + ", ".join(entries[r * N:(r + 1) * N]) + "]" for r in range(N)) + "]"
+
+
 @st.composite
 def sweep_templates(draw):
-    """A one-'?' template: Dirac (N = 1, 2), Schrodinger or a chain of period 2 or 3,
-    with the '?' in a matrix entry, as '-?', or on the energy line."""
-    family = draw(st.sampled_from(["dirac1", "dirac2", "schrodinger", "chain2", "chain3"]))
-    hole = draw(st.sampled_from(["?", "-?", "energy"]))
+    """A one-'?' template: Dirac (N = 1, 2), Schrodinger, or a chain of period 2
+    or 3 with N = 1, or of period 2 with N = 2. The '?' is a matrix entry, as
+    '?', '-?' or the real part of the complex entry [?, 0.5], or the energy. A
+    chain's '?' sits in a bond or in a site block; off the diagonal of a site
+    block, or complex on it, most values make the block non-hermitian. A
+    chain without '?' on its energy line sits at E = 0 or above its bands."""
+    family = draw(st.sampled_from(["dirac1", "dirac2", "schrodinger", "chain2", "chain3",
+                                   "chain2n2"]))
+    hole = draw(st.sampled_from(["?", "-?", "[?, 0.5]", "energy"]))
     coef = st.integers(-20, 20).map(lambda k: k / 10)
     h = "0.0" if hole == "energy" else hole
     energy = "" if hole != "energy" else "energy ?\n"
@@ -493,14 +512,27 @@ def sweep_templates(draw):
         first = h if hole != "energy" else _entry(draw(coef))
         return (f"kind schrodinger\nV [[{first}, {c}], [{c}, {dd}]]\n"
                 + (energy or "energy 0.0\n"))
-    q = int(family[-1])
-    bonds = [_entry(draw(st.integers(5, 20)) / 10) for _ in range(q)]
-    sites = [_entry(draw(st.sampled_from([0.0, 0.0, 0.3, -0.5]))) for _ in range(q)]
+    q, N = int(family[5]), 2 if family.endswith("n2") else 1
+    bonds, sites = [], []
+    for _ in range(q):
+        # strong diagonals keep most bonds invertible; sites are real symmetric
+        bond = [_entry(draw(st.integers(5, 20)) / 10) if r == c else _entry(draw(coef) / 4)
+                for r in range(N) for c in range(N)]
+        site = [_entry(draw(st.sampled_from([0.0, 0.0, 0.3, -0.5]))) for _ in range(N * N)]
+        for r in range(N):
+            for c in range(r):
+                site[r * N + c] = site[c * N + r]
+        bonds.append(bond)
+        sites.append(site)
     if hole != "energy":
-        # a bond takes the hole, so the value 0 gives a singular bond; in the
-        # seam bond a0 every other value has its own form and glues as NA
-        bonds[draw(st.integers(0, q - 1))] = hole
-    lines = [f"a{i} [[{a}]]" for i, a in enumerate(bonds)] + [f"b{i} [[{b}]]" for i, b in enumerate(sites)]
+        # in a bond, the value 0 can give a singular bond, and in the seam bond a0
+        # every other value has its own form and glues as NA
+        blocks = draw(st.sampled_from([bonds, sites]))
+        blocks[draw(st.integers(0, q - 1))][draw(st.integers(0, N * N - 1))] = hole
+    lines = ([f"a{i} {_matrix(a, N)}" for i, a in enumerate(bonds)]
+             + [f"b{i} {_matrix(b, N)}" for i, b in enumerate(sites)])
+    # E = 0 meets the bands at some values; E = 9 is above every band of the family
+    energy = energy or draw(st.sampled_from(["", "energy 9.0\n"]))
     return "kind tight_binding\n" + "\n".join(lines) + "\n" + energy
 
 
@@ -512,7 +544,16 @@ class TestSweepMatchesPointByPoint:
     @given(template=sweep_templates(), values=values,
            ref=st.none() | st.integers(-25, 25).map(lambda k: k / 10),
            label=st.sampled_from(["A", "AI", "D", "BDI"]) | st.sampled_from(list(CartanClass)))
-    @settings(max_examples=80, deadline=None,
+    # the reference's sites are hermitian, the second point's are not, and its error
+    # beats the third point's rows
+    @example(template="kind tight_binding\na0 [[1.0, 0.0], [0.0, 1.5]]\na1 [[2.0, 0.1], [0.0, 0.5]]\n"
+                      "b0 [[0.0, ?], [0.3, 0.0]]\nb1 [[0.3, 0.0], [0.0, -0.5]]\n",
+             values=[0.3, 0.5, 0.3], ref=None, label="BDI")
+    # two seams, each shared by two points
+    @example(template="kind tight_binding\na0 [[?, 0.0], [0.0, 1.5]]\na1 [[2.0, 0.1], [0.0, 0.5]]\n"
+                      "b0 [[0.0, 0.0], [0.0, 0.0]]\nb1 [[0.0, 0.0], [0.0, 0.0]]\n",
+             values=[1.5, 0.8, 1.5, 0.8], ref=0.8, label="A")
+    @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_same_exit_stdout_and_stderr(self, write, template, values, ref, label):
         argv = ["sweep", "--model", write("t.tf", template), "--class", str(CartanClass(label).value),

@@ -786,7 +786,7 @@ def _schrodinger_point(rng, draw):
 
 def _chain_point(rng, draw):
     q, N = draw(st.integers(1, 5)), draw(st.integers(1, 3))
-    case = draw(st.sampled_from(["gapped", "band", "singular", "not_finite"]))
+    case = draw(st.sampled_from(["gapped", "band", "singular", "not_finite", "skew"]))
     a, b = [], []
     for _ in range(q):
         X = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
@@ -799,7 +799,12 @@ def _chain_point(rng, draw):
     model = TightBindingModel(a, b)
     energy = {"gapped": float(rng.choice([-1.0, 1.0])) * (bloch_bands(model, 0.0).max() + 6.0),
               "band": float(rng.choice(bloch_bands(model, float(rng.uniform(0.0, np.pi))))),
-              "singular": float(rng.normal()), "not_finite": np.nan}[case]
+              "singular": float(rng.normal()), "not_finite": np.nan,
+              "skew": float(rng.normal())}[case]
+    if case == "skew":
+        # a site block far from hermitian, which a stack must refuse for this point alone
+        n = int(rng.integers(q))
+        b[n] = b[n] + 1e-3j * np.eye(N)
     matrices = {f"a{n}": x for n, x in enumerate(a)}
     matrices.update({f"b{n}": x for n, x in enumerate(b)})
     return ModelFile("tight_binding", energy, matrices, {})
@@ -837,11 +842,33 @@ class TestStacks:
         T = rng.normal(size=(3, 4, 2, 2)) + 1j * rng.normal(size=(3, 4, 2, 2))
         T[1, 2, 1:, 1:] = 0.0
         E = np.array([0.1, 0.2, 0.3])
-        got = _composed(T, E, 1)
-        assert isinstance(got[1], GapClosed)
-        assert str(got[1]) == "site scattering matrices do not compose at energy 0.2"
+        S, errors = _composed(T, E, 1)
+        assert isinstance(errors[1], GapClosed)
+        assert str(errors[1]) == "site scattering matrices do not compose at energy 0.2"
         for j in (0, 2):
-            assert np.array_equal(got[j], _composed(T[j:j + 1], E[j:j + 1], 1)[0])
+            assert errors[j] is None
+            assert np.array_equal(S[j], _composed(T[j:j + 1], E[j:j + 1], 1)[0][0])
+
+    def test_a_point_whose_graph_solve_fails_fails_alone(self, monkeypatch):
+        # a singular solve fails the seam group's batched solve; its points are
+        # then solved one by one, and only the second one fails
+        want = {e: tb_bulk(SSH, e) for e in (0.0, 0.3)}
+        real, calls = models._graph_maps, []
+
+        def solve(Y, N):
+            calls.append(len(Y))
+            if len(Y) > 2 or len(calls) == 3:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(Y, N)
+
+        monkeypatch.setattr(models, "_graph_maps", solve)
+        got = tb_stack([SSH] * 3, [0.0, 0.5, 0.3])
+        assert calls == [6, 2, 2, 2]
+        assert type(got[1]) is np.linalg.LinAlgError and str(got[1]) == "Singular matrix"
+        for j, energy in ((0, 0.0), (2, 0.3)):
+            assert got[j].u_plus.U.tobytes() == want[energy].u_plus.U.tobytes()
+            assert got[j].u_minus.U.tobytes() == want[energy].u_minus.U.tobytes()
+            assert got[j].gap == want[energy].gap
 
     @pytest.mark.parametrize("stack, one, name, good", [
         (dirac_stack, lambda M, e: dirac_bulk(M, energy=e), "W", np.eye(1)),

@@ -9,11 +9,15 @@ once from the base and once from the working tree, the base first on
 odd pairs and second on even ones, so a drift of the machine's speed
 favours neither side. For each metric of the runs (the end-to-end ones,
 or the per-layer ones with ``--trace 1``) the tool prints both sides'
-medians and quartiles and the number of pairs the working tree won,
-with the better direction read from ``BENCHMARK.json``, and how many
-runs of each side answered wrongly or failed. It exits 1 when the
-working tree has more such runs than the base: a gain from wrong
-answers is no gain.
+medians and quartiles, the number of pairs the working tree won, with
+the better direction read from ``BENCHMARK.json``, and a verdict:
+``gain`` when the working tree won at least nine tenths of the pairs
+and its median is better than the base's by more than the base's
+quartile spread, ``worse`` when its median is worse than the base's by
+more than the metric's ``bound`` (a fraction of the base median). It
+also prints how many runs of each side answered wrongly or failed, and
+exits 1 when the working tree has more such runs than the base: a gain
+from wrong answers is no gain.
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ def main(argv=None) -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     # a terminated run unwinds like an interrupted one, so the base checkout is removed
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     runs = {"base": [], "change": []}
@@ -91,14 +96,22 @@ def main(argv=None) -> int:
 
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s, "
           f"trace {args.trace}, base {args.base} -> working tree")
-    print(f"{'metric':48} {'base median [q1-q3]':>30} {'change median [q1-q3]':>30}  wins")
+    print(f"{'metric':48} {'base median [q1-q3]':>30} {'change median [q1-q3]':>30}  "
+          "wins   verdict")
     for name in runs["base"][0]:
         b = [r[name] for r in runs["base"]]
         c = [r[name] for r in runs["change"]]
         sign = {"higher": 1, "lower": -1}.get(better.get(name), 0)
-        wins = f"{sum(sign * (y - x) > 0 for x, y in zip(b, c))}/{len(b)}" if sign else "-"
+        won = sum(sign * (y - x) > 0 for x, y in zip(b, c))
+        wins = f"{won}/{len(b)}" if sign else "-"
         (bq1, bm, bq3), (cq1, cm, cq3) = quartiles(b), quartiles(c)
-        print(f"{name:48} {bm:>12.4g} [{bq1:.4g}-{bq3:.4g}] {cm:>12.4g} [{cq1:.4g}-{cq3:.4g}]  {wins}")
+        verdict = "-"
+        if sign and won >= 0.9 * len(b) and sign * (cm - bm) > bq3 - bq1:
+            verdict = "gain"
+        elif sign and name in bounds and sign * (bm - cm) > bounds[name] * abs(bm):
+            verdict = "worse"
+        print(f"{name:48} {bm:>12.4g} [{bq1:.4g}-{bq3:.4g}] {cm:>12.4g} [{cq1:.4g}-{cq3:.4g}]  "
+              f"{wins:6} {verdict}")
     print(f"runs that answered wrongly or failed: base {wrong['base']}/{args.pairs}, "
           f"change {wrong['change']}/{args.pairs}")
     return 1 if wrong["change"] > wrong["base"] else 0
