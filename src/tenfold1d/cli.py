@@ -255,7 +255,8 @@ def cmd_sweep(args, tol: Tolerances):
     point that fails decides the error, as if the points were computed
     one at a time. A closed gap gives a GAP_CLOSED row.
     """
-    with open(args.model, encoding="utf-8") as fh:
+    # utf-8-sig drops the byte order mark that some Windows editors write
+    with open(args.model, encoding="utf-8-sig") as fh:
         template = fh.read()
     holes = template.count("?")
     if holes != 1:

@@ -18,7 +18,7 @@ not silently change the model.
 from __future__ import annotations
 
 import json
-import math
+from itertools import chain
 
 import numpy as np
 
@@ -55,60 +55,86 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _entry_to_complex(entry, where: str) -> complex:
+def _entry_to_complex(entry, source: str, line: int) -> complex:
     if _is_number(entry):
         return complex(entry)
     if isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry)):
         return complex(entry[0], entry[1])
-    raise ParseError(f"{where}: matrix entries are numbers or [re, im] pairs, "
+    raise ParseError(f"{source}:{line}: matrix entries are numbers or [re, im] pairs, "
                      f"got {entry!r}")
 
 
-def _finite(token: str, where: str) -> float:
-    """JSON number hook: NaN, Infinity and literals past float range are errors."""
-    x = float(token)
-    if not math.isfinite(x):
-        raise ParseError(f"{where}: {token} is not a finite number")
-    return x
+def _matrices(values: list, source: str, lines: list) -> list:
+    """Complex matrices of a run of decoded values; values[i] sits on line lines[i].
+
+    The number hook made every JSON number a float, so a run whose
+    entries are all floats, in equally long rows and equally many rows
+    per value, is one (k, r, c) array, and each value gets its row of
+    it. Any other run (pairs, booleans, junk, ragged rows, values of
+    several sizes) is converted value by value, entry by entry, so the
+    first refusal in the run's order names its line.
+    """
+    try:
+        # a run of anything but lists of rows of floats raises here or yields a non-float
+        floats = set(map(type, chain.from_iterable(chain.from_iterable(values)))) == {float}
+    except TypeError:
+        floats = False
+    if floats:
+        try:
+            return list(np.array(values, dtype=complex))
+        except ValueError:
+            pass  # rows or values of several lengths
+    out = []
+    for value, line in zip(values, lines):
+        if not (isinstance(value, list) and value
+                and all(isinstance(row, list) for row in value)):
+            raise ParseError(f"{source}:{line}: expected a list of rows")
+        width = len(value[0])
+        if width == 0 or any(len(row) != width for row in value):
+            raise ParseError(f"{source}:{line}: rows must be non-empty and equally long")
+        out.append(np.array([[e if type(e) is float else _entry_to_complex(e, source, line)
+                              for e in row] for row in value], dtype=complex))
+    return out
 
 
-def _value_to_matrix(value, where: str) -> np.ndarray:
-    if not (isinstance(value, list) and value
-            and all(isinstance(row, list) for row in value)):
-        raise ParseError(f"{where}: expected a list of rows")
-    width = len(value[0])
-    if width == 0 or any(len(row) != width for row in value):
-        raise ParseError(f"{where}: rows must be non-empty and equally long")
-    # the number hook made every JSON number a float; pairs, bools and junk are checked
-    return np.array([[e if type(e) is float else _entry_to_complex(e, where) for e in row]
-                     for row in value], dtype=complex)
-
-
-def _value_to_real(value, where: str) -> float:
+def _value_to_real(value, source: str, line: int) -> float:
     if _is_number(value):
         return float(value)
-    raise ParseError(f"{where}: expected a real number, got {value!r}")
+    raise ParseError(f"{source}:{line}: expected a real number, got {value!r}")
 
 
-def _value_to_real_list(value, where: str) -> list[float]:
+def _value_to_real_list(value, source: str, line: int) -> list[float]:
     if isinstance(value, list) and all(map(_is_number, value)):
         return [float(x) for x in value]
-    raise ParseError(f"{where}: expected a list of real numbers")
+    raise ParseError(f"{source}:{line}: expected a list of real numbers")
 
 
-def _indexed(pairs: dict, locs: dict, prefix: str, where: str) -> list:
-    """Take prefix0, prefix1, ... out of pairs and demand a contiguous run from 0."""
-    found = {}
-    for key in [key for key in pairs if key.startswith(prefix) and key[len(prefix):].isdecimal()]:
-        index = int(key[len(prefix):])
-        # the builders look each matrix up under its canonical key
-        if key != f"{prefix}{index}":
-            raise ParseError(f"{locs[key]}: key {key!r} must be written {prefix}{index}")
-        found[index] = pairs.pop(key)
-    if sorted(found) != list(range(len(found))):
-        raise ParseError(f"{where}: {prefix}* keys must run {prefix}0, "
-                         f"{prefix}1, ... without gaps")
-    return [found[i] for i in range(len(found))]
+def _indexed(pairs: dict, locs: dict, prefixes: str, source: str) -> list:
+    """Keys prefix0, prefix1, ... of each one-letter prefix, in index order, one list per prefix.
+
+    One pass over the keys finds them all. Each prefix's keys must be
+    canonical and run from 0 without gaps: the first key in file order
+    that is not canonical is refused, and otherwise a gap.
+    """
+    found = {prefix: [] for prefix in prefixes}
+    for key in pairs:
+        run = found.get(key[:1])
+        if run is not None and key[1:].isdecimal():
+            run.append(key)
+    runs = []
+    for prefix, run in found.items():
+        keys = list(map(prefix.__add__, map(str, range(len(run)))))
+        if set(run) != set(keys):
+            for key in run:
+                # the builders look each matrix up under its canonical key
+                index = int(key[1:])
+                if key != f"{prefix}{index}":
+                    raise ParseError(f"{source}:{locs[key]}: key {key!r} must be written "
+                                     f"{prefix}{index}")
+            raise ParseError(f"{source}: {prefix}* keys must run {prefix}0, "
+                             f"{prefix}1, ... without gaps")
+        runs.append(keys)
+    return runs
 
 
 class ModelFile:
@@ -133,107 +159,109 @@ class ModelFile:
         return f"ModelFile(kind={self.kind!r}, keys={sorted(self.matrices)})"
 
 
-def _line_decoder():
-    """Decoder of ``key value`` lines, with one JSON decoder for all its calls.
+def _number(token: str) -> float:
+    """JSON number hook: the number as a float, or a refusal of NaN, Infinity
+    and literals past float range.
 
-    The decoder's number hook reads ``where``, which names the line
-    being decoded.
+    The refusal does not know its line; ``_decode_lines`` names it.
     """
-    where = None
-    finite = lambda token: _finite(token, where)
-    decode = json.JSONDecoder(parse_float=finite, parse_int=finite, parse_constant=finite).decode
+    x = float(token)
+    if x - x == 0.0:  # false for inf and NaN
+        return x
+    raise ParseError(f"{token} is not a finite number")
 
-    def decode_lines(numbered, source: str) -> tuple[dict, dict]:
-        """(key -> value, key -> 'source:line') of (line number, line) pairs, in file order."""
-        nonlocal where
-        pairs, locs = {}, {}
-        for lineno, raw in numbered:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            where = f"{source}:{lineno}"
-            parts = line.split(None, 1)
-            if len(parts) != 2:
-                raise ParseError(f"{where}: expected 'key value'")
-            key, rest = parts
-            if key in pairs:
-                raise ParseError(f"{where}: duplicate key {key!r}")
-            try:
+
+_DECODER = json.JSONDecoder(parse_float=_number, parse_int=_number, parse_constant=_number)
+
+
+def _decode_lines(numbered, source: str) -> tuple[dict, dict]:
+    """(key -> value, key -> line number) of (line number, line) pairs, in file order."""
+    decode, raw_decode = _DECODER.decode, _DECODER.raw_decode
+    pairs, locs = {}, {}
+    for line, raw in numbered:
+        text = raw.strip()
+        if not text or text[0] == "#":
+            continue
+        parts = text.split(None, 1)
+        if len(parts) != 2:
+            raise ParseError(f"{source}:{line}: expected 'key value'")
+        key, rest = parts
+        if key in pairs:
+            raise ParseError(f"{source}:{line}: duplicate key {key!r}")
+        # split and strip leave no whitespace around rest, so raw_decode reads
+        # what decode would; decode runs only to refuse extra data as it does
+        try:
+            value, end = raw_decode(rest)
+            if end != len(rest):
                 value = decode(rest)
-            except json.JSONDecodeError as exc:
-                if rest.strip().isidentifier():
-                    value = rest.strip()
-                else:
-                    raise ParseError(f"{where}: bad value for {key!r}: {exc}") from None
-            pairs[key] = value
-            locs[key] = where
-        return pairs, locs
-
-    return decode_lines
+        except json.JSONDecodeError as exc:
+            if not rest.isidentifier():
+                raise ParseError(f"{source}:{line}: bad value for {key!r}: {exc}") from None
+            value = rest
+        except ParseError as exc:
+            raise ParseError(f"{source}:{line}: {exc}") from None
+        pairs[key] = value
+        locs[key] = line
+    return pairs, locs
 
 
 def parse_model_text(text: str, source: str = "<string>") -> ModelFile:
     """Parse a model description from a string. See the module docstring.
 
-    The two steps are line decoding (``_line_decoder``) and ``_assemble``.
+    The two steps are ``_decode_lines`` and ``_assemble``.
     """
-    return _assemble(*_line_decoder()(enumerate(text.splitlines(), start=1), source), source)
+    return _assemble(*_decode_lines(enumerate(text.splitlines(), start=1), source), source)
 
 
 def _assemble(pairs: dict, locs: dict, source: str) -> ModelFile:
     """Model of decoded lines: the kind and key checks and the matrix conversions.
 
-    Takes ``key -> value`` and ``key -> 'source:line'`` as decoded, and
+    Takes ``key -> value`` and ``key -> line number`` as decoded, and
     empties ``pairs``. A refusal names its line, or ``source``.
     """
     if "kind" not in pairs:
         raise ParseError(f"{source}: missing 'kind' line")
     kind = pairs.pop("kind")
     if kind not in _KINDS:
-        raise ParseError(f"{locs['kind']}: kind must be one of {', '.join(_KINDS)}")
+        raise ParseError(f"{source}:{locs['kind']}: kind must be one of {', '.join(_KINDS)}")
 
     energy = None
     if "energy" in pairs:
-        energy = _value_to_real(pairs.pop("energy"), locs["energy"])
+        energy = _value_to_real(pairs.pop("energy"), source, locs["energy"])
 
-    matrices = {}
     lists = {}
     if kind == "dirac":
         if "W" not in pairs:
             raise ParseError(f"{source}: dirac models need a W matrix")
-        matrices["W"] = _value_to_matrix(pairs.pop("W"), locs["W"])
+        keys = ["W"]
     elif kind == "schrodinger":
         if "V" not in pairs:
             raise ParseError(f"{source}: schrodinger models need a V matrix")
         if energy is None:
             raise ParseError(f"{source}: schrodinger models need an energy line")
-        matrices["V"] = _value_to_matrix(pairs.pop("V"), locs["V"])
+        keys = ["V"]
     elif kind == "tight_binding":
-        bonds = _indexed(pairs, locs, "a", source)
-        sites = _indexed(pairs, locs, "b", source)
+        bonds, sites = _indexed(pairs, locs, "ab", source)
         if not bonds or len(bonds) != len(sites):
             raise ParseError(f"{source}: tight_binding models need matching "
                              "a0..aq-1 and b0..bq-1 runs")
-        for i, m in enumerate(bonds):
-            matrices[f"a{i}"] = _value_to_matrix(m, locs[f"a{i}"])
-        for i, m in enumerate(sites):
-            matrices[f"b{i}"] = _value_to_matrix(m, locs[f"b{i}"])
+        keys = bonds + sites
     else:
-        masses = _indexed(pairs, locs, "W", source)
+        [keys] = _indexed(pairs, locs, "W", source)
         if "breakpoints" not in pairs:
             raise ParseError(f"{source}: dirac_profile models need breakpoints")
         lists["breakpoints"] = _value_to_real_list(
-            pairs.pop("breakpoints"), locs["breakpoints"])
-        if len(masses) != len(lists["breakpoints"]) + 1:
+            pairs.pop("breakpoints"), source, locs["breakpoints"])
+        if len(keys) != len(lists["breakpoints"]) + 1:
             raise ParseError(f"{source}: {len(lists['breakpoints'])} breakpoints "
                              f"need {len(lists['breakpoints']) + 1} masses, "
-                             f"got {len(masses)}")
-        for i, m in enumerate(masses):
-            matrices[f"W{i}"] = _value_to_matrix(m, locs[f"W{i}"])
+                             f"got {len(keys)}")
+    matrices = dict(zip(keys, _matrices([pairs.pop(key) for key in keys], source,
+                                        [locs[key] for key in keys])))
 
     if pairs:
         stray = sorted(pairs)[0]
-        raise ParseError(f"{locs[stray]}: key {stray!r} not allowed for "
+        raise ParseError(f"{source}:{locs[stray]}: key {stray!r} not allowed for "
                          f"kind {kind!r}")
     return ModelFile(kind, energy, matrices, lists)
 
@@ -255,7 +283,6 @@ def _parse_family(template: str, name: str, values) -> tuple[list, ValueError | 
     first value's error is raised; a later value's error is returned
     with the models of the values before it, else None.
     """
-    decode = _line_decoder()
     lines = template.splitlines()
     hole = next(n for n, raw in enumerate(lines, start=1) if "?" in raw)
     models, first = [], None
@@ -264,14 +291,14 @@ def _parse_family(template: str, name: str, values) -> tuple[list, ValueError | 
         text = repr(float(v))
         try:
             if first is None:
-                first = _assemble(*decode(
+                first = _assemble(*_decode_lines(
                     ((n, raw.replace("?", text)) for n, raw in enumerate(lines, start=1)), source),
                     source)
                 models.append(first)
                 continue
-            pairs, locs = decode([(hole, lines[hole - 1].replace("?", text))], source)
+            pairs, locs = _decode_lines([(hole, lines[hole - 1].replace("?", text))], source)
             [(key, value)] = pairs.items()
-            models.append(_with_value(first, key, value, locs[key]))
+            models.append(_with_value(first, key, value, source, hole))
         except ValueError as exc:
             if not models:
                 raise
@@ -279,20 +306,21 @@ def _parse_family(template: str, name: str, values) -> tuple[list, ValueError | 
     return models, None
 
 
-def _with_value(mf: ModelFile, key: str, value, where: str) -> ModelFile:
-    """mf with the decoded value of one of its keys converted and put in place."""
+def _with_value(mf: ModelFile, key: str, value, source: str, line: int) -> ModelFile:
+    """mf with the decoded value of one of its keys, from source:line, converted and put in place."""
     if key == "energy":
-        return ModelFile(mf.kind, _value_to_real(value, where), mf.matrices, mf.lists)
+        return ModelFile(mf.kind, _value_to_real(value, source, line), mf.matrices, mf.lists)
     if key == "breakpoints":
         return ModelFile(mf.kind, mf.energy, mf.matrices,
-                         {**mf.lists, key: _value_to_real_list(value, where)})
-    return ModelFile(mf.kind, mf.energy, {**mf.matrices, key: _value_to_matrix(value, where)},
-                     mf.lists)
+                         {**mf.lists, key: _value_to_real_list(value, source, line)})
+    [matrix] = _matrices([value], source, [line])
+    return ModelFile(mf.kind, mf.energy, {**mf.matrices, key: matrix}, mf.lists)
 
 
 def parse_model(path: str) -> ModelFile:
     """Parse a model file from disk."""
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig drops the byte order mark that some Windows editors write
+    with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     return parse_model_text(text, source=path)
 

@@ -40,6 +40,7 @@ from .errors import (
     NotInGap,
     NotInvertible,
     NotLagrangian,
+    ProjectionSingular,
 )
 from .linalg import TOL, Tolerances, _finite_square, _identity
 from .symplectic import (
@@ -699,8 +700,10 @@ def _chains(out, idx, ab, E, tol: Tolerances) -> None:
             for t, j in enumerate(js):
                 try:
                     solved.append(([j], _graph_maps(Y[[t, m + t]], N)))
-                except np.linalg.LinAlgError as exc:
-                    out[idx[j]] = exc
+                except np.linalg.LinAlgError:
+                    out[idx[j]] = ProjectionSingular(
+                        f"plane at energy {energies[j]:g} is not transverse to the negative "
+                        "block, so the graph map is singular")
         groups += [(form, [idx[j] for j in part], U, [gap[j] for j in part],
                     [energies[j] for j in part]) for part, U in solved]
     _finish_each(out, groups, "tight_binding", tol)

@@ -183,6 +183,24 @@ class TestClassify:
     def test_gap_closed_exits_3(self, write):
         assert main(["classify", "--model", write("m.tf", "kind dirac\nW [[0.0]]\n")]) == 3
 
+    def test_byte_order_mark_is_accepted(self, write, tmp_path, capsys):
+        # Notepad and PowerShell 5's Out-File -Encoding utf8 start a file with one
+        bom = tmp_path / "bom.tf"
+        bom.write_bytes(b"\xef\xbb\xbf" + DIRAC_POS.encode())
+        assert main(["classify", "--model", str(bom)]) == 0
+        out, _ = capsys.readouterr()
+        assert main(["classify", "--model", write("m.tf", DIRAC_POS)]) == 0
+        assert rows_of(out)[1][:10] == rows_of(capsys.readouterr()[0])[1][:10]
+
+    def test_strong_seam_bond_exits_3_with_a_package_error(self, write, capsys):
+        # the graph solve of this chain is exactly singular (ROADMAP item 11)
+        path = write("m.tf", "kind tight_binding\na0 [[5e16]]\na1 [[1.0]]\n"
+                             "b0 [[0.0]]\nb1 [[0.0]]\n")
+        assert main(["classify", "--model", path]) == 3
+        _, err = capsys.readouterr()
+        assert err == ("tenfold1d: ProjectionSingular: plane at energy 0 is not transverse "
+                       "to the negative block, so the graph map is singular\n")
+
 
 class TestJunction:
     def test_hard_pair(self, write, capsys):
@@ -334,6 +352,15 @@ class TestSweep:
         assert out == ""
         assert err == (f"tenfold1d: error: {path}:2: the '?' sits in a comment line, "
                        "so every grid point would be the same model\n")
+
+    def test_byte_order_mark_is_accepted(self, write, tmp_path, capsys):
+        bom = tmp_path / "bom.tf"
+        bom.write_bytes(b"\xef\xbb\xbf" + FAMILY.encode())
+        assert main(["sweep", "--model", str(bom), "--class", "D", "--values=-1:1:5"]) == 0
+        out, _ = capsys.readouterr()
+        assert main(["sweep", "--model", write("f.tf", FAMILY), "--class", "D",
+                     "--values=-1:1:5"]) == 0
+        assert rows_of(out) == rows_of(capsys.readouterr()[0])
 
     def test_gapless_reference_exits_3(self, write):
         assert main(["sweep", "--model", write("f.tf", FAMILY), "--class", "D",

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tenfold1d.errors import ParseError
 from tenfold1d.modelfile import (
@@ -87,6 +89,13 @@ class TestParsing:
             with pytest.raises(ParseError, match=r"model\.tf:2"):
                 parse_model_text(text, source="model.tf")
 
+    def test_extra_data_refused(self):
+        # a line is decoded up to the end of its value; what follows must be nothing
+        with pytest.raises(ParseError) as info:
+            parse_model_text("kind dirac\nW [[1.0]] [[2.0]]", source="m.tf")
+        assert str(info.value) == ("m.tf:2: bad value for 'W': Extra data: "
+                                   "line 1 column 9 (char 8)")
+
     def test_ragged_matrix(self):
         with pytest.raises(ParseError, match="equally long"):
             parse_model_text("kind dirac\nW [[1.0, 2.0], [3.0]]")
@@ -155,6 +164,13 @@ class TestParsing:
         mf = parse_model(str(path))
         assert mf.kind == "dirac"
 
+    def test_from_disk_with_byte_order_mark(self, tmp_path):
+        # Notepad and PowerShell 5's Out-File -Encoding utf8 start a file with one
+        path = tmp_path / "bom.tf"
+        path.write_bytes(b"\xef\xbb\xbf" + DIRAC.encode())
+        mf = parse_model(str(path))
+        assert mf.kind == "dirac" and mf.matrices["W"][0, 0] == 1.0
+
     def test_parse_error_names_file(self, tmp_path):
         path = tmp_path / "broken.tf"
         path.write_text("kind dirac\nW oops(\n")
@@ -202,6 +218,92 @@ class TestChainIngestion:
         with pytest.raises(ParseError) as info:
             parse_model_text("\n".join(lines), source="chain.tf")
         assert str(info.value) == f"chain.tf:37: {message}"
+
+
+# finite floats at the edges of the range, any finite float, and integer literals
+NUMBERS = st.one_of(st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.integers(-10**20, 10**20))
+ENTRIES = st.one_of(NUMBERS, st.lists(NUMBERS, min_size=2, max_size=2))
+
+
+@st.composite
+def model_files(draw):
+    """(kind, lines before the matrices, {key: matrix as nested lists}, lines after them)."""
+    kind = draw(st.sampled_from(["tight_binding", "dirac_profile"]))
+    n, count = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    # an all-real file converts as one stack, a file with pairs entry by entry
+    entries = draw(st.sampled_from([NUMBERS, ENTRIES]))
+    if kind == "tight_binding":
+        keys = [f"a{i}" for i in range(count)] + [f"b{i}" for i in range(count)]
+    else:
+        keys = [f"W{i}" for i in range(count)]
+    matrices = {key: draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                   min_size=n, max_size=n)) for key in keys}
+    head = [f"kind {kind}"] + draw(st.sampled_from([[], ["# a comment", ""]]))
+    tail = ["breakpoints " + json.dumps([float(i) for i in range(count - 1)])
+            ] if kind == "dirac_profile" else []
+    return kind, head, matrices, tail
+
+
+def _lines(head, matrices, tail):
+    return head + [f"{k} {json.dumps(m)}" for k, m in matrices.items()] + tail
+
+
+# fault -> (phase, JSON text put in place of an entry, message); decode faults win
+# over assembly faults, and in assembly every key is checked before any matrix
+FAULTS = {
+    "true": (2, "true", "matrix entries are numbers or [re, im] pairs, got True"),
+    "NaN": (0, "NaN", "NaN is not a finite number"),
+    "1e999": (0, "1e999", "1e999 is not a finite number"),
+    "triple": (2, "[1.0, 2.0, 3.0]",
+               "matrix entries are numbers or [re, im] pairs, got [1.0, 2.0, 3.0]"),
+    "ragged": (2, None, "rows must be non-empty and equally long"),
+    "zero-padded key": (1, None, "key '{padded}' must be written {key}"),
+}
+
+
+class TestConversionProperties:
+    @given(model_files())
+    @settings(max_examples=150, deadline=None)
+    def test_matrices_equal_the_per_entry_conversion(self, model):
+        kind, head, matrices, tail = model
+        mf = parse_model_text("\n".join(_lines(head, matrices, tail)))
+        assert mf.kind == kind and list(mf.matrices) == list(matrices)
+        for key, m in matrices.items():
+            want = np.array([[_entry(e) for e in row] for row in m])
+            got = mf.matrices[key]
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @given(model_files(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_the_first_refusal_names_its_line(self, model, data):
+        kind, head, matrices, tail = model
+        keys = list(matrices)
+        picked = data.draw(st.lists(st.integers(0, len(keys) - 1), min_size=1, max_size=2,
+                                    unique=True))
+        faults = [data.draw(st.sampled_from(sorted(FAULTS))) for _ in picked]
+        lines = _lines(head, matrices, tail)
+        refusals = []
+        for index, fault in zip(picked, faults):
+            key, m = keys[index], [list(row) for row in matrices[keys[index]]]
+            phase, literal, message = FAULTS[fault]
+            if literal is not None:
+                m[-1][0] = "@"
+            if fault == "ragged":
+                m.append([1.0] * (len(m[0]) + 1))
+            if fault == "zero-padded key":
+                padded = f"{key[0]}0{key[1:]}"
+                key, message = padded, message.format(padded=padded, key=key)
+            value = json.dumps(m).replace('"@"', literal or "")
+            line = len(head) + index + 1
+            lines[line - 1] = f"{key} {value}"
+            refusals.append((phase, line, message))
+        phase, line, message = min(refusals)
+        with pytest.raises(ParseError) as info:
+            parse_model_text("\n".join(lines), source="m.tf")
+        assert str(info.value) == f"m.tf:{line}: {message}"
 
 
 class TestBuilders:

@@ -30,6 +30,7 @@ from tenfold1d.errors import (
     NotInGap,
     NotInvertible,
     NotLagrangian,
+    ProjectionSingular,
 )
 from tenfold1d import models
 from tenfold1d.modelfile import ModelFile, build_bulk, build_stack
@@ -591,6 +592,20 @@ class TestChainComposition:
         assert bulk.gap == pytest.approx(1.0 - np.exp(-1000.0 * np.log(1.001)), rel=1e-9)
         assert topological_index(bulk.u_plus, "BDI").value == 1
 
+    def test_strong_seam_bond_fails_with_a_package_error(self):
+        # a seam bond 5e16 times the other makes the graph solve exactly singular;
+        # numpy's LinAlgError must not leave the package (ROADMAP item 11)
+        model = TightBindingModel([np.array([[5e16]]), np.array([[1.0]])],
+                                  [np.zeros((1, 1)), np.zeros((1, 1))])
+        message = ("plane at energy 0 is not transverse to the negative block, "
+                   "so the graph map is singular")
+        with pytest.raises(ProjectionSingular) as info:
+            tb_bulk(model)
+        assert str(info.value) == message
+        got = tb_stack([model, SSH], [0.0, 0.0])
+        assert type(got[0]) is ProjectionSingular and str(got[0]) == message
+        assert got[1].u_plus.U.tobytes() == tb_bulk(SSH).u_plus.U.tobytes()
+
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
     def test_agrees_with_transfer_product(self, seed, q, N):
@@ -864,7 +879,9 @@ class TestStacks:
         monkeypatch.setattr(models, "_graph_maps", solve)
         got = tb_stack([SSH] * 3, [0.0, 0.5, 0.3])
         assert calls == [6, 2, 2, 2]
-        assert type(got[1]) is np.linalg.LinAlgError and str(got[1]) == "Singular matrix"
+        assert type(got[1]) is ProjectionSingular
+        assert str(got[1]) == ("plane at energy 0.5 is not transverse to the negative block, "
+                               "so the graph map is singular")
         for j, energy in ((0, 0.0), (2, 0.3)):
             assert got[j].u_plus.U.tobytes() == want[energy].u_plus.U.tobytes()
             assert got[j].u_minus.U.tobytes() == want[energy].u_minus.U.tobytes()
