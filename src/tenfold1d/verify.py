@@ -12,6 +12,7 @@ part of the system.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import warnings
@@ -37,6 +38,11 @@ __all__ = [
     "count_near_zero_localized",
     "oracle_compare",
 ]
+
+
+def _real(v) -> bool:
+    """Whether v is a real number, numpy's included; a boolean is not one."""
+    return isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
 
 
 @dataclass(frozen=True)
@@ -68,14 +74,18 @@ class DiscretizationSpec:
     min_weight: float = 0.9
 
     def __post_init__(self):
-        for name in ("length", "step", "energy_window"):
+        optional = ("length", "step", "energy_window")
+        for name in optional + ("core_fraction", "min_weight"):
+            v = getattr(self, name)
+            if not (_real(v) or (v is None and name in optional)):
+                raise BadSpec(f"{name} must be a real number, got {v!r}")
+        for name in optional:
             v = getattr(self, name)
             if v is not None and not 0.0 < v < math.inf:
                 raise BadSpec(f"{name} must be finite and positive, got {v!r}")
         if self.cells is not None:
             c = self.cells
-            if (isinstance(c, (bool, np.bool_)) or not isinstance(c, numbers.Real)
-                    or not float(c).is_integer()):
+            if not _real(c) or not float(c).is_integer():
                 raise BadSpec(f"cells must be an integer, got {c!r}")
             if c < 1:
                 raise BadSpec(f"cells must be at least 1, got {c!r}")
@@ -138,23 +148,6 @@ def _block_band(diag: np.ndarray, sub: np.ndarray) -> HermitianBand:
     return HermitianBand(band[:p + 1])
 
 
-def _split_mass(W: np.ndarray):
-    """Hermitian and antihermitian parts entering the rotated operator."""
-    M = 0.5j * (W.conj().T - W)
-    S = 0.5j * (W + W.conj().T)
-    return M, S
-
-
-def _definite_sign(A: np.ndarray) -> int:
-    """+1 / -1 when the hermitian matrix is definite, else 0."""
-    evals = np.linalg.eigvalsh(0.5 * (A + A.conj().T))
-    if evals[0] > 0:
-        return 1
-    if evals[-1] < 0:
-        return -1
-    return 0
-
-
 def discretize_dirac_junction(profile: PiecewiseDiracProfile,
                               spec: DiscretizationSpec) -> HermitianBand:
     """Finite hermitian matrix for a Dirac profile on [-length, length].
@@ -191,9 +184,8 @@ def discretize_dirac_junction(profile: PiecewiseDiracProfile,
     N = profile.block_dim
     n = int(round(2 * L / h)) + 1
 
-    gap_min = min(
-        float(np.linalg.svd(W, compute_uv=False)[-1]) for W in profile.masses
-    )
+    W = profile.masses
+    gap_min = float(np.linalg.svd(W, compute_uv=False)[:, -1].min())
     if h * gap_min > 0.1:
         warnings.warn(
             f"step {h:g} is coarse for gap {gap_min:g}; "
@@ -213,10 +205,14 @@ def discretize_dirac_junction(profile: PiecewiseDiracProfile,
     t[0::2] = -L + j * h
     t[1::2] = -L + j * h + 0.5 * h
     is_phi = np.arange(2 * n) % 2 == 0
-    splits = [_split_mass(W) for W in profile.masses]
-    s_left, s_right = splits[0][1], splits[-1][1]
-    sign_left = _definite_sign(-1j * s_left)
-    sign_right = _definite_sign(-1j * s_right)
+    # hermitian and antihermitian parts entering the rotated operator
+    Wh = W.conj().swapaxes(-1, -2)
+    M = 0.5j * (Wh - W)
+    S = 0.5j * (W + Wh)
+    # the sign of each end's hermitian -iS when it is definite, else 0
+    A = -1j * S[[0, -1]]
+    evals = np.linalg.eigvalsh(0.5 * (A + A.conj().swapaxes(-1, -2)))
+    sign_left, sign_right = np.where(evals[:, 0] > 0, 1, np.where(evals[:, -1] < 0, -1, 0))
     if sign_left == 0 or sign_right == 0:
         warnings.warn(
             "indefinite mass at an outer end; the hard wall binds edge "
@@ -228,8 +224,7 @@ def discretize_dirac_junction(profile: PiecewiseDiracProfile,
 
     # segment of each node, as in mass_at: the number of breakpoints <= t
     segment = np.searchsorted(profile.breakpoints, t, side="right")
-    M = np.array([m for m, _ in splits])[segment]
-    S = np.array([s for _, s in splits])
+    M = M[segment]
     diag = np.where(is_phi[:, None, None], M, -M)
     # the bond from node k to k+1 takes S at its chi end and is the phi
     # row's block; that row gets -i/h when phi sits left of chi, +i/h
@@ -419,23 +414,73 @@ _MAX_SPLITS = 40
 _SPLIT_AT = 0.382
 
 
+@functools.cache
+def _lu_routines():
+    """LAPACK's tridiagonal and banded LU and their solves: ``gttrf``,
+    ``gttrs``, ``gbtrf`` and ``gbtrs``.
+
+    Fetched on the first window: importing scipy.linalg costs more than
+    every command that runs no oracle.
+    """
+    import scipy.linalg as sla
+    return sla.get_lapack_funcs(("gttrf", "gttrs", "gbtrf", "gbtrs"),
+                                (np.zeros((1, 1), dtype=complex),))
+
+
+def _shifted_solve(full: np.ndarray, shift: float):
+    """Solve of (H - shift) X = B for any B, from one LU of H - shift.
+
+    ``full`` holds the 2p+1 diagonals of H, row p + i - j holding the
+    entries H[i, j]. A tridiagonal band is factored by ``gttrf``, any
+    other by ``gbtrf``: scipy's banded solver does the same arithmetic on
+    every call (``gtsv`` and ``gbsv``, which factor and solve at once), so
+    each solve here gives its bits. Raises AmbiguousKernel when the factor
+    is singular.
+    """
+    gttrf, gttrs, gbtrf, gbtrs = _lu_routines()
+    p, dim = full.shape[0] // 2, full.shape[1]
+    if p == 1:
+        # scipy's gttrf and gttrs refuse dim 2, whose du2 is empty, so the
+        # system takes one more row, decoupled and of unit diagonal, with a
+        # zero right-hand side; no bit of the other rows' solution moves
+        dl, d, du, du2, ipiv, info = gttrf(np.append(full[2, :-1], 0.0),
+                                           np.append(full[1] - shift, 1.0),
+                                           np.append(full[0, 1:], 0.0))
+
+        def solve(B):
+            padded = np.zeros((dim + 1, B.shape[1]), dtype=complex, order="F")
+            padded[:dim] = B
+            return gttrs(dl, d, du, du2, ipiv, padded, overwrite_b=True)[0][:dim]
+    else:
+        # gbtrf takes p more rows above the band for the fill-in of its pivoting
+        ab = np.zeros((3 * p + 1, dim), dtype=complex, order="F")
+        ab[p:] = full
+        ab[2 * p] -= shift
+        lu, ipiv, info = gbtrf(ab, p, p, overwrite_ab=True)
+        solve = lambda B: gbtrs(lu, p, p, B, ipiv)[0]
+    if info:
+        raise AmbiguousKernel(f"inverse iteration shift {shift:.3e} is an eigenvalue")
+    return solve
+
+
 def _window_pairs(full: np.ndarray, lo: float, hi: float, below: tuple[int, int],
                   res_tol: float, rng, ritz=(), depth: int = 0):
     """Eigenpairs of H for its eigenvalues in (lo, hi).
 
-    ``full`` holds the 2p+1 diagonals of H in ``solve_banded`` storage,
-    its rows p.. the lower band, and ``below`` the numbers of eigenvalues
-    of H below ``lo`` and ``hi``, whose difference k is the count to
-    resolve.
+    ``full`` holds the 2p+1 diagonals of H, row p + i - j holding the
+    entries H[i, j], so its rows p.. are the lower band; ``below`` holds
+    the numbers of eigenvalues of H below ``lo`` and ``hi``, whose
+    difference k is the count to resolve.
 
     Block shift-and-invert iteration on k random vectors plus a few guard
     vectors that take up the eigenvalues just outside the window. The
     shift sits at the mean of ``ritz``, earlier estimates of the window's
     eigenvalues, or at the window's centre when there are none, offset by
     ``res_tol`` so that an exact eigenvalue there cannot make the solve
-    singular. After each solve, Rayleigh-Ritz on the inverse picks the k
-    directions nearest the shift, and Rayleigh-Ritz on H within them
-    gives the Ritz pairs. The window is resolved when all k Ritz values
+    singular; H minus the shift is factored once, and every solve of the
+    window reuses that LU. After each solve, Rayleigh-Ritz on the inverse
+    picks the k directions nearest the shift, and Rayleigh-Ritz on H
+    within them gives the Ritz pairs. The window is resolved when all k Ritz values
     lie in (lo, hi), each with residual within ``res_tol``; as the window
     holds exactly k eigenvalues, every returned energy is then within its
     residual of one of them. A window whose residual falls less than
@@ -443,29 +488,19 @@ def _window_pairs(full: np.ndarray, lo: float, hi: float, below: tuple[int, int]
     split in a wide gap between its Ritz values that has some of them on
     either side; the split point is counted by inertia, and each half gets
     its own shift. Returns the sorted energies and orthonormal vectors;
-    raises AmbiguousKernel when a solve is singular or the splits run out.
+    raises AmbiguousKernel when the shifted H is singular or the splits run out.
     """
     p, dim = full.shape[0] // 2, full.shape[1]
     count = below[1] - below[0]
     if count == 0:
         return np.zeros(0), np.zeros((dim, 0), dtype=complex)
-    # imported here, not with the module: scipy.linalg costs more to import
-    # than every command that runs no oracle
-    import scipy.linalg as sla
-
     shift = (np.mean(ritz) if len(ritz) else 0.5 * (lo + hi)) + res_tol
-    shifted = full.copy()
-    shifted[p] -= shift
+    solve = _shifted_solve(full, shift)
     width = min(count + _GUARD, dim)
     X = rng.standard_normal((dim, width))
     previous = np.inf
     for step in range(_STEPS):
-        try:
-            Z = sla.solve_banded((p, p), shifted, X, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise AmbiguousKernel(
-                f"inverse iteration shift {shift:.3e} is an eigenvalue"
-            ) from exc
+        Z = solve(X)
         if step:
             # Rayleigh-Ritz on the inverse picks the directions nearest the
             # shift without mixing them with unconverged guard vectors, whose
@@ -548,9 +583,10 @@ def count_near_zero_localized(H, spec: DiscretizationSpec,
     builders, at most max(p, 1)), with one batched eigh of the eliminated
     blocks per level, the first level's shared by both edges, costs
     O(dim * b^2) per shift over log2(dim / b) levels. The k
-    eigenpairs come from block shift-and-invert iteration with banded
-    solves and Rayleigh-Ritz; a window it does not resolve in a few solves
-    is split and its halves counted by inertia again. The energies are
+    eigenpairs come from block shift-and-invert iteration, one banded LU
+    per shift serving each of its solves, and Rayleigh-Ritz; a window it
+    does not resolve in a few solves is split and its halves counted by
+    inertia again, each at its own shift. The energies are
     Ritz values, each within its residual, at most
     ``1e3 * eps * scale * sqrt(dim)``, of an eigenvalue of H.
 

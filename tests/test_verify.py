@@ -34,9 +34,7 @@ from tenfold1d.verify import (
     OracleReport,
     _block_band,
     _block_size,
-    _definite_sign,
     _scanned_band,
-    _split_mass,
 )
 
 
@@ -72,6 +70,35 @@ class TestDiscretizationSpec:
     def test_validation(self, kwargs):
         with pytest.raises(BadSpec):
             DiscretizationSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("length", True),
+            ("energy_window", True),
+            ("step", np.bool_(True)),
+            ("min_weight", True),
+            ("core_fraction", np.bool_(False)),
+            ("length", "1"),
+            ("energy_window", [0.1]),
+            ("core_fraction", "0.5"),
+            ("min_weight", None),
+            ("step", 0.1j),
+        ],
+    )
+    def test_real_fields_refuse_non_numbers(self, name, value):
+        with pytest.raises(BadSpec) as info:
+            DiscretizationSpec(**{name: value})
+        assert str(info.value) == f"{name} must be a real number, got {value!r}"
+
+    def test_numpy_reals_are_accepted(self):
+        spec = DiscretizationSpec(length=np.int64(20), step=np.float64(0.1),
+                                  energy_window=np.float32(0.1),
+                                  core_fraction=np.float16(0.5), min_weight=np.float64(0.9))
+        H = discretize_dirac_junction(PiecewiseDiracProfile([-np.eye(1), np.eye(1)], [0.0]),
+                                      spec)
+        report = count_near_zero_localized(H, spec)
+        assert report.near_zero == 1 and report.localized == 1
 
     @pytest.mark.parametrize("cells", [np.int64(3), np.uint8(3), 3.0])
     def test_integral_cells(self, cells):
@@ -160,6 +187,61 @@ class TestDiscretizeDirac:
             discretize_dirac_junction(p, spec)
 
 
+def split_mass(W):
+    """Hermitian and antihermitian parts entering the rotated operator."""
+    M = 0.5j * (W.conj().T - W)
+    S = 0.5j * (W + W.conj().T)
+    return M, S
+
+
+def definite_sign(A):
+    """+1 / -1 when the hermitian matrix is definite, else 0."""
+    evals = np.linalg.eigvalsh(0.5 * (A + A.conj().T))
+    if evals[0] > 0:
+        return 1
+    if evals[-1] < 0:
+        return -1
+    return 0
+
+
+def per_mass_dirac_band(profile, spec):
+    """Reference for discretize_dirac_junction: each mass's gap, split and end
+    sign found on its own, with the builder's warnings in its order."""
+    L, h = float(spec.length), float(spec.step)
+    N = profile.block_dim
+    n = int(round(2 * L / h)) + 1
+    gap_min = min(float(np.linalg.svd(W, compute_uv=False)[-1]) for W in profile.masses)
+    if h * gap_min > 0.1:
+        warnings.warn(f"step {h:g} is coarse for gap {gap_min:g}; "
+                      "expect discretization error")
+    if gap_min > 0 and L < 20.0 / gap_min:
+        warnings.warn(f"length {L:g} is short for gap {gap_min:g}; "
+                      "junction modes may leak into the walls")
+    j = np.arange(n)
+    t = np.empty(2 * n)
+    t[0::2] = -L + j * h
+    t[1::2] = -L + j * h + 0.5 * h
+    is_phi = np.arange(2 * n) % 2 == 0
+    splits = [split_mass(W) for W in profile.masses]
+    sign_left = definite_sign(-1j * splits[0][1])
+    sign_right = definite_sign(-1j * splits[-1][1])
+    if sign_left == 0 or sign_right == 0:
+        warnings.warn("indefinite mass at an outer end; the hard wall binds edge "
+                      "modes in some channels")
+    keep = slice(1 if sign_left > 0 else 0, 2 * n - 1 if sign_right > 0 else 2 * n)
+    t, is_phi = t[keep], is_phi[keep]
+    segment = np.searchsorted(profile.breakpoints, t, side="right")
+    M = np.array([m for m, _ in splits])[segment]
+    S = np.array([s for _, s in splits])
+    diag = np.where(is_phi[:, None, None], M, -M)
+    left_phi = is_phi[:-1]
+    chi_segment = np.where(left_phi, segment[1:], segment[:-1])
+    sgn = np.where(left_phi, -1.0, 1.0)
+    coupling = (sgn * 1j / h)[:, None, None] * np.eye(N) + 0.5 * S[chi_segment]
+    sub = np.where(left_phi[:, None, None], coupling.conj().transpose(0, 2, 1), coupling)
+    return _block_band(diag, sub)
+
+
 def dense_dirac_reference(profile, spec):
     """Dense reference for discretize_dirac_junction: the per-node loop."""
     L, h = float(spec.length), float(spec.step)
@@ -169,10 +251,10 @@ def dense_dirac_reference(profile, spec):
     for j in range(n):
         nodes.append((True, -L + j * h))
         nodes.append((False, -L + j * h + 0.5 * h))
-    splits = [_split_mass(W) for W in profile.masses]
-    if _definite_sign(-1j * splits[0][1]) > 0:
+    splits = [split_mass(W) for W in profile.masses]
+    if definite_sign(-1j * splits[0][1]) > 0:
         nodes.pop(0)
-    if _definite_sign(-1j * splits[-1][1]) > 0:
+    if definite_sign(-1j * splits[-1][1]) > 0:
         nodes.pop()
     K = len(nodes)
     segment = np.searchsorted(profile.breakpoints, [t for _, t in nodes], side="right")
@@ -245,6 +327,41 @@ class TestBuildersAgainstDense:
         assert H.shape == want.shape
         assert np.array_equal(np.asarray(H), want)
         assert H.lower.shape == (bandwidth(want) + 1, want.shape[0])
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 4),
+           st.sampled_from([-1.0, 0.0, 1.0]), st.sampled_from([-1.0, 0.0, 1.0]),
+           st.sampled_from([0.3, 1.0, 4.0]), st.sampled_from([2.5, 30.0]),
+           st.sampled_from([0.1, 0.25]))
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_assembly_matches_per_mass(self, seed, N, interfaces, left_sign,
+                                               right_sign, scale, length, step):
+        # an end sign 0 draws an end mass with a random hermitian part, most
+        # often indefinite; the scale and the geometry trip the coarse and
+        # short warnings in some draws and not in others
+        rng = np.random.default_rng(seed)
+
+        def end(sign):
+            X, Y = rng.normal(size=(N, N)), complex_normal(rng, (N, N))
+            if sign == 0.0:
+                return complex_normal(rng, (N, N))
+            return sign * (X @ X.T + np.eye(N)) + 0.5 * (Y - Y.conj().T)
+
+        inner = [complex_normal(rng, (N, N)) for _ in range(interfaces - 1)]
+        masses = [scale * W for W in [end(left_sign)] + inner + [end(right_sign)]]
+        breakpoints = np.sort(rng.uniform(-1.5, 1.5, size=interfaces))
+        assume(np.diff(breakpoints).min(initial=1.0) > 1e-9)
+        profile = PiecewiseDiracProfile(masses, breakpoints)
+        spec = DiscretizationSpec(length=length, step=step)
+        with warnings.catch_warnings(record=True) as got_warnings:
+            warnings.simplefilter("always", UserWarning)
+            H = discretize_dirac_junction(profile, spec)
+        with warnings.catch_warnings(record=True) as want_warnings:
+            warnings.simplefilter("always", UserWarning)
+            want = per_mass_dirac_band(profile, spec)
+        assert H.lower.shape == want.lower.shape
+        assert H.lower.tobytes() == want.lower.tobytes()
+        assert ([(w.category, str(w.message)) for w in got_warnings]
+                == [(w.category, str(w.message)) for w in want_warnings])
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.integers(1, 3),
            st.integers(1, 3), st.integers(1, 6))
@@ -433,12 +550,6 @@ class TestCountNearZero:
         assert report.near_zero == 2 and report.localized == 2
 
     def test_wide_window_is_split(self, monkeypatch):
-        # 24 of 44 eigenvalues in the window, spread as densely as those
-        # outside it: one shift at the centre cannot resolve them all
-        rng = np.random.default_rng(0)
-        chiral = random_banded(rng, 2 * int(rng.integers(1, 12)) + 1, int(rng.choice([1, 3])), chiral=True)
-        rest = random_banded(rng, int(rng.integers(1, 30)), int(rng.integers(0, 4)))
-        H = sla.block_diag(np.kron(chiral, np.eye(2)), rest, np.zeros((1, 1)))
         count_below = verify._count_below
         shifts = []
 
@@ -447,9 +558,69 @@ class TestCountNearZero:
             return count_below(band, at, res_tol)
 
         monkeypatch.setattr(verify, "_count_below", spy)
-        report = assert_matches_dense(H, DiscretizationSpec(energy_window=2.0))
+        report = assert_matches_dense(wide_window_matrix(), DiscretizationSpec(energy_window=2.0))
         assert report.near_zero == 24
         assert len(shifts) > 2
+
+    def test_each_split_window_is_factored_once(self, monkeypatch):
+        window_pairs, factor = verify._window_pairs, verify._shifted_solve
+        windows, factored = [], []
+
+        def spy_window(full, lo, hi, below, *args):
+            if below[1] > below[0]:
+                windows.append((lo, hi))
+            return window_pairs(full, lo, hi, below, *args)
+
+        def spy_factor(full, shift):
+            factored.append(shift)
+            return factor(full, shift)
+
+        monkeypatch.setattr(verify, "_window_pairs", spy_window)
+        monkeypatch.setattr(verify, "_shifted_solve", spy_factor)
+        report = assert_matches_dense(wide_window_matrix(), DiscretizationSpec(energy_window=2.0))
+        assert report.near_zero == 24
+        assert len(windows) > 1
+        assert len(factored) == len(windows)
+
+    def test_one_factorisation_and_one_solve_per_step(self, monkeypatch):
+        # the two-channel wall has p = 2, so its LU is gbtrf's
+        factor, band_matmul = verify._shifted_solve, verify._band_matmul
+        factored, solves, steps = [], [], []
+
+        def spy_factor(full, shift):
+            factored.append(shift)
+            solve = factor(full, shift)
+
+            def counted(B):
+                solves.append(shift)
+                return solve(B)
+
+            return counted
+
+        def spy_matmul(band, V):
+            steps.append(V.shape)
+            return band_matmul(band, V)
+
+        monkeypatch.setattr(verify, "_shifted_solve", spy_factor)
+        monkeypatch.setattr(verify, "_band_matmul", spy_matmul)
+        p = PiecewiseDiracProfile([-np.eye(2), np.eye(2)], [0.0])
+        spec = DiscretizationSpec(length=20.0, step=0.1, energy_window=0.1)
+        H = discretize_dirac_junction(p, spec)
+        assert H.lower.shape[0] == 3
+        report = count_near_zero_localized(H, spec)
+        assert report.near_zero == 2 and report.localized == 2
+        assert len(factored) == 1
+        # each step after the first solve checks its Ritz pairs with one product by H
+        assert len(solves) == len(steps) + 1 >= 2
+
+    @pytest.mark.parametrize("form", ["dense", "band"])
+    def test_one_by_one_matrix(self, form):
+        H = np.array([[0.25]])
+        if form == "band":
+            H = HermitianBand(H.astype(complex))
+        report = count_near_zero_localized(H, DiscretizationSpec(energy_window=0.5))
+        assert report.near_zero == 1 and report.localized == 1
+        assert np.array_equal(report.energies, [0.25])
 
     def test_shift_on_an_eigenvalue_raises_typed_error(self):
         # eigenvalues 0, r, 2r with r the residual tolerance form one
@@ -539,6 +710,15 @@ def assert_matches_dense(H, spec):
     assert np.allclose(got.energies, want.energies, rtol=0, atol=1e-10)
     assert np.allclose(np.sort(got.core_weights), np.sort(want.core_weights), rtol=0, atol=1e-8)
     return got
+
+
+def wide_window_matrix():
+    """24 of 44 eigenvalues in the window (-2, 2), spread as densely as those
+    outside it: one shift at the centre cannot resolve them all."""
+    rng = np.random.default_rng(0)
+    chiral = random_banded(rng, 2 * int(rng.integers(1, 12)) + 1, int(rng.choice([1, 3])), chiral=True)
+    rest = random_banded(rng, int(rng.integers(1, 30)), int(rng.integers(0, 4)))
+    return sla.block_diag(np.kron(chiral, np.eye(2)), rest, np.zeros((1, 1)))
 
 
 def bandwidth(H):
@@ -702,6 +882,31 @@ class TestInertia:
         alone = [int(verify._count_below(H.lower, [s], res_tol)[0]) for s in shifts]
         assert together.tolist() == alone
         assert alone == [int(np.count_nonzero(evals < s)) for s in shifts]
+
+
+class TestShiftedSolve:
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.integers(0, 5), st.booleans(),
+           st.floats(-6.0, 6.0), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_solves_bitwise_as_solve_banded(self, seed, dim, p, chiral, shift, width):
+        # a real right-hand side, as the first step's, then a complex one
+        # through the same factor
+        rng = np.random.default_rng(seed)
+        H = random_banded(rng, dim, p, chiral=chiral)
+        assume(np.abs(np.linalg.eigvalsh(H) - shift).min() > 1e-6)
+        q = _scanned_band(H, TOL).shape[0] - 1
+        full = np.zeros((2 * q + 1, dim), dtype=complex)
+        for d in range(-q, q + 1):
+            j = np.arange(max(0, -d), min(dim, dim - d))
+            full[q + d, j] = H[j + d, j]
+        shifted = full.copy()
+        shifted[q] -= shift
+        solve = verify._shifted_solve(full, shift)
+        for B in (rng.standard_normal((dim, width)), complex_normal(rng, (dim, width))):
+            want = sla.solve_banded((q, q), shifted, B, check_finite=False)
+            got = solve(B)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 class TestOracleCompare:

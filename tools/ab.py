@@ -90,7 +90,9 @@ def main(argv=None) -> int:
                 metrics, correct = run(base_root if side == "base" else ROOT, args)
                 runs[side].append(metrics)
                 wrong[side] += not correct
+            # a traced run carries only per-layer metrics, so its pair line names none
             print(f"pair {k}/{args.pairs}: " + ", ".join(
+                side if args.trace else
                 f"{side} {runs[side][-1].get('items_per_s', float('nan')):.4g} items/s"
                 for side in order), file=sys.stderr)
 
