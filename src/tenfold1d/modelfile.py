@@ -28,10 +28,10 @@ from .models import (
     BulkData,
     PiecewiseDiracProfile,
     TightBindingModel,
-    _chain_stack,
     _raise_first,
     dirac_stack,
     schrodinger_stack,
+    tb_stack,
 )
 
 __all__ = [
@@ -47,7 +47,7 @@ __all__ = [
 _KINDS = ("dirac", "schrodinger", "tight_binding", "dirac_profile")
 # the stacked builder of each bulk kind and the key of its matrix (chains have several)
 _STACKS = {"dirac": (dirac_stack, "W"), "schrodinger": (schrodinger_stack, "V"),
-           "tight_binding": (_chain_stack, None)}
+           "tight_binding": (tb_stack, None)}
 
 
 def _is_number(x) -> bool:

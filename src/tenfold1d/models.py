@@ -13,8 +13,10 @@ in the canonical split, and a gap certificate.
 Each family has one stacked builder (``dirac_stack``,
 ``schrodinger_stack``, ``tb_stack``) that takes many points, each at its
 own energy, and returns for each its bulk or the error it raises alone;
-points of one shape share the batched factorizations. The one-point
-builders are stacks of one. All three finish their points on one path,
+points of one shape share the batched factorizations. A chain is its
+(bonds, sites) pair. The one-point builders are stacks of one. A stack,
+like a model's blocks, is checked whole (``_whole``), and point by point
+only to name a refusal. All three finish their points on one path,
 which checks each point's two unitaries and then gates transversality
 with one spectrum of u_plus u_minus* per stack.
 
@@ -175,20 +177,37 @@ def _finite_block(x, name: str) -> np.ndarray:
     return X
 
 
+def _whole(points, rank: int, energies=None):
+    """The points as one complex stack, when it is whole; else None.
+
+    Whole means one array of the given rank whose blocks (its last two
+    axes) are square, nonempty and finite, and, when energies are given,
+    one finite energy per point. A stack that is not whole is checked
+    point by point by its caller, which names the refusal.
+    """
+    try:
+        X = np.array(points, dtype=complex)
+        if (X.ndim == rank and X.size and X.shape[-1] == X.shape[-2]
+                and (energies is None
+                     or len(energies) == len(X) and all(map(math.isfinite, energies)))
+                and np.count_nonzero(np.isfinite(X)) == X.size):
+            return X
+    except (ValueError, TypeError, OverflowError):
+        pass
+    return None
+
+
 def _block_stack(blocks, name: str):
     """A model's blocks as one read-only (q, N, N) stack, or as a list when they differ in size.
 
-    The stack is checked as a whole; only when that check fails is each
-    block checked by ``_finite_block``, so a malformed block raises as it
-    would alone, and blocks that pass alone but differ in size come back
-    as their list for the caller's count and size checks.
+    Blocks that are not ``_whole`` are checked one by one by
+    ``_finite_block``, so a malformed block raises as it would alone;
+    blocks that pass alone come back as their list for the caller's
+    count and size checks.
     """
     blocks = list(blocks)
-    try:
-        X = np.array(blocks, dtype=complex)
-    except (TypeError, ValueError):
-        X = np.empty(0)
-    if X.ndim != 3 or not X.shape[1] == X.shape[2] > 0 or not np.isfinite(X).all():
+    X = _whole(blocks, 3)
+    if X is None:
         return [_finite_block(x, name) for x in blocks]
     X.flags.writeable = False
     return X
@@ -200,27 +219,18 @@ def _require_finite(energy: float) -> None:
         raise NotInGap(f"energy must be finite, got {float(energy)!r}")
 
 
-def _stacks(points, energies, check, out) -> list:
+def _stacks(points, energies, check, out, rank: int) -> list:
     """The points that pass their checks, stacked by shape.
 
-    ``check`` takes a point and its energy to the point's array, and
-    raises, in the family's order, when either is malformed. The first
-    point is checked alone, and the others are taken with it as one
-    array: when every point has the first one's shape, finite entries
-    and a finite energy, every point passes, and they form one stack.
-    Otherwise each point is checked alone; a point that fails gets its
-    error in ``out``. Returns (indices, stack, energies) for each shape
-    in order of first appearance.
+    A ``_whole`` stack of the given rank passes as one. Otherwise each
+    point is checked alone by ``check``, which takes a point and its
+    energy to the point's array, and raises, in the family's order, when
+    either is malformed; a point that fails gets its error in ``out``.
+    Returns (indices, stack, energies) for each shape in order of first
+    appearance.
     """
-    try:
-        first = check(points[0], energies[0])
-        X = np.array(points, dtype=complex) if len(points) > 1 else first[None]
-        whole = (X.shape[1:] == first.shape and len(X) == len(energies)
-                 and all(map(math.isfinite, energies))
-                 and np.count_nonzero(np.isfinite(X[1:])) == X[1:].size)
-    except (ValueError, TypeError, OverflowError, IndexError):
-        whole = False
-    if whole:
+    X = _whole(points, rank, energies)
+    if X is not None:
         return [(range(len(X)), X, np.array(energies, dtype=float))]
     groups = {}
     for i, (x, energy) in enumerate(zip(points, energies, strict=True)):
@@ -242,6 +252,22 @@ def _matrix_check(name: str):
     return check
 
 
+def _hermiticity(X: np.ndarray, tol: Tolerances) -> tuple:
+    """The hermiticity rule max|X - X*| <= frame_tol * max(1, max|X|) on a stack of matrices.
+
+    Returns, over the stack's leading axes, where the rule fails, the
+    defects max|X - X*| and their scales max(1, max|X|). A scale is at
+    least 1, so the scales are computed only when a defect passes
+    frame_tol; otherwise the rule holds everywhere and the scale is 1.0.
+    """
+    defect = np.abs(X - _ct(X)).max(axis=(-2, -1))
+    fails = defect > tol.frame_tol
+    if not fails.any():
+        return fails, defect, 1.0
+    scale = np.maximum(1.0, np.abs(X).max(axis=(-2, -1)))
+    return defect > tol.frame_tol * scale, defect, scale
+
+
 def _ct(X: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix in a stack."""
     return X.conj().swapaxes(-1, -2)
@@ -255,7 +281,7 @@ def dirac_stack(Ws, energies, tol: Tolerances = TOL) -> list:
     batched SVD.
     """
     out = [None] * len(Ws)
-    for idx, W, E in _stacks(Ws, energies, _matrix_check("W"), out):
+    for idx, W, E in _stacks(Ws, energies, _matrix_check("W"), out, 3):
         U, s, Vh = np.linalg.svd(W)
         live, gaps = [], []
         for j, (sv, e) in enumerate(zip(s.tolist(), E.tolist())):
@@ -264,7 +290,7 @@ def dirac_stack(Ws, energies, tol: Tolerances = TOL) -> list:
             if m0 <= tol.rank_tol * max(1.0, top):
                 out[idx[j]] = GapClosed(f"smallest singular value of W is {m0:.3e}")
             elif gap <= tol.rank_tol * max(1.0, m0):
-                out[idx[j]] = GapClosed(f"energy {e:g} is not inside the gap (m0 = {m0:.6g})")
+                out[idx[j]] = GapClosed(f"energy {e!r} is not inside the gap (m0 = {m0!r})")
             else:
                 live.append(j)
                 gaps.append(gap)
@@ -314,23 +340,22 @@ def schrodinger_stack(Vs, energies, tol: Tolerances = TOL) -> list:
 
     Returns one entry per point: its BulkData, or the exception that
     ``schrodinger_bulk`` raises for it. The potentials of one size share
-    one batched hermiticity check and one batched ``eigh``.
+    one batched hermiticity check (``_hermiticity``) and one batched ``eigh``.
     """
     out = [None] * len(Vs)
-    for idx, V, E in _stacks(Vs, energies, _matrix_check("V"), out):
+    for idx, V, E in _stacks(Vs, energies, _matrix_check("V"), out, 3):
         M = V.shape[-1]
-        skew = np.abs(V - _ct(V)).max(axis=(1, 2)).tolist()
+        skew, defect, scale = _hermiticity(V, tol)
         mu, Vm = np.linalg.eigh(V)
         live, gaps = [], []
-        for j, (d, ev, e) in enumerate(zip(skew, mu.tolist(), E.tolist())):
+        for j, (bad, ev, e) in enumerate(zip(skew.tolist(), mu.tolist(), E.tolist())):
             gap = ev[0] - e
-            # the scale max(1, max|V|) is at least 1, so only a defect past frame_tol needs it
-            scale = max(1.0, float(np.abs(V[j]).max())) if d > tol.frame_tol else 1.0
-            if d > tol.frame_tol * scale:
-                out[idx[j]] = NotHermitian(f"hermiticity defect {d:.3e} at scale {scale:.3e}")
+            if bad:
+                out[idx[j]] = NotHermitian(
+                    f"hermiticity defect {defect[j]:.3e} at scale {scale[j]:.3e}")
             elif gap <= tol.rank_tol * max(1.0, -ev[0], ev[-1], abs(e)):
                 out[idx[j]] = NotInGap(
-                    f"energy {e:g} is not below the spectrum bottom {ev[0]:.6g}")
+                    f"energy {e!r} is not below the spectrum bottom {ev[0]!r}")
             else:
                 live.append(j)
                 gaps.append(gap)
@@ -378,9 +403,8 @@ class TightBindingModel:
             )
         if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.shape == b.shape):
             raise DimensionMismatch("all blocks must share one size")
-        error, = _site_errors(b[None], tol)
-        if error is not None:
-            raise error
+        if _hermiticity(b, tol)[0].any():
+            raise ValueError("site blocks must be hermitian")
         self.a, self.b = a, b
 
     @property
@@ -399,13 +423,6 @@ class TightBindingModel:
 
     def __repr__(self):
         return f"TightBindingModel(period={self.period}, block_dim={self.block_dim})"
-
-
-def _site_errors(b: np.ndarray, tol: Tolerances) -> list:
-    """The hermiticity error of each chain of a (chains, q, N, N) stack of site blocks, or None."""
-    scale = np.maximum(1.0, np.abs(b).max(axis=(2, 3)))
-    skew = (np.abs(b - _ct(b)).max(axis=(2, 3)) > tol.frame_tol * scale).any(axis=1)
-    return [ValueError("site blocks must be hermitian") if bad else None for bad in skew.tolist()]
 
 
 @functools.lru_cache(maxsize=64)
@@ -582,33 +599,14 @@ def _graph_maps(Y: np.ndarray, N: int) -> np.ndarray:
         np.linalg.solve(Y[:, :N].swapaxes(1, 2), Y[:, N:].swapaxes(1, 2)).swapaxes(1, 2))
 
 
-def tb_stack(models, energies, tol: Tolerances = TOL) -> list:
+def tb_stack(chains, energies, tol: Tolerances = TOL) -> list:
     """Boundary data of periodic chains, each at its own energy.
 
-    Returns one entry per point: its BulkData, or the exception that
-    ``tb_bulk`` raises for it. Chains of one period and block size form
-    one (points, 2, period, N, N) stack of bonds and sites (``_chains``).
-    """
-    out = [None] * len(models)
-    for idx, ab, E in _stacks([(m.a, m.b) for m in models], energies, _energy_check, out):
-        _chains(out, idx, ab, E, tol)
-    return out
-
-
-def _energy_check(chain, energy) -> np.ndarray:
-    """``_stacks``' check of a built chain's (bonds, sites): its energy alone."""
-    _require_finite(energy)
-    return np.array(chain)
-
-
-def _chain_stack(chains, energies, tol: Tolerances = TOL) -> list:
-    """``tb_stack`` of chains given as (bonds, sites) pairs of block lists.
-
-    Each chain is checked as ``TightBindingModel`` checks it, and then
-    its energy. Only the first chain is built as a model (``_stacks``'
-    check); the others are checked with it as one stack, whose sites
-    take one batched hermiticity test. A chain that fails gets the
-    constructor's error.
+    Each chain is its (bonds, sites) pair of blocks. Returns one entry
+    per point: its BulkData, or the exception that ``tb_bulk`` raises for
+    it. When the stack is not ``_whole``, each chain is checked alone, as
+    ``TightBindingModel`` checks it, then its energy. Chains of one period
+    and block size form one (points, 2, period, N, N) stack (``_chains``).
     """
     out = [None] * len(chains)
 
@@ -617,26 +615,20 @@ def _chain_stack(chains, energies, tol: Tolerances = TOL) -> list:
         _require_finite(energy)
         return np.array((model.a, model.b))
 
-    for idx, ab, E in _stacks(chains, energies, check, out):
-        live = []
-        for j, error in enumerate(_site_errors(ab[:, 1], tol)):
-            if error is None:
-                live.append(j)
-            else:
-                out[idx[j]] = error
-        if len(live) < len(ab):
-            idx, ab, E = [idx[j] for j in live], ab[live], E[live]
+    for idx, ab, E in _stacks(chains, energies, check, out, 5):
         _chains(out, idx, ab, E, tol)
     return out
 
 
 def _chains(out, idx, ab, E, tol: Tolerances) -> None:
-    """Bulk of each checked chain of one shape, or its error, in out[idx[j]].
+    """Bulk of each chain of one shape, or its error, in out[idx[j]].
 
     ``ab`` is the (points, 2, q, N, N) stack of the chains' bonds and
-    sites. The bond checks, the site scattering matrices, the star-product
-    tree over a (points, sites) stack and the pencils are built for the
-    whole stack; each point then takes its QZ (``_transfer_planes``).
+    sites, of checked shape and entries. The sites' hermiticity, then
+    the bonds' invertibility, the site scattering matrices, the
+    star-product tree over a (points, sites) stack and the pencils are
+    checked and built for the whole stack; each point then takes its QZ
+    (``_transfer_planes``).
     Points whose seam bonds a0 are equal entry for entry share one form,
     one map L from y to its split, one product of L with all their bases
     and one solve for all their unitaries. The points are finished
@@ -644,11 +636,14 @@ def _chains(out, idx, ab, E, tol: Tolerances) -> None:
     whole stack's transversality.
     """
     N = ab.shape[-1]
+    skew = _hermiticity(ab[:, 1], tol)[0].any(axis=1).tolist()
     s = np.linalg.svd(ab[:, 0], compute_uv=False)
     singular = s[..., -1] <= tol.rank_tol * np.maximum(1.0, s[..., 0])
     live = []
-    for j, bad in enumerate(singular.any(axis=1).tolist()):
-        if bad:
+    for j, (bad_site, bad) in enumerate(zip(skew, singular.any(axis=1).tolist())):
+        if bad_site:
+            out[idx[j]] = ValueError("site blocks must be hermitian")
+        elif bad:
             out[idx[j]] = NotInvertible(
                 f"bond block with sigma_min {s[j][singular[j]][0, -1]:.3e}")
         else:
@@ -723,9 +718,9 @@ def tb_bulk(model: TightBindingModel, energy: float = 0.0,
     NotInvertible is raised when a bond block is singular, GapClosed
     when the sites do not compose, the QZ fails, the gap is not above
     10 sqrt(eps) or not half the modes are stable, and NotInGap for a
-    non-finite energy. This is the one-point case of ``tb_stack``.
+    non-finite energy. This is ``tb_stack`` of the model's one chain.
     """
-    return _raise_first(tb_stack([model], [energy], tol))[0]
+    return _raise_first(tb_stack([(model.a, model.b)], [energy], tol))[0]
 
 
 class PiecewiseDiracProfile:

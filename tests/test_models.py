@@ -27,6 +27,7 @@ from tenfold1d import (
 from tenfold1d.errors import (
     DimensionMismatch,
     GapClosed,
+    NotHermitian,
     NotInGap,
     NotInvertible,
     NotLagrangian,
@@ -110,69 +111,112 @@ def test_empty_matrix_rejected(build, name):
 I1, Z1, I2, Z2 = np.eye(1), np.zeros((1, 1)), np.eye(2), np.zeros((2, 2))
 
 
-@pytest.mark.parametrize("build, error, message", [
-    (lambda: TightBindingModel([I1], [Z1, Z1]), DimensionMismatch,
+def _chain(ab):
+    return TightBindingModel(*ab)
+
+
+def _profile(masses_breakpoints):
+    return PiecewiseDiracProfile(*masses_breakpoints)
+
+
+def _dirac(W):
+    return dirac_bulk(W)
+
+
+def _schrodinger(V):
+    return schrodinger_bulk(V, -1.0)
+
+
+# the stacked entrance of each one-point builder: the stack, a good point and the energy
+STACKS = {_chain: (tb_stack, (SSH.a, SSH.b), 0.0), _dirac: (dirac_stack, I1, 0.0),
+          _schrodinger: (schrodinger_stack, Z1, -1.0)}
+
+REFUSALS = [pytest.param(*row[1:], id=row[0]) for row in [
+    ("tb-counts", _chain, ([I1], [Z1, Z1]), DimensionMismatch,
      "need equally many bond and site blocks, got 1 and 2"),
-    (lambda: TightBindingModel([], []), DimensionMismatch,
+    ("tb-empty", _chain, ([], []), DimensionMismatch,
      "need equally many bond and site blocks, got 0 and 0"),
-    (lambda: TightBindingModel([I1, I2], [Z1, Z1]), DimensionMismatch,
+    ("tb-mixed-bonds", _chain, ([I1, I2], [Z1, Z1]), DimensionMismatch,
      "all blocks must share one size"),
-    (lambda: TightBindingModel([I1, I1], [Z1, Z2]), DimensionMismatch,
+    ("tb-mixed-sites", _chain, ([I1, I1], [Z1, Z2]), DimensionMismatch,
      "all blocks must share one size"),
-    (lambda: TightBindingModel([np.ones((1, 2))], [Z1]), DimensionMismatch,
+    ("tb-non-square-bond", _chain, ([np.ones((1, 2))], [Z1]), DimensionMismatch,
      "bond block a must be square, got shape (1, 2)"),
-    (lambda: TightBindingModel([I1], [np.ones((2, 1))]), DimensionMismatch,
+    ("tb-non-square-site", _chain, ([I1], [np.ones((2, 1))]), DimensionMismatch,
      "site block b must be square, got shape (2, 1)"),
-    (lambda: TightBindingModel([I1, np.ones(1)], [Z1, Z1]), DimensionMismatch,
+    ("tb-1d-bond", _chain, ([I1, np.ones(1)], [Z1, Z1]), DimensionMismatch,
      "bond block a must be 2-d, got shape (1,)"),
-    (lambda: TightBindingModel([I1, np.zeros((0, 0))], [Z1, Z1]), DimensionMismatch,
+    ("tb-empty-bond", _chain, ([I1, np.zeros((0, 0))], [Z1, Z1]), DimensionMismatch,
      "bond block a must be nonempty, got shape (0, 0)"),
-    (lambda: TightBindingModel([I1, [[np.nan]]], [Z1, Z1]), ValueError,
+    ("tb-nan-bond", _chain, ([I1, [[np.nan]]], [Z1, Z1]), ValueError,
      "bond block a must have finite entries"),
-    (lambda: TightBindingModel([I1, I1], [Z1, [[np.inf]]]), ValueError,
+    ("tb-inf-site", _chain, ([I1, I1], [Z1, [[np.inf]]]), ValueError,
      "site block b must have finite entries"),
-    (lambda: TightBindingModel([I1, I1], [Z1, [[1j]]]), ValueError,
+    ("tb-complex-site", _chain, ([I1, I1], [Z1, [[1j]]]), ValueError,
      "site blocks must be hermitian"),
-    (lambda: TightBindingModel([I2], [[[0.0, 1.0], [0.0, 0.0]]]), ValueError,
+    ("tb-non-hermitian-site", _chain, ([I2], [[[0.0, 1.0], [0.0, 0.0]]]), ValueError,
      "site blocks must be hermitian"),
     # precedence: every bond block, then every site block, then the counts, then the sizes
-    (lambda: TightBindingModel([[[np.nan]]], [np.zeros((0, 0))]), ValueError,
+    ("tb-bond-first", _chain, ([[[np.nan]]], [np.zeros((0, 0))]), ValueError,
      "bond block a must have finite entries"),
-    (lambda: TightBindingModel([I1], [Z1, np.ones((1, 2))]), DimensionMismatch,
+    ("tb-site-before-counts", _chain, ([I1], [Z1, np.ones((1, 2))]), DimensionMismatch,
      "site block b must be square, got shape (1, 2)"),
-    (lambda: TightBindingModel([I1, I2], [Z1]), DimensionMismatch,
+    ("tb-counts-before-sizes", _chain, ([I1, I2], [Z1]), DimensionMismatch,
      "need equally many bond and site blocks, got 2 and 1"),
-    (lambda: TightBindingModel([I1, I1], [Z2, [[1j, 0.0], [0.0, 0.0]]]), DimensionMismatch,
-     "all blocks must share one size"),
-    (lambda: PiecewiseDiracProfile([I1], [0.0]), DimensionMismatch,
+    ("tb-sizes-before-hermiticity", _chain, ([I1, I1], [Z2, [[1j, 0.0], [0.0, 0.0]]]),
+     DimensionMismatch, "all blocks must share one size"),
+    ("profile-counts", _profile, ([I1], [0.0]), DimensionMismatch,
      "1 masses need 0 breakpoints, got 1"),
-    (lambda: PiecewiseDiracProfile([], []), DimensionMismatch,
+    ("profile-empty", _profile, ([], []), DimensionMismatch,
      "0 masses need -1 breakpoints, got 0"),
-    (lambda: PiecewiseDiracProfile([I1, I2], [0.0]), DimensionMismatch,
+    ("profile-mixed", _profile, ([I1, I2], [0.0]), DimensionMismatch,
      "all masses must share one size"),
-    (lambda: PiecewiseDiracProfile([I1, np.ones((1, 2))], [0.0]), DimensionMismatch,
+    ("profile-non-square", _profile, ([I1, np.ones((1, 2))], [0.0]), DimensionMismatch,
      "mass must be square, got shape (1, 2)"),
-    (lambda: PiecewiseDiracProfile([I1, np.zeros((0, 0))], [0.0]), DimensionMismatch,
+    ("profile-empty-mass", _profile, ([I1, np.zeros((0, 0))], [0.0]), DimensionMismatch,
      "mass must be nonempty, got shape (0, 0)"),
     # precedence: the masses, then the counts, then the sizes, then the breakpoints
-    (lambda: PiecewiseDiracProfile([[[np.nan]]], [0.0]), ValueError,
+    ("profile-mass-before-counts", _profile, ([[[np.nan]]], [0.0]), ValueError,
      "mass must have finite entries"),
-    (lambda: PiecewiseDiracProfile([I1, I2], [0.0, 1.0]), DimensionMismatch,
+    ("profile-counts-before-sizes", _profile, ([I1, I2], [0.0, 1.0]), DimensionMismatch,
      "2 masses need 1 breakpoints, got 2"),
-    (lambda: PiecewiseDiracProfile([I1, I2], [np.nan]), DimensionMismatch,
+    ("profile-sizes-before-breakpoints", _profile, ([I1, I2], [np.nan]), DimensionMismatch,
      "all masses must share one size"),
-], ids=["tb-counts", "tb-empty", "tb-mixed-bonds", "tb-mixed-sites", "tb-non-square-bond",
-        "tb-non-square-site", "tb-1d-bond", "tb-empty-bond", "tb-nan-bond", "tb-inf-site",
-        "tb-complex-site", "tb-non-hermitian-site", "tb-bond-first", "tb-site-before-counts",
-        "tb-counts-before-sizes", "tb-sizes-before-hermiticity", "profile-counts",
-        "profile-empty", "profile-mixed", "profile-non-square", "profile-empty-mass",
-        "profile-mass-before-counts", "profile-counts-before-sizes",
-        "profile-sizes-before-breakpoints"])
-def test_model_ingestion_refusals(build, error, message):
+    ("dirac-1d", _dirac, np.ones(1), DimensionMismatch, "W must be 2-d, got shape (1,)"),
+    ("dirac-non-square", _dirac, np.ones((1, 2)), DimensionMismatch,
+     "W must be square, got shape (1, 2)"),
+    ("dirac-empty", _dirac, np.zeros((0, 0)), DimensionMismatch,
+     "W must be nonempty, got shape (0, 0)"),
+    ("dirac-nan", _dirac, [[np.nan]], ValueError, "W must have finite entries"),
+    ("schrodinger-non-square", _schrodinger, np.ones((2, 1)), DimensionMismatch,
+     "V must be square, got shape (2, 1)"),
+    ("schrodinger-empty", _schrodinger, np.zeros((0, 0)), DimensionMismatch,
+     "V must be nonempty, got shape (0, 0)"),
+    ("schrodinger-inf", _schrodinger, [[np.inf]], ValueError, "V must have finite entries"),
+    ("schrodinger-complex", _schrodinger, [[1j]], NotHermitian,
+     "hermiticity defect 2.000e+00 at scale 1.000e+00"),
+    ("schrodinger-non-hermitian", _schrodinger, [[0.0, 4.0], [0.0, 0.0]], NotHermitian,
+     "hermiticity defect 4.000e+00 at scale 4.000e+00"),
+]]
+
+
+@pytest.mark.parametrize("build, point, error, message", REFUSALS)
+def test_model_ingestion_refusals(build, point, error, message):
     # each stack is checked whole; a refused one raises what its first bad block raises alone
     with pytest.raises(error) as info:
-        build()
+        build(point)
     assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("build, point, error, message",
+                         [p for p in REFUSALS if p.values[0] in STACKS])
+def test_stacked_ingestion_refusals(build, point, error, message):
+    # second in its family's stack, after a good point, a refused point gets the
+    # error it raises alone, whether the stack is then checked whole or point by point
+    stack, good, energy = STACKS[build]
+    got = stack([good, point], [energy, energy])
+    assert isinstance(got[0], BulkData)
+    assert type(got[1]) is error and str(got[1]) == message
 
 
 class TestStoredStacks:
@@ -322,6 +366,10 @@ class TestDiracBulk:
             dirac_bulk(np.array([[1.0]]), energy=1.0)
         with pytest.raises(GapClosed):
             dirac_bulk(np.array([[0.5]]), energy=-0.7)
+        # both numbers print as their round-trip repr, which six digits would show as 1 and 1
+        with pytest.raises(GapClosed) as info:
+            dirac_bulk([[1.0]], energy=0.999999999)
+        assert str(info.value) == "energy 0.999999999 is not inside the gap (m0 = 1.0)"
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.booleans(),
            st.floats(-0.95, 0.95))
@@ -383,6 +431,9 @@ class TestSchrodingerBulk:
     def test_energy_in_spectrum_rejected(self):
         with pytest.raises(NotInGap):
             schrodinger_bulk(np.array([[0.0]]), energy=1.0)
+        with pytest.raises(NotInGap) as info:
+            schrodinger_bulk([[1.0]], 0.9999999999)
+        assert str(info.value) == "energy 0.9999999999 is not below the spectrum bottom 1.0"
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.floats(0.01, 5.0))
     @settings(max_examples=30, deadline=None)
@@ -602,7 +653,7 @@ class TestChainComposition:
         with pytest.raises(ProjectionSingular) as info:
             tb_bulk(model)
         assert str(info.value) == message
-        got = tb_stack([model, SSH], [0.0, 0.0])
+        got = tb_stack([(model.a, model.b), (SSH.a, SSH.b)], [0.0, 0.0])
         assert type(got[0]) is ProjectionSingular and str(got[0]) == message
         assert got[1].u_plus.U.tobytes() == tb_bulk(SSH).u_plus.U.tobytes()
 
@@ -877,7 +928,7 @@ class TestStacks:
             return real(Y, N)
 
         monkeypatch.setattr(models, "_graph_maps", solve)
-        got = tb_stack([SSH] * 3, [0.0, 0.5, 0.3])
+        got = tb_stack([(SSH.a, SSH.b)] * 3, [0.0, 0.5, 0.3])
         assert calls == [6, 2, 2, 2]
         assert type(got[1]) is ProjectionSingular
         assert str(got[1]) == ("plane at energy 0.5 is not transverse to the negative block, "
@@ -916,7 +967,7 @@ class TestStacks:
                               dirac_bulk(W, energy=0.1).u_plus.U)
         V = np.array([[2.0, 0.5], [0.5, 1.0]])
         assert schrodinger_stack([V], [0.0])[0].gap == schrodinger_bulk(V, 0.0).gap
-        assert tb_stack([SSH, SSH], [0.0, 0.5])[1].gap == tb_bulk(SSH, 0.5).gap
+        assert tb_stack([(SSH.a, SSH.b)] * 2, [0.0, 0.5])[1].gap == tb_bulk(SSH, 0.5).gap
 
 
 def _one_walk(U, profile, energy, side, t):

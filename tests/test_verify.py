@@ -462,7 +462,7 @@ class TestFiniteChain:
             n = H.shape[0]
             core = (np.abs(vectors[n // 4:n - n // 4]) ** 2).sum(axis=0)
             for e in energies[core > 0.99].tolist():
-                left, right = tb_stack(models, [e, e], tol)
+                left, right = tb_stack([(m.a, m.b) for m in models], [e, e], tol)
                 if min(left.gap, right.gap) >= 0.2:
                     assert predicted_zero_modes(left, right, tol) == 1, e
                     checked += 1
