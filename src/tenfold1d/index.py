@@ -63,19 +63,6 @@ class IndexValue:
         return str(self.value)
 
 
-def _count_kernel(evals: np.ndarray, tol: Tolerances) -> int:
-    """Count eigenvalues at +1 with a guard band against ambiguity."""
-    dist = np.abs(evals - 1.0)
-    inside = dist <= tol.eig_tol
-    guard = (dist > tol.eig_tol) & (dist <= 10 * tol.eig_tol)
-    if np.any(guard):
-        raise AmbiguousKernel(
-            f"eigenvalue at distance {dist[guard].min():.3e} from 1 "
-            f"falls inside the guard band ({tol.eig_tol:.1e}, {10 * tol.eig_tol:.1e}]"
-        )
-    return int(np.count_nonzero(inside))
-
-
 def _snap_sign(x: float, what: str) -> int:
     if abs(x - 1.0) <= 1e-6:
         return 1
@@ -120,15 +107,23 @@ def _index_each(M: np.ndarray, label, tol: Tolerances) -> list:
         return out
     M = M if len(live) == len(M) else M[live]
     if kind == "kernel_dim":
-        # hermitian unitary: spectrum sits at +1 and -1
-        evals = np.linalg.eigvalsh(M)
-    elif label == CartanClass.D:
+        # hermitian unitary: spectrum sits at +1 and -1; an eigenvalue in the guard
+        # band above eig_tol would make the count depend on the tolerance
+        dist = np.abs(np.linalg.eigvalsh(M) - 1.0)
+        inside = dist <= tol.eig_tol
+        guard = (dist <= 10 * tol.eig_tol) ^ inside
+        counts = inside.sum(axis=1).tolist()
+        for j, (i, ambiguous) in enumerate(zip(live, guard.any(axis=1).tolist())):
+            out[i] = AmbiguousKernel(
+                f"eigenvalue at distance {dist[j][guard[j]].min():.3e} from 1 "
+                f"falls inside the guard band ({tol.eig_tol:.1e}, {10 * tol.eig_tol:.1e}]"
+            ) if ambiguous else IndexValue.kernel_dim(counts[j])
+        return out
+    if label == CartanClass.D:
         dets = np.linalg.det(M).real.tolist()
     for j, i in enumerate(live):
         try:
-            if kind == "kernel_dim":
-                out[i] = IndexValue.kernel_dim(_count_kernel(evals[j], tol))
-            elif label == CartanClass.D:
+            if label == CartanClass.D:
                 out[i] = IndexValue.sign(_snap_sign(dets[j], "det(U)"))
             else:
                 # membership passed U at eig_tol; pfaffian gates at the tighter frame_tol

@@ -5,10 +5,11 @@ Three families are implemented. A constant-mass Dirac operator
 in-gap energy are read off one singular value decomposition of W; a
 constant-potential Schrodinger operator (-d^2/dt^2 + V) below its
 spectrum; and a periodic block tight-binding chain, composed site by
-site as unitary scattering matrices whose star product never grows,
-so that one bounded pencil gives both planes and the gap for any
-period. Each bulk ships with the unitaries of its planes on both sides
-in the canonical split, and a gap certificate.
+site as unitary scattering matrices whose star product never grows.
+The same star product doubles a chain's period until it transmits
+nothing, and the reflections of the limit are both half-line planes,
+for any period. Each bulk ships with the unitaries of its planes on
+both sides in the canonical split, and a gap certificate.
 
 Each family has one stacked builder (``dirac_stack``,
 ``schrodinger_stack``, ``tb_stack``) that takes many points, each at its
@@ -458,15 +459,20 @@ def _cayley(N: int) -> np.ndarray:
 def _star(S1: np.ndarray, S2: np.ndarray, N: int) -> np.ndarray:
     """Redheffer star products, S1 then S2, over stacks of [[t, r'], [r, t']].
 
-    One solve with I - r1' r2 serves all four blocks (push-through identity).
+    One product of S1's right block column with S2's bottom block row
+    gives every product of two blocks, and one solve with I - r1' r2
+    serves all four blocks (push-through identity).
     """
-    t1, rp1, r1, tp1 = S1[..., :N, :N], S1[..., :N, N:], S1[..., N:, :N], S1[..., N:, N:]
-    t2, rp2, r2, tp2 = S2[..., :N, :N], S2[..., :N, N:], S2[..., N:, :N], S2[..., N:, N:]
-    Z = np.linalg.solve(np.eye(N) - rp1 @ r2, np.concatenate([t1, rp1 @ tp2], axis=-1))
-    S = np.concatenate([t2 @ Z, tp1 @ r2 @ Z], axis=-2)
-    S[..., :N, N:] += rp2
-    S[..., N:, :N] += r1
-    S[..., N:, N:] += tp1 @ tp2
+    C = S1[..., N:] @ S2[..., N:, :]
+    A = _identity(N) - C[..., :N, :N]
+    # C's top block row is then [t1, r1' t2'], and its left block column [t2; t1' r2]
+    C[..., :N, :N] = S1[..., :N, :N]
+    Z = np.linalg.solve(A, C[..., :N, :])
+    C[..., :N, :N] = S2[..., :N, :N]
+    S = C[..., :N] @ Z
+    S[..., :N, N:] += S2[..., :N, N:]
+    S[..., N:, :N] += S1[..., N:, :N]
+    S[..., N:, N:] += C[..., N:, N:]
     return S
 
 
@@ -488,109 +494,101 @@ def _compose(T: np.ndarray, N: int) -> np.ndarray:
     return S[:, 0]
 
 
-def _composed(T: np.ndarray, E: np.ndarray, N: int) -> tuple:
-    """Each point's period scattering matrix, and its GapClosed where its sites do not compose.
-
-    Returns the (points, 2N, 2N) stack and, per point, the error or None.
-    """
-    try:
-        S = _compose(T, N)
-    except np.linalg.LinAlgError:
-        if len(T) > 1:
-            # one singular solve fails the whole stack; compose its points one by one
-            parts = [_composed(T[j:j + 1], E[j:j + 1], N) for j in range(len(T))]
-            return np.concatenate([S for S, _ in parts]), [error for _, (error,) in parts]
-        S = np.full_like(T[:, 0], np.nan)
-    return S, [None if finite else
-               GapClosed(f"site scattering matrices do not compose at energy {E[j]:g}")
-               for j, finite in enumerate(np.isfinite(S).all(axis=(1, 2)).tolist())]
+# the smallest gap certified: a defective band-edge pair splits by O(sqrt(eps))
+_GAP_FLOOR = 10.0 * np.sqrt(np.finfo(float).eps)
+# a doubled period is its limit once max(|t|, |t'|) <= sqrt(eps): the next
+# correction is O(|t| |t'|)
+_CONVERGED = np.sqrt(np.finfo(float).eps)
+# n squarings raise t to the power 2^n, which takes (1 - gap)^(2^n) below
+# _CONVERGED by n = 27 at the gap floor; one more squares that margin and
+# covers the polynomial factor of a defective band edge
+_SQUARINGS = math.ceil(math.log2(-math.log(_CONVERGED) / _GAP_FLOOR)) + 1
 
 
-@functools.cache
-def _qz():
-    """LAPACK's complex QZ and its reordering, ``gges`` and ``tgsen``.
+def _doubled(S: np.ndarray, N: int) -> tuple:
+    """Each period scattering matrix squared (S <- S * S, ``_star``) until it transmits nothing.
 
-    Fetched on the first chain: importing scipy.linalg costs more than
-    every command that builds no chain.
-    """
-    import scipy.linalg as sla
-    return sla.get_lapack_funcs(("gges", "tgsen"), (np.zeros((1, 1), dtype=complex),))
-
-
-def _unsorted(alpha, beta):
-    """gges's select callback; never called, since the QZ is reordered by tgsen."""
-
-
-def _reordered(select, qz: tuple, energy: float):
-    """alpha, beta and right Schur vectors of a QZ with the selected eigenvalues first."""
-    _, tgsen = _qz()
-    _, _, alpha, beta, _, z, *_, info = tgsen(select, *qz, ijob=0)
-    if info:
-        raise GapClosed(f"reordering of the transfer pencil failed at energy {energy:g} "
-                        f"(tgsen info {info})")
-    return alpha, beta, z
-
-
-# the smallest gap the QZ certifies: a defective band-edge pair splits by O(sqrt(eps))
-_QZ_GAP = 10.0 * np.sqrt(np.finfo(float).eps)
-
-
-def _pending(errors: list) -> list:
-    """Indices of the points without an error yet."""
-    return [j for j, error in enumerate(errors) if error is None]
-
-
-def _transfer_planes(S: np.ndarray, E: np.ndarray, N: int, errors: list):
-    """Gaps and the planes decaying to the right and to the left of each period.
-
-    With S = [[t, r'], [r, t']], the pencil [[t, 0], [r, -I]] - lambda
-    [[I, -r'], [0, -t']] has the transfer spectrum. The pencils of the
-    whole stack are set up at once; then each point takes one QZ
-    (``gges``) and two reorderings (``tgsen``), which give its deflating
-    subspaces inside and outside the unit circle as the first N right
-    Schur vectors of each. A point whose entry in ``errors`` is set is
-    skipped; a point that fails gets GapClosed there, naming a nonzero
-    LAPACK info. Returns each point's gap and a (2, points, N, 2N) stack
-    of the transposed bases, inside then outside.
+    A point leaves the loop when max(|t|, |t'|) <= _CONVERGED, when that
+    transmission is not finite, or after _SQUARINGS squarings, so each
+    point takes the same squarings as alone. Returns the stack of last
+    matrices, and each point's last transmission and its squarings.
     """
     k = len(S)
-    A, B, E2 = S.copy(), -S, np.eye(2 * N)
-    A[..., N:], B[..., :N] = -E2[:, N:], E2[:, :N]
-    gges, _ = _qz()
-    # alpha and beta of each QZ, then of its first reordering; a failed point keeps ones
-    alpha, beta, alpha_in, beta_in = np.ones((4, k, 2 * N), dtype=complex)
-    Zt = np.empty((2, k, N, 2 * N), dtype=complex)
-    qzs = [None] * k
-    for j in _pending(errors):
-        AA, BB, _, a, b, Q, Z, _, info = gges(_unsorted, A[j], B[j], sort_t=0)
-        if info:
-            errors[j] = GapClosed(f"QZ of the transfer pencil failed at energy {E[j]:g} "
-                                  f"(gges info {info})")
-        else:
-            qzs[j], alpha[j], beta[j] = (AA, BB, Q, Z), a, b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        modulus = np.abs(alpha / beta)
-        for j in _pending(errors):
-            try:
-                alpha_in[j], beta_in[j], z = _reordered(modulus[j] < 1.0, qzs[j], E[j])
-            except GapClosed as exc:
-                errors[j] = exc
-                continue
-            Zt[0, j] = z[:, :N].T
-        gap = np.abs(np.abs(alpha_in) / np.abs(beta_in) - 1.0).min(axis=1).tolist()
-    stable = np.count_nonzero(np.abs(alpha_in) < np.abs(beta_in), axis=1).tolist()
-    for j in _pending(errors):
-        # a band-edge pair within _QZ_GAP of the circle is on it; a NaN
-        # modulus fails the comparison and counts as closed
-        if not gap[j] > _QZ_GAP or stable[j] != N:
-            errors[j] = GapClosed(f"transfer spectrum within {gap[j]:.3e} of the unit circle "
-                                  f"({stable[j]} of {2 * N} modes stable)")
-            continue
-        try:
-            Zt[1, j] = _reordered(modulus[j] > 1.0, qzs[j], E[j])[2][:, :N].T
-        except GapClosed as exc:
-            errors[j] = exc
-    return gap, Zt
+    D, x, rounds = np.empty_like(S), np.empty(k), np.empty(k, dtype=int)
+    live = np.arange(k)
+    # a gapless point transmits forever; its squarings must not warn before it leaves
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(_SQUARINGS + 1):
+            # the diagonal blocks t and t' of each point, as one view
+            t = np.abs(S.reshape(-1, 2, N, 2, N).diagonal(axis1=1, axis2=3)).max(axis=(1, 2, 3))
+            going = (t > _CONVERGED) & (t < np.inf) & (n < _SQUARINGS)
+            if not going.all():
+                done = live[~going]
+                D[done], x[done], rounds[done] = S[~going], t[~going], n
+                if not going.any():
+                    break
+                live, S = live[going], S[going]
+            S = _star(S, S, N)
+    return D, x, rounds
+
+
+def _half_lines(T: np.ndarray, E: np.ndarray, N: int) -> tuple:
+    """Gaps and half-line planes of each point's period, from its (sites) stack of site transfers.
+
+    The sites compose the period's S = [[t, r'], [r, t']] (``_compose``),
+    and ``_doubled`` squares it into a limit whose reflections R and R'
+    give the solutions decaying to the right, span[I; R], and to the left,
+    span[R'; I], in the traces y. One period carries them by M+ = (I -
+    r'R)^-1 t and M- = (I - rR')^-1 t', whose spectra are the stable
+    lambda and 1/lambda of the unstable ones, so one stacked solve and one
+    ``eigvals`` give gap = min ||lambda| - 1|. A point is closed when its
+    gap is not above _GAP_FLOOR or its period still transmits after the
+    squarings. One singular solve fails the whole stack, whose points are
+    then taken one by one; a point whose own solve is singular does not
+    compose. Returns each point's gap, a (2, points, 2N, N) stack of the
+    bases of its planes, right then left, and its GapClosed or None.
+    """
+    k = len(T)
+    try:
+        S = _compose(T, N)
+        D, t, rounds = _doubled(S, N)
+        live = np.flatnonzero(t <= _CONVERGED)
+        per, lim = (S, D) if len(live) == k else (S[live], D[live])
+        I = _identity(N)
+        M = np.linalg.solve(np.concatenate([I - per[:, :N, N:] @ lim[:, N:, :N],
+                                            I - per[:, N:, :N] @ lim[:, :N, N:]]),
+                            np.concatenate([per[:, :N, :N], per[:, N:, N:]]))
+        lam = np.abs(np.linalg.eigvals(M))
+    except np.linalg.LinAlgError:
+        if k == 1:
+            return ([math.nan], np.full((2, 1, 2 * N, N), np.nan, dtype=complex),
+                    [GapClosed(f"site scattering matrices do not compose at energy {E[0]:g}")])
+        # one singular solve fails the whole stack; take its points one by one
+        parts = [_half_lines(T[j:j + 1], E[j:j + 1], N) for j in range(k)]
+        return ([g for (g,), _, _ in parts], np.concatenate([Y for _, Y, _ in parts], axis=1),
+                [e for _, _, (e,) in parts])
+    m = len(live)
+    # an underflowed t' leaves no unstable eigenvalue to bound the gap
+    with np.errstate(divide="ignore"):
+        near = np.minimum(1.0 - lam[:m].max(axis=1), 1.0 / lam[m:].max(axis=1) - 1.0).tolist()
+    gap, errors = [math.nan] * k, [None] * k
+    for i, j in enumerate(live.tolist()):
+        gap[j] = near[i]
+        # a band-edge pair within _GAP_FLOOR of the circle is on it; above it,
+        # all N eigenvalues of M+ and none of M- are stable
+        if not near[i] > _GAP_FLOOR:
+            stable = np.count_nonzero(lam[i] < 1.0) + np.count_nonzero(lam[m + i] > 1.0)
+            errors[j] = GapClosed(f"transfer spectrum within {near[i]:.3e} of the unit circle "
+                                  f"({stable} of {2 * N} modes stable)")
+    for j in np.flatnonzero(~(t <= _CONVERGED)).tolist():
+        errors[j] = GapClosed(
+            f"period still transmits |t| = {t[j]:.3e} after {rounds[j]} squarings "
+            f"at energy {E[j]:g}" if np.isfinite(S[j]).all() else
+            f"site scattering matrices do not compose at energy {E[j]:g}")
+    Y = np.empty((2, k, 2 * N, N), dtype=complex)
+    Y[0, :, :N] = Y[1, :, N:] = I
+    Y[0, :, N:], Y[1, :, :N] = D[:, N:, :N], D[:, :N, N:]
+    return gap, Y, errors
 
 
 def _graph_maps(Y: np.ndarray, N: int) -> np.ndarray:
@@ -626,10 +624,9 @@ def _chains(out, idx, ab, E, tol: Tolerances) -> None:
     ``ab`` is the (points, 2, q, N, N) stack of the chains' bonds and
     sites, of checked shape and entries. The sites' hermiticity, then
     the bonds' invertibility, the site scattering matrices, the
-    star-product tree over a (points, sites) stack and the pencils are
-    checked and built for the whole stack; each point then takes its QZ
-    (``_transfer_planes``).
-    Points whose seam bonds a0 are equal entry for entry share one form,
+    star-product tree over a (points, sites) stack and the doubling of
+    each period (``_half_lines``) are checked and built for the whole
+    stack. Points whose seam bonds a0 are equal entry for entry share one form,
     one map L from y to its split, one product of L with all their bases
     and one solve for all their unitaries. The points are finished
     together, like those of the other stacks: one spectrum gates the
@@ -661,8 +658,7 @@ def _chains(out, idx, ab, E, tol: Tolerances) -> None:
     T[..., N:, N:] = (E[:, None, None, None] * np.eye(N)
                       - np.concatenate([b[:, 1:], b[:, :1]], axis=1)) @ a_inv
     T = K @ T @ Kh
-    S, errors = _composed(T, E, N)
-    gap, Zt = _transfer_planes(S, E, N, errors)
+    gap, Z, errors = _half_lines(T, E, N)
     energies = E.tolist()
     seams = {}
     for j, error in enumerate(errors):
@@ -686,7 +682,7 @@ def _chains(out, idx, ab, E, tol: Tolerances) -> None:
         # each plane is the graph {(y+, U y+)} there, so U solves U y+ = y-;
         # Y holds the group's planes decaying to the right, then those to the left
         m = len(js)
-        Y = L @ (Zt if m == len(E) else Zt[:, js]).reshape(2 * m, N, 2 * N).swapaxes(1, 2)
+        Y = L @ (Z if m == len(E) else Z[:, js]).reshape(2 * m, 2 * N, N)
         try:
             solved = [(js, _graph_maps(Y, N))]
         except np.linalg.LinAlgError:
@@ -711,14 +707,16 @@ def tb_bulk(model: TightBindingModel, energy: float = 0.0,
     Site n maps the trace (psi_{n-1}, a_{n-1} psi_n) to (psi_n, a_n
     psi_{n+1}) and keeps its form -u*w + w*u, which ``_cayley`` makes
     diag(I, -I); so each site is a unitary scattering matrix, and star
-    products in a balanced tree compose any period without growth. The
-    deflating subspaces of the period's pencil (``_transfer_planes``)
-    inside and outside the unit circle are the planes decaying to the
-    right and to the left, and the gap is min ||lambda| - 1|.
+    products in a balanced tree compose any period without growth.
+    Squaring the period the same way until it transmits at most
+    sqrt(eps) (``_half_lines``) leaves the reflections whose graphs are
+    the planes decaying to the right and to the left, and the gap is
+    min ||lambda| - 1| over the period's transfer spectrum.
     NotInvertible is raised when a bond block is singular, GapClosed
-    when the sites do not compose, the QZ fails, the gap is not above
-    10 sqrt(eps) or not half the modes are stable, and NotInGap for a
-    non-finite energy. This is ``tb_stack`` of the model's one chain.
+    when the sites do not compose, the period still transmits after
+    ``_SQUARINGS`` squarings, or the gap is not above 10 sqrt(eps), and
+    NotInGap for a non-finite energy. This is ``tb_stack`` of the
+    model's one chain.
     """
     return _raise_first(tb_stack([(model.a, model.b)], [energy], tol))[0]
 

@@ -1,7 +1,8 @@
 """Which commands load scipy: each case runs in a fresh interpreter.
 
 Importing scipy.linalg takes longer than any command that needs none of
-it, so only the chain QZ and the oracle's banded solve may load it.
+it, so only the oracle's banded solves (``verify``) may load it; every
+model family, chains included, runs on numpy alone.
 """
 
 import os
@@ -20,6 +21,8 @@ FILES = {
     "neg": "kind dirac\nW [[-1.0]]\n",
     "schrodinger": "kind schrodinger\nV [[1.0]]\nenergy 0.0\n",
     "ssh": "kind tight_binding\na0 [[1.0]]\na1 [[2.0]]\nb0 [[0.0]]\nb1 [[0.0]]\n",
+    "ssh_trivial": "kind tight_binding\na0 [[1.0]]\na1 [[0.5]]\nb0 [[0.0]]\nb1 [[0.0]]\n",
+    "ssh_family": "kind tight_binding\na0 [[1.0]]\na1 [[?]]\nb0 [[0.0]]\nb1 [[0.0]]\n",
     "wall": "kind dirac_profile\nW0 [[-1.0]]\nW1 [[1.0]]\nbreakpoints [0.0]\n",
     "family": "kind dirac\nW [[?]]\n",
 }
@@ -43,11 +46,14 @@ sys.exit(code)
     (["junction", "--left", "{neg}", "--right", "{pos}", "--class", "D"], False),
     (["junction", "--profile", "{wall}", "--class", "D"], False),
     (["sweep", "--model", "{family}", "--class", "D", "--values=-1:1:101"], False),
-    (["classify", "--model", "{ssh}"], True),
+    (["classify", "--model", "{ssh}"], False),
+    (["sweep", "--model", "{ssh_family}", "--class", "BDI", "--values=0.5:2:31"], False),
+    (["junction", "--left", "{ssh_trivial}", "--right", "{ssh}", "--class", "BDI"], False),
     (["verify", "--profile", "{wall}", "--class", "D", "--length", "20",
       "--step", "0.1", "--energy-window", "0.1"], True),
 ], ids=["import", "table", "classify-dirac", "classify-schrodinger", "junction-pair",
-        "junction-profile", "sweep-dirac", "classify-chain", "verify-profile"])
+        "junction-profile", "sweep-dirac", "classify-chain", "sweep-chain", "junction-chains",
+        "verify-profile"])
 def test_scipy_is_loaded_only_where_needed(tmp_path, argv, loads_scipy):
     files = {}
     for name, text in FILES.items():

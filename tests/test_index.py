@@ -111,13 +111,16 @@ class TestNonFiniteInput:
 class TestStackedIndex:
     @pytest.mark.parametrize("label", ALL_CLASSES)
     def test_stack_matches_one_point_calls(self, rng, label):
-        # members with every realizable index, a non-member, and a kernel
-        # eigenvalue in the guard band: each entry of one stacked call is the
-        # index, or the error type and message, of topological_index alone
+        # members with every realizable index, a non-member, and two kernel
+        # eigenvalues in the guard band at different distances: each entry of
+        # one stacked call is the index, or the error type and message, of
+        # topological_index alone
         n = 4
         V = random_unitary(n, rng)
         stack = [random_member(label, n, rng, index=want) for want in realizable_indices(label, n)]
-        stack += [random_unitary(n, rng), (V * np.array([1.0 - 5e-8, -1.0, 1.0, -1.0])) @ V.conj().T]
+        stack += [random_unitary(n, rng)]
+        stack += [(V * np.array([1.0 - delta, -1.0, 1.0, -1.0])) @ V.conj().T
+                  for delta in (5e-8, 7e-8)]
         got = _index_each(np.array(stack, dtype=complex), label, TOL)
         for M, result in zip(stack, got):
             try:

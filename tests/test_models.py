@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -37,7 +38,7 @@ from tenfold1d import models
 from tenfold1d.modelfile import ModelFile, build_bulk, build_stack
 from tenfold1d.models import (
     BulkData,
-    _composed,
+    _half_lines,
     _schrodinger_form,
     _segment_flow,
     _transport,
@@ -542,19 +543,20 @@ class TestTightBindingModel:
         assert topological_index(bulk.u_plus, "BDI").value == 1
         assert topological_index(bulk.u_minus, "BDI").value == 0
 
-    @pytest.mark.parametrize("routine, info", [("gges", 2), ("tgsen", 1)])
-    def test_failed_qz_is_a_closed_gap(self, monkeypatch, routine, info):
-        # LAPACK reports a failed QZ or reordering in its last output, info
-        routines = dict(zip(("gges", "tgsen"), models._qz()))
-        real = routines[routine]
-
-        def failing(*args, **kwargs):
-            return (*real(*args, **kwargs)[:-1], info)
-
-        routines[routine] = failing
-        monkeypatch.setattr(models, "_qz", lambda: (routines["gges"], routines["tgsen"]))
-        with pytest.raises(GapClosed, match=f"{routine} info {info}"):
-            tb_bulk(SSH)
+    def test_gapless_chain_does_not_converge(self):
+        # at a0 = a1 the SSH chain is gapless at E = 0: its period transmits
+        # fully however often it is doubled, alone and among gapped points
+        gapless = TightBindingModel([np.array([[1.0]])] * 2, [np.zeros((1, 1))] * 2)
+        message = f"period still transmits |t| = 1.000e+00 after {models._SQUARINGS} squarings"
+        with pytest.raises(GapClosed, match=r"^" + re.escape(message) + " at energy 0$"):
+            tb_bulk(gapless)
+        got = tb_stack([(SSH.a, SSH.b), (gapless.a, gapless.b), (SSH.a, SSH.b)], [0.0, 0.0, 0.3])
+        assert type(got[1]) is GapClosed and str(got[1]).startswith(message)
+        for j, energy in ((0, 0.0), (2, 0.3)):
+            want = tb_bulk(SSH, energy)
+            assert got[j].u_plus.U.tobytes() == want.u_plus.U.tobytes()
+            assert got[j].u_minus.U.tobytes() == want.u_minus.U.tobytes()
+            assert got[j].gap == want.gap
 
     def test_form_uses_trace_bond(self):
         m = TightBindingModel(
@@ -642,6 +644,18 @@ class TestChainComposition:
         assert time.perf_counter() - start < 1.0
         assert bulk.gap == pytest.approx(1.0 - np.exp(-1000.0 * np.log(1.001)), rel=1e-9)
         assert topological_index(bulk.u_plus, "BDI").value == 1
+
+    @pytest.mark.parametrize("ratio", [
+        324953.80354723748, 892203.03516789281, 2196821.2655156516, 7367506.1261530174,
+    ])
+    def test_strong_seam_bond_answers(self, ratio):
+        # a seam bond 10^5-10^7 times the other is a trivial SSH chain (ROADMAP
+        # item 11); the bases [I; r] of the doubled period keep its planes unitary
+        model = TightBindingModel([np.array([[ratio]]), np.array([[1.0]])],
+                                  [np.zeros((1, 1)), np.zeros((1, 1))])
+        bulk = tb_bulk(model)
+        assert topological_index(bulk.u_plus, "BDI").value == 0
+        assert topological_index(bulk.u_minus, "BDI").value == 1
 
     def test_strong_seam_bond_fails_with_a_package_error(self):
         # a seam bond 5e16 times the other makes the graph solve exactly singular;
@@ -903,17 +917,19 @@ class TestStacks:
 
     def test_a_point_that_does_not_compose_fails_alone(self):
         # a singular block of one point fails the stacked inverse; the other
-        # points are composed one by one, as their own stacks
+        # points are composed and doubled one by one, as their own stacks
         rng = np.random.default_rng(7)
         T = rng.normal(size=(3, 4, 2, 2)) + 1j * rng.normal(size=(3, 4, 2, 2))
         T[1, 2, 1:, 1:] = 0.0
         E = np.array([0.1, 0.2, 0.3])
-        S, errors = _composed(T, E, 1)
+        gap, Y, errors = _half_lines(T, E, 1)
         assert isinstance(errors[1], GapClosed)
         assert str(errors[1]) == "site scattering matrices do not compose at energy 0.2"
         for j in (0, 2):
-            assert errors[j] is None
-            assert np.array_equal(S[j], _composed(T[j:j + 1], E[j:j + 1], 1)[0][0])
+            [g], Z, [error] = _half_lines(T[j:j + 1], E[j:j + 1], 1)
+            assert type(errors[j]) is type(error) and str(errors[j]) == str(error)
+            assert np.array_equal(gap[j], g, equal_nan=True)
+            assert np.array_equal(Y[:, j], Z[:, 0], equal_nan=True)
 
     def test_a_point_whose_graph_solve_fails_fails_alone(self, monkeypatch):
         # a singular solve fails the seam group's batched solve; its points are
