@@ -7,9 +7,11 @@ constant-potential Schrodinger operator (-d^2/dt^2 + V) below its
 spectrum; and a periodic block tight-binding chain, composed site by
 site as unitary scattering matrices whose star product never grows.
 The same star product doubles a chain's period until it transmits
-nothing, and the reflections of the limit are both half-line planes,
-for any period. Each bulk ships with the unitaries of its planes on
-both sides in the canonical split, and a gap certificate.
+nothing, and the reflections of the limit are the unitaries of both
+half-line planes, for any period, in traces y = K(psi_0, a0 psi_1) that
+have the Dirac form for every chain; the planes are read in (psi_0,
+psi_1). Each bulk ships with the unitaries of its planes on both sides
+in a canonical split, and a gap certificate.
 
 Each family has one stacked builder (``dirac_stack``,
 ``schrodinger_stack``, ``tb_stack``) that takes many points, each at its
@@ -17,9 +19,10 @@ own energy, and returns for each its bulk or the error it raises alone;
 points of one shape share the batched factorizations. A chain is its
 (bonds, sites) pair. The one-point builders are stacks of one. A stack,
 like a model's blocks, is checked whole (``_whole``), and point by point
-only to name a refusal. All three finish their points on one path,
-which checks each point's two unitaries and then gates transversality
-with one spectrum of u_plus u_minus* per stack.
+only to name a refusal; a built model's blocks are not checked again.
+All three finish their points on one path, which checks each point's
+two unitaries and then gates transversality with one spectrum of
+u_plus u_minus* per stack.
 
 Piecewise-constant Dirac profiles extend the Dirac family: the plane
 that decays on a far side is carried across the steps to any point as
@@ -43,7 +46,6 @@ from .errors import (
     NotInGap,
     NotInvertible,
     NotLagrangian,
-    ProjectionSingular,
 )
 from .linalg import TOL, Tolerances, _finite_square, _identity
 from .symplectic import (
@@ -77,12 +79,14 @@ class BulkData:
     decaying to the right (plus) and to the left (minus), a positive
     gap certificate (distance from the energy to the spectrum, in the
     model's own units), and the model family ("dirac", "schrodinger"
-    or "tight_binding") that built it. The form and its canonical split
-    are read off ``u_plus``; each plane is built from its unitary, with
-    the bulk's tolerances, whenever it is read.
+    or "tight_binding") that built it. ``split`` is read off ``u_plus``,
+    and ``form`` is the split's, except for a chain: its ``_traces`` hold
+    the form on (psi_0, psi_1) and the map M from its traces y to those.
+    Each plane is built from its unitary, with the bulk's tolerances,
+    whenever it is read, and for a chain mapped by M to (psi_0, psi_1).
     """
 
-    __slots__ = ("u_plus", "u_minus", "gap", "energy", "family", "_tol")
+    __slots__ = ("u_plus", "u_minus", "gap", "energy", "family", "_tol", "_traces")
 
     def __init__(self, u_plus, u_minus, gap, energy, family: str, tol: Tolerances = TOL):
         self.u_plus = u_plus
@@ -91,6 +95,7 @@ class BulkData:
         self.energy = float(energy)
         self.family = family
         self._tol = tol
+        self._traces = None
 
     @property
     def split(self):
@@ -98,15 +103,21 @@ class BulkData:
 
     @property
     def form(self) -> SymplecticForm:
-        return self.split.form
+        return self.split.form if self._traces is None else self._traces[0]
 
     @property
     def plane_plus(self) -> LagrangianPlane:
-        return unitary_to_plane(self.u_plus, tol=self._tol)
+        return self._plane(self.u_plus)
 
     @property
     def plane_minus(self) -> LagrangianPlane:
-        return unitary_to_plane(self.u_minus, tol=self._tol)
+        return self._plane(self.u_minus)
+
+    def _plane(self, u) -> LagrangianPlane:
+        if self._traces is None:
+            return unitary_to_plane(u, tol=self._tol)
+        form, M = self._traces  # the split of y is the identity: the plane is M [I; u]
+        return LagrangianPlane(M[:, :u.n] + M[:, u.n:] @ u.U, form, self._tol)
 
     def __repr__(self):
         return (f"BulkData(n={self.split.n}, energy={self.energy:g}, "
@@ -116,27 +127,25 @@ class BulkData:
 def _finish_each(out, groups, family: str, tol) -> None:
     """Bulk of each point of each group, or its error, in out.
 
-    A group is (form, indices, U, gaps, energies): U stacks the u_plus of
-    its points, then their u_minus, in the order of the indices. The
-    points of a group share its form's split and one stacked unitarity
-    check (``_leray_each``); a point whose u_plus fails gets u_plus's
-    error, as if checked alone, before its u_minus is looked at.
+    A group is (form, indices, U, gaps, energies, traces): U stacks the
+    u_plus of its points, then their u_minus, in the order of the
+    indices, and traces is None or each point's ``BulkData._traces``.
+    The points of a group share its form's split, which cannot fail: each
+    family's form is balanced. They share one stacked unitarity check
+    (``_leray_each``); a point whose u_plus fails gets u_plus's error, as
+    if checked alone, before its u_minus is looked at.
     """
     live, products = [], []
-    for form, idx, U, gaps, energies in groups:
-        try:
-            split = canonical_split(form, tol)
-        except ValueError as exc:
-            for i in idx:
-                out[i] = exc
-            continue
+    for form, idx, U, gaps, energies, traces in groups:
         n = len(idx)
-        us = _leray_each(U, split, tol)
+        us = _leray_each(U, canonical_split(form, tol), tol)
         passed = []
         for j, (i, up, um, gap, energy) in enumerate(zip(idx, us, us[n:], gaps, energies)):
             error = next((u for u in (up, um) if isinstance(u, Exception)), None)
             if error is None:
                 out[i] = BulkData(up, um, gap, energy, family, tol)
+                if traces is not None:
+                    out[i]._traces = traces[j]
                 passed.append(j)
                 live.append(i)
             else:
@@ -221,18 +230,24 @@ def _require_finite(energy: float) -> None:
 
 
 def _stacks(points, energies, check, out, rank: int) -> list:
-    """The points that pass their checks, stacked by shape.
+    """The points that pass their checks, as (indices, stack, energies) per shape.
 
-    A ``_whole`` stack of the given rank passes as one. Otherwise each
-    point is checked alone by ``check``, which takes a point and its
-    energy to the point's array, and raises, in the family's order, when
-    either is malformed; a point that fails gets its error in ``out``.
-    Returns (indices, stack, energies) for each shape in order of first
-    appearance.
+    A ``_whole`` stack of the given rank passes as one; otherwise the
+    points are checked alone (``_by_shape``).
     """
     X = _whole(points, rank, energies)
     if X is not None:
         return [(range(len(X)), X, np.array(energies, dtype=float))]
+    return _by_shape(points, energies, check, out)
+
+
+def _by_shape(points, energies, check, out) -> list:
+    """``_stacks`` of a stack that is not whole, shapes in order of first appearance.
+
+    ``check`` takes a point and its energy to the point's array, and raises,
+    in the family's order, when either is malformed; a point that fails gets
+    its error in ``out``.
+    """
     groups = {}
     for i, (x, energy) in enumerate(zip(points, energies, strict=True)):
         try:
@@ -303,7 +318,7 @@ def dirac_stack(Ws, energies, tol: Tolerances = TOL) -> list:
         k, ir = np.sqrt((1.0 - r) * (1.0 + r)), 1j * r
         V, Uh = _ct(Vh), _ct(U)
         U = np.concatenate(((V * (k + ir)) @ Uh, (V * (ir - k)) @ Uh))
-        _finish_each(out, [(form, [idx[j] for j in live], U, gaps, E.tolist())], "dirac", tol)
+        _finish_each(out, [(form, [idx[j] for j in live], U, gaps, E.tolist(), None)], "dirac", tol)
     return out
 
 
@@ -367,7 +382,8 @@ def schrodinger_stack(Vs, energies, tol: Tolerances = TOL) -> list:
         z = (1.0 - ikappa) / (1.0 + ikappa)
         Vmh = _ct(Vm)
         U = np.concatenate(((Vm * z) @ Vmh, (Vm * z.conj()) @ Vmh))
-        _finish_each(out, [(form, [idx[j] for j in live], U, gaps, E.tolist())], "schrodinger", tol)
+        _finish_each(out, [(form, [idx[j] for j in live], U, gaps, E.tolist(), None)],
+                     "schrodinger", tol)
     return out
 
 
@@ -533,20 +549,21 @@ def _doubled(S: np.ndarray, N: int) -> tuple:
 
 
 def _half_lines(T: np.ndarray, E: np.ndarray, N: int) -> tuple:
-    """Gaps and half-line planes of each point's period, from its (sites) stack of site transfers.
+    """Gaps and half-line unitaries of each period, from its (sites) stack of site transfers.
 
     The sites compose the period's S = [[t, r'], [r, t']] (``_compose``),
     and ``_doubled`` squares it into a limit whose reflections R and R'
     give the solutions decaying to the right, span[I; R], and to the left,
-    span[R'; I], in the traces y. One period carries them by M+ = (I -
-    r'R)^-1 t and M- = (I - rR')^-1 t', whose spectra are the stable
-    lambda and 1/lambda of the unstable ones, so one stacked solve and one
-    ``eigvals`` give gap = min ||lambda| - 1|. A point is closed when its
-    gap is not above _GAP_FLOOR or its period still transmits after the
-    squarings. One singular solve fails the whole stack, whose points are
-    then taken one by one; a point whose own solve is singular does not
-    compose. Returns each point's gap, a (2, points, 2N, N) stack of the
-    bases of its planes, right then left, and its GapClosed or None.
+    span[R'; I], in the traces y, whose split is the identity: their
+    unitaries are R and R'^-1 = R'*, since a limit reflection is unitary.
+    One period carries them by M+ = (I - r'R)^-1 t and M- = (I - rR')^-1 t',
+    whose spectra are the stable lambda and 1/lambda of the unstable ones,
+    so one stacked solve and one ``eigvals`` give gap = min ||lambda| - 1|.
+    A point is closed when its gap is not above _GAP_FLOOR or its period
+    still transmits after the squarings. One singular solve fails the whole
+    stack, whose points are then taken one by one; a point whose own solve
+    is singular does not compose. Returns each point's gap, a (2, points, N, N) stack of its
+    unitaries u_plus = R, then u_minus = R'*, and its GapClosed or None.
     """
     k = len(T)
     try:
@@ -561,11 +578,11 @@ def _half_lines(T: np.ndarray, E: np.ndarray, N: int) -> tuple:
         lam = np.abs(np.linalg.eigvals(M))
     except np.linalg.LinAlgError:
         if k == 1:
-            return ([math.nan], np.full((2, 1, 2 * N, N), np.nan, dtype=complex),
+            return ([math.nan], np.full((2, 1, N, N), np.nan, dtype=complex),
                     [GapClosed(f"site scattering matrices do not compose at energy {E[0]:g}")])
         # one singular solve fails the whole stack; take its points one by one
         parts = [_half_lines(T[j:j + 1], E[j:j + 1], N) for j in range(k)]
-        return ([g for (g,), _, _ in parts], np.concatenate([Y for _, Y, _ in parts], axis=1),
+        return ([g for (g,), _, _ in parts], np.concatenate([U for _, U, _ in parts], axis=1),
                 [e for _, _, (e,) in parts])
     m = len(live)
     # an underflowed t' leaves no unstable eigenvalue to bound the gap
@@ -585,16 +602,7 @@ def _half_lines(T: np.ndarray, E: np.ndarray, N: int) -> tuple:
             f"period still transmits |t| = {t[j]:.3e} after {rounds[j]} squarings "
             f"at energy {E[j]:g}" if np.isfinite(S[j]).all() else
             f"site scattering matrices do not compose at energy {E[j]:g}")
-    Y = np.empty((2, k, 2 * N, N), dtype=complex)
-    Y[0, :, :N] = Y[1, :, N:] = I
-    Y[0, :, N:], Y[1, :, :N] = D[:, N:, :N], D[:, :N, N:]
-    return gap, Y, errors
-
-
-def _graph_maps(Y: np.ndarray, N: int) -> np.ndarray:
-    """The U with U y+ = y- of each (2N, N) basis of a stack, as a C-ordered (k, N, N) stack."""
-    return np.ascontiguousarray(
-        np.linalg.solve(Y[:, :N].swapaxes(1, 2), Y[:, N:].swapaxes(1, 2)).swapaxes(1, 2))
+    return gap, np.array((D[:, N:, :N], _ct(D[:, :N, N:]))), errors
 
 
 def tb_stack(chains, energies, tol: Tolerances = TOL) -> list:
@@ -602,9 +610,10 @@ def tb_stack(chains, energies, tol: Tolerances = TOL) -> list:
 
     Each chain is its (bonds, sites) pair of blocks. Returns one entry
     per point: its BulkData, or the exception that ``tb_bulk`` raises for
-    it. When the stack is not ``_whole``, each chain is checked alone, as
-    ``TightBindingModel`` checks it, then its energy. Chains of one period
-    and block size form one (points, 2, period, N, N) stack (``_chains``).
+    it. A ``_whole`` stack takes one hermiticity test of its sites. When
+    the stack is not whole, each chain is checked alone, sites included,
+    as ``TightBindingModel`` checks it, then its energy. Chains of one
+    period and block size form one stack (``_chains``).
     """
     out = [None] * len(chains)
 
@@ -613,41 +622,47 @@ def tb_stack(chains, energies, tol: Tolerances = TOL) -> list:
         _require_finite(energy)
         return np.array((model.a, model.b))
 
-    for idx, ab, E in _stacks(chains, energies, check, out, 5):
-        _chains(out, idx, ab, E, tol)
+    X = _whole(chains, 5, energies)
+    if X is None:
+        groups = _by_shape(chains, energies, check, out)
+    else:
+        skew = _hermiticity(X[:, 1], tol)[0].any(axis=1)
+        for j in np.flatnonzero(skew).tolist():
+            out[j] = ValueError("site blocks must be hermitian")
+        live = np.flatnonzero(~skew).tolist()
+        groups = [(live, X[live], np.array(energies, dtype=float)[live])]
+    for idx, ab, E in groups:
+        _chains(out, idx, ab[:, 0], ab[:, 1], E, tol)
     return out
 
 
-def _chains(out, idx, ab, E, tol: Tolerances) -> None:
+def _chains(out, idx, a, b, E, tol: Tolerances) -> None:
     """Bulk of each chain of one shape, or its error, in out[idx[j]].
 
-    ``ab`` is the (points, 2, q, N, N) stack of the chains' bonds and
-    sites, of checked shape and entries. The sites' hermiticity, then
-    the bonds' invertibility, the site scattering matrices, the
+    ``a`` and ``b`` are the (points, q, N, N) stacks of the chains'
+    bonds and sites, of checked shape and entries and hermitian sites.
+    The bonds' invertibility, the site scattering matrices, the
     star-product tree over a (points, sites) stack and the doubling of
     each period (``_half_lines``) are checked and built for the whole
-    stack. Points whose seam bonds a0 are equal entry for entry share one form,
-    one map L from y to its split, one product of L with all their bases
-    and one solve for all their unitaries. The points are finished
-    together, like those of the other stacks: one spectrum gates the
-    whole stack's transversality.
+    stack. Its unitaries live in the traces y, whose form is
+    ``dirac_form(N)``'s for every chain, so the whole stack is finished
+    as one group, like those of the other stacks: one spectrum gates its
+    transversality. Each bulk keeps its seam's form on (psi_0, psi_1),
+    ``tb_form``'s, and the map M = blkdiag(I, a0^-1) K* from y to those
+    traces, which its planes are read through.
     """
-    N = ab.shape[-1]
-    skew = _hermiticity(ab[:, 1], tol)[0].any(axis=1).tolist()
-    s = np.linalg.svd(ab[:, 0], compute_uv=False)
+    N = a.shape[-1]
+    s = np.linalg.svd(a, compute_uv=False)
     singular = s[..., -1] <= tol.rank_tol * np.maximum(1.0, s[..., 0])
     live = []
-    for j, (bad_site, bad) in enumerate(zip(skew, singular.any(axis=1).tolist())):
-        if bad_site:
-            out[idx[j]] = ValueError("site blocks must be hermitian")
-        elif bad:
+    for j, bad in enumerate(singular.any(axis=1).tolist()):
+        if bad:
             out[idx[j]] = NotInvertible(
                 f"bond block with sigma_min {s[j][singular[j]][0, -1]:.3e}")
         else:
             live.append(j)
-    if len(live) < len(ab):
-        idx, ab, E = [idx[j] for j in live], ab[live], E[live]
-    a, b = ab[:, 0], ab[:, 1]
+    if len(live) < len(a):
+        idx, a, b, E = [idx[j] for j in live], a[live], b[live], E[live]
     K = _cayley(N)
     Kh = K.conj().T
     a_inv = np.linalg.inv(a)
@@ -658,46 +673,23 @@ def _chains(out, idx, ab, E, tol: Tolerances) -> None:
     T[..., N:, N:] = (E[:, None, None, None] * np.eye(N)
                       - np.concatenate([b[:, 1:], b[:, :1]], axis=1)) @ a_inv
     T = K @ T @ Kh
-    gap, Z, errors = _half_lines(T, E, N)
-    energies = E.tolist()
-    seams = {}
+    gap, U, errors = _half_lines(T, E, N)
+    live = []
     for j, error in enumerate(errors):
         if error is None:
-            seams.setdefault(a[j, 0].tobytes(), []).append(j)
+            live.append(j)
         else:
             out[idx[j]] = error
-    groups = []
-    for seam, js in seams.items():
-        try:
-            form = _seam_form((N, N), seam, tol)
-            split = canonical_split(form, tol)
-        except ValueError as exc:
-            for j in js:
-                out[idx[j]] = exc
-            continue
-        # from y to the canonical split of tb_form: psi_1 = a0^-1 w, then D^1/2 Q*
-        L = Kh.copy()
-        L[N:] = a_inv[js[0], 0] @ L[N:]
-        L = np.sqrt(np.concatenate([split.a_plus, split.a_minus]))[:, None] * (split.Q.conj().T @ L)
-        # each plane is the graph {(y+, U y+)} there, so U solves U y+ = y-;
-        # Y holds the group's planes decaying to the right, then those to the left
-        m = len(js)
-        Y = L @ (Z if m == len(E) else Z[:, js]).reshape(2 * m, 2 * N, N)
-        try:
-            solved = [(js, _graph_maps(Y, N))]
-        except np.linalg.LinAlgError:
-            # one singular solve fails the whole group; solve its points one by one
-            solved = []
-            for t, j in enumerate(js):
-                try:
-                    solved.append(([j], _graph_maps(Y[[t, m + t]], N)))
-                except np.linalg.LinAlgError:
-                    out[idx[j]] = ProjectionSingular(
-                        f"plane at energy {energies[j]:g} is not transverse to the negative "
-                        "block, so the graph map is singular")
-        groups += [(form, [idx[j] for j in part], U, [gap[j] for j in part],
-                    [energies[j] for j in part]) for part, U in solved]
-    _finish_each(out, groups, "tight_binding", tol)
+    # from y to (psi_0, psi_1): K* y is (psi_0, a0 psi_1)
+    M = np.empty((len(a), 2 * N, 2 * N), dtype=complex)
+    M[:, :N] = Kh[:N]
+    M[:, N:] = a_inv[:, 0] @ Kh[N:]
+    M.flags.writeable = False
+    _finish_each(out, [(dirac_form(N), [idx[j] for j in live],
+                        U[:, live].reshape(2 * len(live), N, N), [gap[j] for j in live],
+                        E[live].tolist(),
+                        [(_seam_form((N, N), a[j, 0].tobytes(), tol), M[j]) for j in live])],
+                 "tight_binding", tol)
 
 
 def tb_bulk(model: TightBindingModel, energy: float = 0.0,
@@ -706,19 +698,24 @@ def tb_bulk(model: TightBindingModel, energy: float = 0.0,
 
     Site n maps the trace (psi_{n-1}, a_{n-1} psi_n) to (psi_n, a_n
     psi_{n+1}) and keeps its form -u*w + w*u, which ``_cayley`` makes
-    diag(I, -I); so each site is a unitary scattering matrix, and star
-    products in a balanced tree compose any period without growth.
-    Squaring the period the same way until it transmits at most
-    sqrt(eps) (``_half_lines``) leaves the reflections whose graphs are
-    the planes decaying to the right and to the left, and the gap is
-    min ||lambda| - 1| over the period's transfer spectrum.
+    diag(I, -I) in the traces y; so each site is a unitary scattering
+    matrix, and star products in a balanced tree compose any period
+    without growth. Squaring the period the same way until it transmits
+    at most sqrt(eps) (``_half_lines``) leaves a limit whose reflections
+    R and R' are u_plus and u_minus* in y, and the gap is min ||lambda|
+    - 1| over the period's transfer spectrum. The bulk's ``form`` is
+    ``tb_form(model)``, on (psi_0, psi_1), where its planes are read.
     NotInvertible is raised when a bond block is singular, GapClosed
     when the sites do not compose, the period still transmits after
     ``_SQUARINGS`` squarings, or the gap is not above 10 sqrt(eps), and
     NotInGap for a non-finite energy. This is ``tb_stack`` of the
-    model's one chain.
+    model's one chain, whose blocks its constructor checked, without a
+    copy or a second check.
     """
-    return _raise_first(tb_stack([(model.a, model.b)], [energy], tol))[0]
+    _require_finite(energy)
+    out = [None]
+    _chains(out, [0], model.a[None], model.b[None], np.array([energy], dtype=float), tol)
+    return _raise_first(out)[0]
 
 
 class PiecewiseDiracProfile:

@@ -192,14 +192,13 @@ class TestClassify:
         assert main(["classify", "--model", write("m.tf", DIRAC_POS)]) == 0
         assert rows_of(out)[1][:10] == rows_of(capsys.readouterr()[0])[1][:10]
 
-    def test_strong_seam_bond_exits_3_with_a_package_error(self, write, capsys):
-        # the graph solve of this chain is exactly singular (ROADMAP item 11)
+    def test_strong_seam_bond_answers(self, write, capsys):
+        # a seam bond 5e16 times the other is a trivial SSH chain (ROADMAP item 11)
         path = write("m.tf", "kind tight_binding\na0 [[5e16]]\na1 [[1.0]]\n"
                              "b0 [[0.0]]\nb1 [[0.0]]\n")
-        assert main(["classify", "--model", path]) == 3
-        _, err = capsys.readouterr()
-        assert err == ("tenfold1d: ProjectionSingular: plane at energy 0 is not transverse "
-                       "to the negative block, so the graph map is singular\n")
+        assert main(["classify", "--model", path]) == 0
+        out, _ = capsys.readouterr()
+        assert "BDI,true,0" in out.splitlines()
 
 
 class TestJunction:

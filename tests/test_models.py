@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from tenfold1d import (
     TOL,
-    LagrangianPlane,
     PiecewiseDiracProfile,
     TightBindingModel,
     Tolerances,
@@ -17,7 +16,6 @@ from tenfold1d import (
     crossing_dim,
     dirac_bulk,
     dirac_form,
-    plane_to_unitary,
     propagate_plane,
     schrodinger_bulk,
     subspace_intersection_dim,
@@ -32,7 +30,6 @@ from tenfold1d.errors import (
     NotInGap,
     NotInvertible,
     NotLagrangian,
-    ProjectionSingular,
 )
 from tenfold1d import models
 from tenfold1d.modelfile import ModelFile, build_bulk, build_stack
@@ -259,15 +256,18 @@ class TestSharedForms:
     def test_equal_seam_bonds_share_one_split(self):
         other = TightBindingModel([np.array([[1.0]]), np.array([[3.0]])],
                                   [np.zeros((1, 1)), np.ones((1, 1))])
-        assert tb_form(SSH) is tb_form(other)
+        # equal seam bonds share one form of the traces (psi_0, psi_1)
+        assert tb_bulk(SSH).form is tb_bulk(other).form is tb_form(SSH) is tb_form(other)
         assert not tb_form(SSH).J.flags.writeable
-        assert canonical_split(tb_form(SSH)) is canonical_split(tb_form(other))
-        assert tb_bulk(SSH).split is tb_bulk(other).split
         # one bit of a0 apart is another form
         nudged = TightBindingModel([np.array([[np.nextafter(1.0, 2.0)]]), np.array([[3.0]])],
                                    [np.zeros((1, 1)), np.ones((1, 1))])
-        assert tb_form(nudged) is not tb_form(SSH)
+        assert tb_bulk(nudged).form is tb_form(nudged) is not tb_form(SSH)
         assert tb_form(SSH, Tolerances(frame_tol=1e-11)) is not tb_form(SSH)
+        # every chain of block size N has its unitaries in the unit split of the traces y
+        unit = canonical_split(dirac_form(1))
+        assert tb_bulk(SSH).split is tb_bulk(other).split is tb_bulk(nudged).split is unit
+        assert tb_bulk(TightBindingModel([I2], [Z2]), 3.0).split is canonical_split(dirac_form(2))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_closed_forms_rest_on_these_splits(self, n):
@@ -518,11 +518,10 @@ class TestTightBindingModel:
             bulk = tb_bulk(m, energy=E)
             r = (E - np.sign(E) * np.sqrt(E * E - 4.0)) / 2.0
             assert abs(r) < 1.0
-            geom = np.array([[1.0], [r]]) / np.sqrt(1.0 + r * r)
-            direct = plane_to_unitary(
-                LagrangianPlane(geom, bulk.form), bulk.split
-            )
-            assert np.abs(direct.U - bulk.u_plus.U).max() <= 1e-10
+            # read back in (psi_0, psi_1): the right plane is spanned by (1, r), the left by (1, 1/r)
+            for plane, ratio in ((bulk.plane_plus, r), (bulk.plane_minus, 1.0 / r)):
+                assert plane.form is bulk.form
+                assert sla.subspace_angles(plane.frame.matrix, np.array([[1.0], [ratio]])).max() <= 1e-10
 
     def test_dimerized_chain_indices(self):
         # alternating bonds v, w: the zero-energy invariant counts the
@@ -574,13 +573,12 @@ def ssh_supercell(t1, t2, q):
 
 
 def transfer_reference(model, energy):
-    """The period's transfer product, its gap and its sorted Schur split.
+    """The period's transfer product, its gap and its sorted Schur frames.
 
     Multiplies the q site transfers on (psi_{n-1}, psi_n) into one
     matrix M, then takes the stable (|lambda| < 1) and unstable frames
-    of M and their unitaries in the canonical split of ``tb_form``.
-    Returns log cond M, the gap, the parent-style closed flag, and the
-    two unitaries (None when closed).
+    of M on (psi_0, psi_1). Returns log cond M, the gap, the parent-style
+    closed flag, and the two frames (None when closed).
     """
     N = model.block_dim
     M = np.eye(2 * N, dtype=complex)
@@ -594,14 +592,23 @@ def transfer_reference(model, energy):
     closed = gap <= 10.0 * np.sqrt(np.finfo(float).eps) * max(1.0, float(np.abs(lam).max()))
     if closed:
         return float(np.log(s[0] / s[-1])), gap, True, None
-    form = tb_form(model)
-    split = canonical_split(form)
-    unitaries = []
+    frames = []
     for inside in (True, False):
         _, Z, k = sla.schur(M, output="complex", sort=lambda z: (abs(z) < 1.0) == inside)
         assert k == N
-        unitaries.append(plane_to_unitary(LagrangianPlane(Z[:, :N], form), split).U)
-    return float(np.log(s[0] / s[-1])), gap, False, unitaries
+        frames.append(Z[:, :N])
+    return float(np.log(s[0] / s[-1])), gap, False, frames
+
+
+def unitary_in_traces(model, Z):
+    """The map U with U y+ = y- of a frame Z on (psi_0, psi_1), in the traces y = K(psi_0, a0 psi_1).
+
+    K = [[I, iI], [I, -iI]]/sqrt(2), whose form is i diag(I, -I) with the identity split.
+    """
+    N = model.block_dim
+    K = np.kron(np.array([[1.0, 1j], [1.0, -1j]]) / np.sqrt(2.0), np.eye(N))
+    Y = K @ np.vstack([Z[:N], model.bond(0) @ Z[N:]])
+    return np.linalg.solve(Y[:N].T, Y[N:].T).T
 
 
 def bloch_bands(model, k):
@@ -657,19 +664,26 @@ class TestChainComposition:
         assert topological_index(bulk.u_plus, "BDI").value == 0
         assert topological_index(bulk.u_minus, "BDI").value == 1
 
-    def test_strong_seam_bond_fails_with_a_package_error(self):
-        # a seam bond 5e16 times the other makes the graph solve exactly singular;
-        # numpy's LinAlgError must not leave the package (ROADMAP item 11)
+    def test_seam_bond_5e16_answers(self):
+        # a seam bond 5e16 times the other made the graph solve in tb_form's
+        # split exactly singular; in the traces y it is a trivial SSH chain
         model = TightBindingModel([np.array([[5e16]]), np.array([[1.0]])],
                                   [np.zeros((1, 1)), np.zeros((1, 1))])
-        message = ("plane at energy 0 is not transverse to the negative block, "
-                   "so the graph map is singular")
-        with pytest.raises(ProjectionSingular) as info:
-            tb_bulk(model)
-        assert str(info.value) == message
         got = tb_stack([(model.a, model.b), (SSH.a, SSH.b)], [0.0, 0.0])
-        assert type(got[0]) is ProjectionSingular and str(got[0]) == message
+        for bulk in (tb_bulk(model), got[0]):
+            assert topological_index(bulk.u_plus, "BDI").value == 0
+            assert topological_index(bulk.u_minus, "BDI").value == 1
         assert got[1].u_plus.U.tobytes() == tb_bulk(SSH).u_plus.U.tobytes()
+
+    def test_strong_seam_probe(self):
+        # ROADMAP item 11's probe over its two lower ranges: SSH chains at E = 0
+        # whose a0/a1 one default_rng(1) draws log-uniform in [1e5, 1e6), then
+        # in [1e6, 1e7); every chain answers with BDI index 0
+        rng = np.random.default_rng(1)
+        ratios = np.concatenate([10.0 ** rng.uniform(lo, lo + 1, 100) for lo in (5, 6)])
+        indices = [topological_index(tb_bulk(TightBindingModel(
+            [np.array([[ratio]]), I1], [Z1, Z1])).u_plus, "BDI").value for ratio in ratios]
+        assert indices == [0] * 200
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
@@ -688,13 +702,16 @@ class TestChainComposition:
         in_gap = [lo[0] - 0.5, hi[-1] + 0.5]
         in_gap += [0.5 * (h + l) for h, l in zip(hi[:-1], lo[1:]) if l - h > 0.05]
         for energy in in_gap:
-            growth, gap, closed, want = transfer_reference(model, energy)
+            growth, gap, closed, frames = transfer_reference(model, energy)
             if growth >= 15.0 or gap < 1e-3:
                 continue
             assert not closed
             bulk = tb_bulk(model, energy)
-            assert np.abs(bulk.u_plus.U - want[0]).max() <= 1e-10
-            assert np.abs(bulk.u_minus.U - want[1]).max() <= 1e-10
+            for u, plane, Z in ((bulk.u_plus, bulk.plane_plus, frames[0]),
+                                (bulk.u_minus, bulk.plane_minus, frames[1])):
+                assert np.abs(u.U - unitary_in_traces(model, Z)).max() <= 1e-10
+                # the plane read back in (psi_0, psi_1) spans the Schur frame
+                assert sla.subspace_angles(plane.frame.matrix, Z).max() <= 1e-9
             assert bulk.gap == pytest.approx(gap, rel=1e-9)
         for energy in bloch_bands(model, 0.7)[::N]:
             assert transfer_reference(model, energy)[2]
@@ -931,28 +948,23 @@ class TestStacks:
             assert np.array_equal(gap[j], g, equal_nan=True)
             assert np.array_equal(Y[:, j], Z[:, 0], equal_nan=True)
 
-    def test_a_point_whose_graph_solve_fails_fails_alone(self, monkeypatch):
-        # a singular solve fails the seam group's batched solve; its points are
-        # then solved one by one, and only the second one fails
-        want = {e: tb_bulk(SSH, e) for e in (0.0, 0.3)}
-        real, calls = models._graph_maps, []
-
-        def solve(Y, N):
-            calls.append(len(Y))
-            if len(Y) > 2 or len(calls) == 3:
-                raise np.linalg.LinAlgError("Singular matrix")
-            return real(Y, N)
-
-        monkeypatch.setattr(models, "_graph_maps", solve)
-        got = tb_stack([(SSH.a, SSH.b)] * 3, [0.0, 0.5, 0.3])
-        assert calls == [6, 2, 2, 2]
-        assert type(got[1]) is ProjectionSingular
-        assert str(got[1]) == ("plane at energy 0.5 is not transverse to the negative block, "
-                               "so the graph map is singular")
-        for j, energy in ((0, 0.0), (2, 0.3)):
-            assert got[j].u_plus.U.tobytes() == want[energy].u_plus.U.tobytes()
-            assert got[j].u_minus.U.tobytes() == want[energy].u_minus.U.tobytes()
-            assert got[j].gap == want[energy].gap
+    def test_chain_sites_are_tested_once(self, monkeypatch):
+        # a built model's blocks enter _chains as they are, tested by its constructor;
+        # a whole stack's sites take one test, and a point checked alone takes its own
+        tested, blocks = [], []
+        hermiticity, chains = models._hermiticity, models._chains
+        monkeypatch.setattr(models, "_hermiticity",
+                            lambda X, tol: tested.append(X.shape) or hermiticity(X, tol))
+        monkeypatch.setattr(models, "_chains",
+                            lambda out, idx, a, b, E, tol: blocks.append((a, b))
+                            or chains(out, idx, a, b, E, tol))
+        tb_bulk(SSH)
+        assert tested == [] and blocks[0][0].base is SSH.a and blocks[0][1].base is SSH.b
+        tb_stack([(SSH.a, SSH.b)] * 3, [0.0, 0.3, 0.5])
+        assert tested == [(3, 2, 1, 1)]
+        tested.clear()
+        got = tb_stack([(SSH.a, SSH.b), ([I1], [Z1, Z1])], [0.0, 0.0])
+        assert tested == [(2, 1, 1)] and type(got[1]) is DimensionMismatch
 
     @pytest.mark.parametrize("stack, one, name, good", [
         (dirac_stack, lambda M, e: dirac_bulk(M, energy=e), "W", np.eye(1)),
