@@ -106,7 +106,7 @@ class NotInGap(ValueError):
 
 
 class NotInvertible(ValueError):
-    """A hopping matrix is singular, so the site transfer maps are undefined."""
+    """A hopping matrix is singular: the chain is disconnected at that bond."""
 
 
 class IncompatibleBoundary(ValueError):

@@ -4,14 +4,15 @@ Three families are implemented. A constant-mass Dirac operator
 (-i sigma_3 d/dt + mass coupling W) whose half-line planes at every
 in-gap energy are read off one singular value decomposition of W; a
 constant-potential Schrodinger operator (-d^2/dt^2 + V) below its
-spectrum; and a periodic block tight-binding chain, composed site by
-site as unitary scattering matrices whose star product never grows.
-The same star product doubles a chain's period until it transmits
-nothing, and the reflections of the limit are the unitaries of both
-half-line planes, for any period, in traces y = K(psi_0, a0 psi_1) that
-have the Dirac form for every chain; the planes are read in (psi_0,
-psi_1). Each bulk ships with the unitaries of its planes on both sides
-in a canonical split, and a gap certificate.
+spectrum; and a periodic block tight-binding chain, whose sites are the
+Cayley transforms of their hermitian relations: unitary scattering
+matrices whose star product never grows. The same star product doubles
+a chain's period until it transmits nothing, and the reflections of the
+limit are the unitaries of both half-line planes, for any period, in
+traces y = K(psi_0, a0 psi_1) that have the Dirac form for every chain;
+the planes are read in (psi_0, psi_1). Each bulk ships with the
+unitaries of its planes on both sides in a canonical split, and a gap
+certificate.
 
 Each family has one stacked builder (``dirac_stack``,
 ``schrodinger_stack``, ``tb_stack``) that takes many points, each at its
@@ -464,14 +465,6 @@ def tb_form(model: TightBindingModel, tol: Tolerances = TOL) -> SymplecticForm:
     return _seam_form(a0.shape, a0.tobytes(), tol)
 
 
-@functools.lru_cache(maxsize=64)
-def _cayley(N: int) -> np.ndarray:
-    """K = [[I, iI], [I, -iI]]/sqrt(2): takes the form -u*w + w*u to i diag(I, -I)."""
-    K = np.kron(np.array([[1.0, 1j], [1.0, -1j]]) / np.sqrt(2.0), np.eye(N))
-    K.flags.writeable = False
-    return K
-
-
 def _star(S1: np.ndarray, S2: np.ndarray, N: int) -> np.ndarray:
     """Redheffer star products, S1 then S2, over stacks of [[t, r'], [r, t']].
 
@@ -492,18 +485,36 @@ def _star(S1: np.ndarray, S2: np.ndarray, N: int) -> np.ndarray:
     return S
 
 
-def _compose(T: np.ndarray, N: int) -> np.ndarray:
-    """Period scattering matrices of a (points, sites) stack of site transfers.
+def _sites(a: np.ndarray, b: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """The (points, sites) stack of site scattering matrices S of (points, q, N, N) bonds and sites.
 
-    Potapov-Ginzburg: T takes (y+, y-) to (y+', y-'), S takes (y+, y-')
-    to (y+', y-); star products in a balanced tree over the sites then
-    compose each point's period.
+    Site n relates (u, w) = (psi_{n-1}, a_{n-1} psi_n) to (u', w') =
+    (psi_n, a_n psi_{n+1}) by (-w, w') = H (u, u'), with the hermitian
+    H = [[0, -a_{n-1}], [-a_{n-1}*, E - b_n]]. Its Cayley transform
+    C = (I - iH)^-1 (I + iH) takes (y+, y-') to (y-, y+') and is unitary
+    for every H; swapping its block rows gives the site's S. Every
+    singular value of I - iH is at least 1, so its inverse is bounded,
+    and no bond is inverted. C is taken as 2 (I - iH)^-1 - I, whose
+    roundoff that bound keeps at eps, where the product would carry
+    eps ||H|| into it.
     """
-    S = np.empty_like(T)
-    S[..., N:, N:] = np.linalg.inv(T[..., N:, N:])
-    S[..., N:, :N] = -S[..., N:, N:] @ T[..., N:, :N]
-    S[..., :N, N:] = T[..., :N, N:] @ S[..., N:, N:]
-    S[..., :N, :N] = T[..., :N, :N] + T[..., :N, N:] @ S[..., N:, :N]
+    N = a.shape[-1]
+    iH = np.zeros(a.shape[:2] + (2 * N, 2 * N), dtype=complex)
+    iH[..., :N, N:] = -1j * a
+    iH[..., N:, :N] = -1j * _ct(a)
+    iH[..., N:, N:] = 1j * (E[:, None, None, None] * np.eye(N)
+                           - np.concatenate([b[:, 1:], b[:, :1]], axis=1))
+    I = _identity(2 * N)
+    C = 2.0 * np.linalg.inv(I - iH) - I
+    return np.concatenate((C[..., N:, :], C[..., :N, :]), axis=-2)
+
+
+def _compose(S: np.ndarray, N: int) -> np.ndarray:
+    """Period scattering matrices of a (points, sites) stack of site scattering matrices.
+
+    Star products in a balanced tree over the sites compose each point's
+    period.
+    """
     while S.shape[1] > 1:
         q = S.shape[1]
         S = np.concatenate([_star(S[:, :-1:2], S[:, 1::2], N), S[:, q - q % 2:]], axis=1)
@@ -548,8 +559,8 @@ def _doubled(S: np.ndarray, N: int) -> tuple:
     return D, x, rounds
 
 
-def _half_lines(T: np.ndarray, E: np.ndarray, N: int) -> tuple:
-    """Gaps and half-line unitaries of each period, from its (sites) stack of site transfers.
+def _half_lines(sites: np.ndarray, E: np.ndarray, N: int) -> tuple:
+    """Gaps and half-line unitaries of each period, from the (points, sites) stack of its site S.
 
     The sites compose the period's S = [[t, r'], [r, t']] (``_compose``),
     and ``_doubled`` squares it into a limit whose reflections R and R'
@@ -560,30 +571,20 @@ def _half_lines(T: np.ndarray, E: np.ndarray, N: int) -> tuple:
     whose spectra are the stable lambda and 1/lambda of the unstable ones,
     so one stacked solve and one ``eigvals`` give gap = min ||lambda| - 1|.
     A point is closed when its gap is not above _GAP_FLOOR or its period
-    still transmits after the squarings. One singular solve fails the whole
-    stack, whose points are then taken one by one; a point whose own solve
-    is singular does not compose. Returns each point's gap, a (2, points, N, N) stack of its
-    unitaries u_plus = R, then u_minus = R'*, and its GapClosed or None.
+    still transmits after the squarings. Returns each point's gap, a (2,
+    points, N, N) stack of its unitaries u_plus = R, then u_minus = R'*,
+    and its GapClosed or None.
     """
-    k = len(T)
-    try:
-        S = _compose(T, N)
-        D, t, rounds = _doubled(S, N)
-        live = np.flatnonzero(t <= _CONVERGED)
-        per, lim = (S, D) if len(live) == k else (S[live], D[live])
-        I = _identity(N)
-        M = np.linalg.solve(np.concatenate([I - per[:, :N, N:] @ lim[:, N:, :N],
-                                            I - per[:, N:, :N] @ lim[:, :N, N:]]),
-                            np.concatenate([per[:, :N, :N], per[:, N:, N:]]))
-        lam = np.abs(np.linalg.eigvals(M))
-    except np.linalg.LinAlgError:
-        if k == 1:
-            return ([math.nan], np.full((2, 1, N, N), np.nan, dtype=complex),
-                    [GapClosed(f"site scattering matrices do not compose at energy {E[0]:g}")])
-        # one singular solve fails the whole stack; take its points one by one
-        parts = [_half_lines(T[j:j + 1], E[j:j + 1], N) for j in range(k)]
-        return ([g for (g,), _, _ in parts], np.concatenate([U for _, U, _ in parts], axis=1),
-                [e for _, _, (e,) in parts])
+    k = len(sites)
+    S = _compose(sites, N)
+    D, t, rounds = _doubled(S, N)
+    live = np.flatnonzero(t <= _CONVERGED)
+    per, lim = (S, D) if len(live) == k else (S[live], D[live])
+    I = _identity(N)
+    M = np.linalg.solve(np.concatenate([I - per[:, :N, N:] @ lim[:, N:, :N],
+                                        I - per[:, N:, :N] @ lim[:, :N, N:]]),
+                        np.concatenate([per[:, :N, :N], per[:, N:, N:]]))
+    lam = np.abs(np.linalg.eigvals(M))
     m = len(live)
     # an underflowed t' leaves no unstable eigenvalue to bound the gap
     with np.errstate(divide="ignore"):
@@ -598,10 +599,8 @@ def _half_lines(T: np.ndarray, E: np.ndarray, N: int) -> tuple:
             errors[j] = GapClosed(f"transfer spectrum within {near[i]:.3e} of the unit circle "
                                   f"({stable} of {2 * N} modes stable)")
     for j in np.flatnonzero(~(t <= _CONVERGED)).tolist():
-        errors[j] = GapClosed(
-            f"period still transmits |t| = {t[j]:.3e} after {rounds[j]} squarings "
-            f"at energy {E[j]:g}" if np.isfinite(S[j]).all() else
-            f"site scattering matrices do not compose at energy {E[j]:g}")
+        errors[j] = GapClosed(f"period still transmits |t| = {t[j]:.3e} after {rounds[j]} "
+                              f"squarings at energy {E[j]:g}")
     return gap, np.array((D[:, N:, :N], _ct(D[:, :N, N:]))), errors
 
 
@@ -641,13 +640,13 @@ def _chains(out, idx, a, b, E, tol: Tolerances) -> None:
 
     ``a`` and ``b`` are the (points, q, N, N) stacks of the chains'
     bonds and sites, of checked shape and entries and hermitian sites.
-    The bonds' invertibility, the site scattering matrices, the
-    star-product tree over a (points, sites) stack and the doubling of
-    each period (``_half_lines``) are checked and built for the whole
-    stack. Its unitaries live in the traces y, whose form is
-    ``dirac_form(N)``'s for every chain, so the whole stack is finished
-    as one group, like those of the other stacks: one spectrum gates its
-    transversality. Each bulk keeps its seam's form on (psi_0, psi_1),
+    The bonds' invertibility (a singular bond disconnects the chain), the
+    site scattering matrices (``_sites``), the star-product tree over a
+    (points, sites) stack and the doubling of each period (``_half_lines``)
+    are checked and built for the whole stack. Its unitaries live in the
+    traces y, whose form is ``dirac_form(N)``'s for every chain, so the
+    whole stack is finished as one group, like those of the other stacks:
+    one spectrum gates its transversality. Each bulk keeps its seam's form on (psi_0, psi_1),
     ``tb_form``'s, and the map M = blkdiag(I, a0^-1) K* from y to those
     traces, which its planes are read through.
     """
@@ -663,27 +662,19 @@ def _chains(out, idx, a, b, E, tol: Tolerances) -> None:
             live.append(j)
     if len(live) < len(a):
         idx, a, b, E = [idx[j] for j in live], a[live], b[live], E[live]
-    K = _cayley(N)
-    Kh = K.conj().T
-    a_inv = np.linalg.inv(a)
-    # site n in the traces (u, w): [[0, a_{n-1}^-1], [-a_{n-1}*, (E - b_n) a_{n-1}^-1]]
-    T = np.zeros(a.shape[:2] + (2 * N, 2 * N), dtype=complex)
-    T[..., :N, N:] = a_inv
-    T[..., N:, :N] = -_ct(a)
-    T[..., N:, N:] = (E[:, None, None, None] * np.eye(N)
-                      - np.concatenate([b[:, 1:], b[:, :1]], axis=1)) @ a_inv
-    T = K @ T @ Kh
-    gap, U, errors = _half_lines(T, E, N)
+    gap, U, errors = _half_lines(_sites(a, b, E), E, N)
     live = []
     for j, error in enumerate(errors):
         if error is None:
             live.append(j)
         else:
             out[idx[j]] = error
-    # from y to (psi_0, psi_1): K* y is (psi_0, a0 psi_1)
+    # from y to (psi_0, psi_1): K* = [[I, I], [-iI, iI]]/sqrt(2) takes y to (psi_0, a0 psi_1)
+    c = 1.0 / np.sqrt(2.0)
     M = np.empty((len(a), 2 * N, 2 * N), dtype=complex)
-    M[:, :N] = Kh[:N]
-    M[:, N:] = a_inv[:, 0] @ Kh[N:]
+    M[:, :N, :N] = M[:, :N, N:] = c * np.eye(N)
+    M[:, N:, N:] = 1j * c * np.linalg.inv(a[:, 0])
+    M[:, N:, :N] = -M[:, N:, N:]
     M.flags.writeable = False
     _finish_each(out, [(dirac_form(N), [idx[j] for j in live],
                         U[:, live].reshape(2 * len(live), N, N), [gap[j] for j in live],
@@ -696,21 +687,20 @@ def tb_bulk(model: TightBindingModel, energy: float = 0.0,
             tol: Tolerances = TOL) -> BulkData:
     """Boundary data of a periodic chain at an in-gap energy.
 
-    Site n maps the trace (psi_{n-1}, a_{n-1} psi_n) to (psi_n, a_n
-    psi_{n+1}) and keeps its form -u*w + w*u, which ``_cayley`` makes
-    diag(I, -I) in the traces y; so each site is a unitary scattering
-    matrix, and star products in a balanced tree compose any period
-    without growth. Squaring the period the same way until it transmits
-    at most sqrt(eps) (``_half_lines``) leaves a limit whose reflections
-    R and R' are u_plus and u_minus* in y, and the gap is min ||lambda|
-    - 1| over the period's transfer spectrum. The bulk's ``form`` is
+    Site n relates the trace (psi_{n-1}, a_{n-1} psi_n) to (psi_n, a_n
+    psi_{n+1}) by a hermitian H, and the Cayley transform of H is its
+    unitary scattering matrix in the traces y (``_sites``), at any energy
+    and bond; star products in a balanced tree compose any period without
+    growth. Squaring the period the same way until it transmits at most
+    sqrt(eps) (``_half_lines``) leaves a limit whose reflections R and R'
+    are u_plus and u_minus* in y, and the gap is min ||lambda| - 1| over
+    the period's transfer spectrum. The bulk's ``form`` is
     ``tb_form(model)``, on (psi_0, psi_1), where its planes are read.
-    NotInvertible is raised when a bond block is singular, GapClosed
-    when the sites do not compose, the period still transmits after
-    ``_SQUARINGS`` squarings, or the gap is not above 10 sqrt(eps), and
-    NotInGap for a non-finite energy. This is ``tb_stack`` of the
-    model's one chain, whose blocks its constructor checked, without a
-    copy or a second check.
+    NotInvertible is raised when a bond block is singular, GapClosed when
+    the period still transmits after ``_SQUARINGS`` squarings or the gap
+    is not above 10 sqrt(eps), and NotInGap for a non-finite energy. This
+    is ``tb_stack`` of the model's one chain, whose blocks its constructor
+    checked, without a copy or a second check.
     """
     _require_finite(energy)
     out = [None]

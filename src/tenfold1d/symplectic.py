@@ -408,7 +408,12 @@ def crossing_dim(u_a, u_b, tol: Tolerances = TOL) -> int:
 
     Counts eigenvalues of U_A U_B* within ``tol.eig_tol`` of 1. Both
     arguments must refer to the same canonical split (or both be plain
-    matrices of equal size). This is the one-pair case of ``_crossing_dims``.
+    matrices of equal size). The unitaries of every chain of block size N
+    refer to ``dirac_form(N)``'s split, whatever its seam bond, so two
+    chains are counted in their traces y = K(psi_0, a0 psi_1), and chains
+    whose seams differ are counted in coordinates that differ by the
+    seam; ``hard_junction`` is the gate that refuses to glue those. This
+    is the one-pair case of ``_crossing_dims``.
     """
     (count,) = _crossing_dims([(u_a, u_b)], tol)
     if isinstance(count, Exception):

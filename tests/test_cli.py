@@ -200,6 +200,13 @@ class TestClassify:
         out, _ = capsys.readouterr()
         assert "BDI,true,0" in out.splitlines()
 
+    def test_chain_far_above_its_band_answers(self, write, capsys):
+        # at E = 1e18 the SSH chain's transfer spectrum is near 0 and infinity: gap 1
+        path = write("hot.tf", "kind tight_binding\na0 [[1.0]]\na1 [[2.0]]\n"
+                               "b0 [[0.0]]\nb1 [[0.0]]\nenergy 1e18\n")
+        assert main(["classify", "--json", "--model", path]) == 0
+        assert json.loads(capsys.readouterr()[0])["meta"]["gap"] == pytest.approx(1.0, abs=1e-12)
+
 
 class TestJunction:
     def test_hard_pair(self, write, capsys):

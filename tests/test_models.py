@@ -35,7 +35,6 @@ from tenfold1d import models
 from tenfold1d.modelfile import ModelFile, build_bulk, build_stack
 from tenfold1d.models import (
     BulkData,
-    _half_lines,
     _schrodinger_form,
     _segment_flow,
     _transport,
@@ -611,6 +610,25 @@ def unitary_in_traces(model, Z):
     return np.linalg.solve(Y[:N].T, Y[N:].T).T
 
 
+def potapov_ginzburg_site(a, b, energy):
+    """One site's scattering matrix by the site transfer: the reference for ``models._sites``.
+
+    The site maps (u, w) = (psi_{n-1}, a psi_n) to (psi_n, a_n psi_{n+1})
+    by T = [[0, a^-1], [-a*, (E - b) a^-1]]. In the traces y = K(u, w)
+    it is K T K*, which takes (y+, y-) to (y+', y-'), and the Potapov-
+    Ginzburg transform turns it into S, which takes (y+, y-') to
+    (y+', y-). Returns S and K T K*.
+    """
+    N = a.shape[0]
+    a_inv = np.linalg.inv(a)
+    T = np.block([[np.zeros((N, N)), a_inv], [-a.conj().T, (energy * np.eye(N) - b) @ a_inv]])
+    K = np.kron(np.array([[1.0, 1j], [1.0, -1j]]) / np.sqrt(2.0), np.eye(N))
+    T = K @ T @ K.conj().T
+    d = np.linalg.inv(T[N:, N:])
+    r = -d @ T[N:, :N]
+    return np.block([[T[:N, :N] + T[:N, N:] @ r, T[:N, N:] @ d], [r, d]]), T
+
+
 def bloch_bands(model, k):
     """Bloch energies at quasi-momentum k over one period."""
     N, q = model.block_dim, model.period
@@ -676,14 +694,57 @@ class TestChainComposition:
         assert got[1].u_plus.U.tobytes() == tb_bulk(SSH).u_plus.U.tobytes()
 
     def test_strong_seam_probe(self):
-        # ROADMAP item 11's probe over its two lower ranges: SSH chains at E = 0
-        # whose a0/a1 one default_rng(1) draws log-uniform in [1e5, 1e6), then
-        # in [1e6, 1e7); every chain answers with BDI index 0
+        # the strong-seam probe over its three ranges: SSH chains at E = 0 whose
+        # a0/a1 one default_rng(1) draws log-uniform in [1e5, 1e6), [1e6, 1e7), then
+        # [1e15, 1e17); every chain answers BDI index 0 on the right and 1 on the left.
+        # The draw holds the three ratios named below, at which a site transfer that
+        # holds both a0^-1 and a0* stops being unitary
         rng = np.random.default_rng(1)
-        ratios = np.concatenate([10.0 ** rng.uniform(lo, lo + 1, 100) for lo in (5, 6)])
-        indices = [topological_index(tb_bulk(TightBindingModel(
-            [np.array([[ratio]]), I1], [Z1, Z1])).u_plus, "BDI").value for ratio in ratios]
-        assert indices == [0] * 200
+        ratios = np.concatenate([10.0 ** rng.uniform(lo, hi, 100)
+                                 for lo, hi in ((5, 6), (6, 7), (15, 17))])
+        assert {3.5301128991243456e16, 6.770434442790088e16, 8.490293045280048e16} <= set(ratios)
+        indices = []
+        for ratio in ratios:
+            bulk = tb_bulk(TightBindingModel([np.array([[ratio]]), I1], [Z1, Z1]))
+            indices.append((topological_index(bulk.u_plus, "BDI").value,
+                            topological_index(bulk.u_minus, "BDI").value))
+        assert indices == [(0, 1)] * 300
+
+    @pytest.mark.parametrize("energy, gap", [
+        (0.0, 0.5), (1e10, 1.0), (1e18, 1.0), (1e20, 1.0), (1e100, 1.0), (1e200, 1.0),
+    ])
+    def test_ssh_gap_at_extreme_energies(self, energy, gap):
+        # far outside the band the transfer spectrum tends to 0 and infinity, so
+        # the gap tends to 1; a site transfer that holds (E - b) a^-1 next to a*
+        # stops being unitary from about 1e18
+        assert tb_bulk(SSH, energy).gap == pytest.approx(gap, abs=1e-12)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3), st.booleans(),
+           st.floats(-1e3, 1e3))
+    @settings(max_examples=100, deadline=None)
+    def test_cayley_sites_match_potapov_ginzburg(self, seed, q, N, complex_, energy):
+        # each site's S is unitary however its bond is conditioned, and where the
+        # bond is invertible it is the scattering matrix of the site transfer
+        rng = np.random.default_rng(seed)
+
+        def block():
+            return rng.normal(size=(N, N)) + (1j * rng.normal(size=(N, N)) if complex_ else 0.0)
+
+        a, b = [], []
+        for _ in range(q):
+            P, _, Qh = np.linalg.svd(block())
+            a.append(P @ np.diag(10.0 ** rng.uniform(-8.0, 1.0, N)) @ Qh)
+            G = block()
+            b.append(0.5 * (G + G.conj().T))
+        a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
+        S = models._sites(a[None], b[None], np.array([energy]))[0]
+        for n in range(q):
+            assert np.abs(S[n].conj().T @ S[n] - np.eye(2 * N)).max() <= 1e-13
+            if np.linalg.cond(a[n]) <= 1e6:
+                want, T = potapov_ginzburg_site(a[n], b[(n + 1) % q], energy)
+                # the reference loses about 2 eps ||T||^2 in its inverse of T's lower-right block
+                bound = 1e-10 + 8.0 * np.finfo(float).eps * np.linalg.norm(T, 2) ** 2
+                assert np.abs(S[n] - want).max() <= bound
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
@@ -931,22 +992,6 @@ class TestStacks:
             assert got.u_plus.U.tobytes() == want.u_plus.U.tobytes()
             assert got.u_minus.U.tobytes() == want.u_minus.U.tobytes()
             assert got.gap == want.gap and got.energy == want.energy
-
-    def test_a_point_that_does_not_compose_fails_alone(self):
-        # a singular block of one point fails the stacked inverse; the other
-        # points are composed and doubled one by one, as their own stacks
-        rng = np.random.default_rng(7)
-        T = rng.normal(size=(3, 4, 2, 2)) + 1j * rng.normal(size=(3, 4, 2, 2))
-        T[1, 2, 1:, 1:] = 0.0
-        E = np.array([0.1, 0.2, 0.3])
-        gap, Y, errors = _half_lines(T, E, 1)
-        assert isinstance(errors[1], GapClosed)
-        assert str(errors[1]) == "site scattering matrices do not compose at energy 0.2"
-        for j in (0, 2):
-            [g], Z, [error] = _half_lines(T[j:j + 1], E[j:j + 1], 1)
-            assert type(errors[j]) is type(error) and str(errors[j]) == str(error)
-            assert np.array_equal(gap[j], g, equal_nan=True)
-            assert np.array_equal(Y[:, j], Z[:, 0], equal_nan=True)
 
     def test_chain_sites_are_tested_once(self, monkeypatch):
         # a built model's blocks enter _chains as they are, tested by its constructor;
